@@ -5,8 +5,8 @@
 // in one process, sharing the work-stealing scheduler and a global memory
 // budget (src/fleet/) — and measures what the serial loop could not:
 //
-//   1. gang-serialized baseline: tenants refined one after another (the old
-//      ThreadPool model — one session owns all parallelism at a time);
+//   1. serialized baseline: tenants refined one after another (one session
+//      owns all parallelism at a time);
 //   2. concurrent fleet: the same rounds dispatched as scheduler waves,
 //      reporting aggregate rounds/sec, per-tenant p95 round latency and the
 //      RSS ceiling — with a bit-identity gate against the baseline replay;

@@ -30,9 +30,9 @@ double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-// Median-of-three wall-clock timing (the pools are pre-created by a warmup
-// run, so thread spawn cost is excluded — as it is in the engine, which
-// reuses ThreadPool::Shared gangs across evaluations).
+// Median-of-three wall-clock timing (the shared scheduler is created by a
+// warmup run, so thread spawn cost is excluded — as it is in the engine,
+// which reuses TaskScheduler::Shared across evaluations).
 template <typename Fn>
 double TimeMedian3(const Fn& fn) {
   double t[3];
@@ -87,8 +87,8 @@ int main() {
     evals.emplace_back(*dataset.relation, rows, EvalOptions{t});
   }
 
-  // Warmup: builds the shared pools and the per-evaluator mask caches, and
-  // pins down the serial reference bitmap for the equivalence assertion.
+  // Warmup: builds the shared scheduler and the per-evaluator mask caches,
+  // and pins down the serial reference bitmap for the equivalence assertion.
   const Bitset reference = evals[0].EvalRuleSet(rules);
   for (size_t i = 1; i < kNumConfigs; ++i) {
     if (evals[i].EvalRuleSet(rules) != reference) {

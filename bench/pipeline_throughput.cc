@@ -99,7 +99,6 @@ int main() {
               refine_at[3]);
 
   SessionOptions session_base;
-  session_base.simplify_after = false;  // keep the tracker attachable
 
   // ---- Pipelined run: producer races the refiner. -------------------------
   Relation live(streamed_ds.relation->shared_schema());

@@ -48,7 +48,7 @@ Fixture& GetFixture(size_t n) {
   // A captured legitimate tuple for the split path: widen one rule so it
   // certainly captures something legitimate.
   RuleId wide = fx->rules.AddRule(Rule::Trivial(*fx->dataset.cc.schema));
-  fx->tracker->ApplyAdd(wide, fx->tracker->Eval(fx->rules.Get(wide)));
+  fx->tracker->ApplyAdd(wide, fx->rules.Get(wide));
   for (size_t r = 0; r < n; ++r) {
     if (fx->dataset.relation->VisibleLabel(r) == Label::kLegitimate) {
       fx->legit_row = r;

@@ -113,7 +113,7 @@ int main() {
     RevealLabels(relation, prefix, new_prefix, 0.9, 0.08, 0.004, &rng);
 
     auto a = Clock::now();
-    persistent.ExtendPrefix(new_prefix, rules);
+    persistent.ExtendPrefix(new_prefix);
     auto b = Clock::now();
     CaptureTracker fresh(*relation, rules, new_prefix, eval);
     auto c = Clock::now();

@@ -4,7 +4,6 @@
 #include "cluster/leader.h"
 #include "cluster/streaming_kmeans.h"
 #include "util/task_scheduler.h"
-#include "util/thread_pool.h"  // ResolveNumThreads
 
 namespace rudolf {
 

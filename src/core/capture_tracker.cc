@@ -12,7 +12,8 @@ CaptureTracker::CaptureTracker(const Relation& relation, const RuleSet& rules,
                                size_t prefix_rows, EvalOptions eval)
     : relation_(relation),
       prefix_(std::min(prefix_rows, relation.NumRows())),
-      evaluator_(relation, prefix_, eval) {
+      evaluator_(relation, prefix_, eval),
+      rules_(rules) {
   RUDOLF_SPAN("tracker.build");
   RUDOLF_SCOPED_LATENCY("tracker.build.seconds");
   RUDOLF_COUNTER_INC("tracker.builds");
@@ -50,7 +51,7 @@ void CaptureTracker::LowerCover(size_t row) {
   if (--cover_count_[row] == 0) AdjustTotals(row, -1);
 }
 
-void CaptureTracker::ExtendPrefix(size_t new_prefix, const RuleSet& rules) {
+void CaptureTracker::ExtendPrefix(size_t new_prefix) {
   RUDOLF_SPAN("tracker.extend");
   RUDOLF_SCOPED_LATENCY("tracker.extend.seconds");
   RUDOLF_COUNTER_INC("tracker.extends");
@@ -59,7 +60,7 @@ void CaptureTracker::ExtendPrefix(size_t new_prefix, const RuleSet& rules) {
   prefix_ = evaluator_.num_rows();
   if (prefix_ == old_prefix) return;
   cover_count_.resize(prefix_, 0);
-  std::vector<RuleId> ids = rules.LiveIds();
+  std::vector<RuleId> ids = rules_.LiveIds();
   std::vector<Bitset*> outs;
   outs.reserve(ids.size());
   for (RuleId id : ids) {
@@ -70,10 +71,31 @@ void CaptureTracker::ExtendPrefix(size_t new_prefix, const RuleSet& rules) {
   }
   // Each rule scans only the new row range, in parallel across rules; the
   // cover/label-count accumulation walks just the new bits, serially.
-  evaluator_.EvalRulesRange(rules, ids, old_prefix, prefix_, outs);
+  evaluator_.EvalRulesRange(rules_, ids, old_prefix, prefix_, outs);
   for (Bitset* capture : outs) {
     capture->ForEachInRange(old_prefix, prefix_,
                             [this](size_t row) { RaiseCover(row); });
+  }
+}
+
+void CaptureTracker::Sync(const RuleSet& rules) {
+  std::vector<RuleId> stale;  // new, or changed since the copy
+  for (RuleId id : rules.LiveIds()) {
+    if (!rules_.IsLive(id) || !(rules_.Get(id) == rules.Get(id))) {
+      stale.push_back(id);
+    }
+  }
+  for (RuleId id : rules_.LiveIds()) {
+    if (!rules.IsLive(id)) ApplyRemove(id);
+  }
+  // Copied even when no live rule changed: ids the caller used up since
+  // (added, then removed again) must be used up here too, or the next
+  // ApplyAdd would hand out a different id than the caller's set.
+  rules_ = rules;
+  if (stale.empty()) return;
+  std::vector<Bitset> bitmaps = evaluator_.EvalRules(rules, stale);
+  for (size_t i = 0; i < stale.size(); ++i) {
+    SetCapture(stale[i], std::move(bitmaps[i]));
   }
 }
 
@@ -170,21 +192,27 @@ BenefitDelta CaptureTracker::DeltaForReplaceMany(
   return DeltaBetween(RuleCapture(id), unioned);
 }
 
-void CaptureTracker::ApplyReplace(RuleId id, Bitset new_capture) {
-  auto it = captures_.find(id);
-  assert(it != captures_.end());
-  it->second.ForEach([this](size_t row) { LowerCover(row); });
-  new_capture.ForEach([this](size_t row) { RaiseCover(row); });
-  it->second = std::move(new_capture);
+void CaptureTracker::SetCapture(RuleId id, Bitset capture) {
+  auto [it, added] = captures_.try_emplace(id);
+  if (!added) it->second.ForEach([this](size_t row) { LowerCover(row); });
+  capture.ForEach([this](size_t row) { RaiseCover(row); });
+  it->second = std::move(capture);
 }
 
-void CaptureTracker::ApplyAdd(RuleId id, Bitset capture) {
-  assert(captures_.find(id) == captures_.end());
-  capture.ForEach([this](size_t row) { RaiseCover(row); });
-  captures_.emplace(id, std::move(capture));
+void CaptureTracker::ApplyReplace(RuleId id, const Rule& rule) {
+  assert(captures_.count(id) == 1);
+  rules_.Replace(id, rule);
+  SetCapture(id, Eval(rule));
+}
+
+void CaptureTracker::ApplyAdd(RuleId id, const Rule& rule) {
+  [[maybe_unused]] RuleId copied = rules_.AddRule(rule);
+  assert(copied == id);
+  SetCapture(id, Eval(rule));
 }
 
 void CaptureTracker::ApplyRemove(RuleId id) {
+  rules_.RemoveRule(id);
   auto it = captures_.find(id);
   assert(it != captures_.end());
   it->second.ForEach([this](size_t row) { LowerCover(row); });

@@ -19,11 +19,13 @@ namespace rudolf {
 /// \brief Tracks per-rule capture bitmaps over a prefix of the relation.
 ///
 /// The tracker is bound to the first `prefix_rows` rows ("the past" the
-/// algorithms are allowed to see); the rule set may be edited through the
-/// Apply* methods, which keep the bitmaps and cover counts consistent.
+/// algorithms are allowed to see) and owns a copy of the rules it tracks.
+/// Edits reach it one at a time through the Apply* methods or in bulk
+/// through Sync; both keep that copy, the bitmaps and the cover counts
+/// consistent.
 class CaptureTracker {
  public:
-  /// Builds bitmaps for every live rule of `rules` over the first
+  /// Copies `rules` and builds bitmaps for every live rule over the first
   /// `prefix_rows` rows of `relation` (SIZE_MAX = all rows). The initial
   /// bitmap build parallelizes across rules when `eval.num_threads > 1`.
   CaptureTracker(const Relation& relation, const RuleSet& rules,
@@ -32,18 +34,26 @@ class CaptureTracker {
 
   size_t prefix_rows() const { return prefix_; }
   const RuleEvaluator& evaluator() const { return evaluator_; }
+  /// The tracker's copy of the rules it tracks.
+  const RuleSet& rules() const { return rules_; }
 
   /// Extends the tracker over rows [prefix_rows(), new_prefix) after the
   /// visible stream advanced (clamped to the relation's current rows; must
-  /// not shrink): each live rule of `rules` is evaluated only over the new
-  /// row range (parallel across rules when the tracker was built with
+  /// not shrink): each tracked rule is evaluated only over the new row
+  /// range (parallel across rules when the tracker was built with
   /// num_threads > 1) and its bitmap, the cover counts, and the maintained
   /// label counts are extended in place; the evaluator's condition index
   /// absorbs the new rows too. O(batch × rules), bit-identical to building
-  /// a fresh tracker over the new prefix. `rules` must be the same live set
-  /// the tracker is maintaining (every Apply* mirrored), and the relation
-  /// must have grown by pure appends since the last build/extension.
-  void ExtendPrefix(size_t new_prefix, const RuleSet& rules);
+  /// a fresh tracker over the new prefix. The relation must have grown by
+  /// pure appends since the last build/extension.
+  void ExtendPrefix(size_t new_prefix);
+
+  /// Brings the tracker in line with `rules` after edits it was not told
+  /// about (simplification, caller edits): ids no longer live are dropped,
+  /// rules that changed are re-evaluated, new ones are added, and the
+  /// tracker's copy becomes `rules`, ids included. The state is
+  /// bit-identical to a fresh build over `rules` at the same prefix.
+  void Sync(const RuleSet& rules);
 
   /// Incremental label-count fixup: must be called (with the row's previous
   /// and new visible label) whenever a row *inside* the prefix is relabeled
@@ -92,9 +102,13 @@ class CaptureTracker {
   BenefitDelta DeltaForReplaceMany(RuleId id,
                                    const std::vector<Bitset>& captures) const;
 
-  /// Mutations (keep `rules` itself in sync separately).
-  void ApplyReplace(RuleId id, Bitset new_capture);
-  void ApplyAdd(RuleId id, Bitset capture);
+  /// Mutations mirroring an edit of the caller's rule set: the tracker
+  /// applies it to its own copy and evaluates the rule's capture itself.
+  /// ApplyAdd's `id` is the one the caller's RuleSet just assigned; the
+  /// copy assigns the same one as long as every edit since the build or
+  /// the last Sync was mirrored.
+  void ApplyReplace(RuleId id, const Rule& rule);
+  void ApplyAdd(RuleId id, const Rule& rule);
   void ApplyRemove(RuleId id);
 
   /// Approximate heap bytes held: per-rule capture bitmaps, cover counts,
@@ -122,9 +136,14 @@ class CaptureTracker {
   void RaiseCover(size_t row);
   void LowerCover(size_t row);
 
+  // Installs `capture` as rule `id`'s bitmap, replacing any old one and
+  // moving the cover counts along.
+  void SetCapture(RuleId id, Bitset capture);
+
   const Relation& relation_;
   size_t prefix_;
   RuleEvaluator evaluator_;
+  RuleSet rules_;
   std::unordered_map<RuleId, Bitset> captures_;
   std::vector<uint32_t> cover_count_;
   LabelCounts total_counts_;

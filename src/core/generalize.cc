@@ -123,7 +123,7 @@ void GeneralizationEngine::ApplyRuleChange(RuleSet* rules, CaptureTracker* track
   const Schema& schema = relation_.schema();
   std::vector<size_t> changed = old_rule.DiffAttributes(new_rule);
   rules->Replace(id, new_rule);
-  tracker->ApplyReplace(id, tracker->Eval(new_rule));
+  tracker->ApplyReplace(id, new_rule);
   // All condition changes of one accepted proposal form one rule update.
   uint64_t group = changed.size() > 1 ? log->NewGroup() : 0;
   for (size_t attr : changed) {
@@ -313,7 +313,7 @@ GeneralizeStats GeneralizationEngine::Run(RuleSet* rules, CaptureTracker* tracke
         continue;
       }
       RuleId id = rules->AddRule(to_add);
-      tracker->ApplyAdd(id, tracker->Eval(to_add));
+      tracker->ApplyAdd(id, to_add);
       Edit edit;
       edit.kind = EditKind::kAddRule;
       edit.source = review.action == GeneralizationReview::Action::kAccept

@@ -20,18 +20,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// True if the two rule sets have the same live ids bound to equal rules —
-// the persistence check: a held tracker is only reusable against a rule set
-// indistinguishable from the snapshot it was maintaining.
-bool SameRuleSet(const RuleSet& a, const RuleSet& b) {
-  std::vector<RuleId> ids_a = a.LiveIds();
-  if (ids_a != b.LiveIds()) return false;
-  for (RuleId id : ids_a) {
-    if (!(a.Get(id) == b.Get(id))) return false;
-  }
-  return true;
-}
-
 void Accumulate(GeneralizeStats* into, const GeneralizeStats& from) {
   into->clusters += from.clusters;
   into->proposals += from.proposals;
@@ -88,7 +76,7 @@ RefinementSession::~RefinementSession() {
   // release takes the pipeline's state mutex, so it returns only once no
   // worker can touch the tracker again.
   if (options_.pipelined != nullptr) {
-    options_.pipelined->ReleaseEpoch(nullptr, nullptr);
+    options_.pipelined->ReleaseEpoch(nullptr);
   }
 }
 
@@ -131,10 +119,6 @@ SessionStats RefinementSession::Refine(size_t prefix_rows, RuleSet* rules,
     SpecializeStats s = specializer_.Run(rules, tracker, expert, log);
     Accumulate(&stats.specialize, s);
 
-    // The engines mirrored every rule edit into the tracker, so the two are
-    // in sync again — refresh the snapshot the next acquire compares with.
-    SnapshotRules(*rules);
-
     // Round boundary = deployment boundary: the accepted edits go live on
     // the serving path while later rounds keep refining.
     if (options_.serving != nullptr && log->size() != edits_at_round_start) {
@@ -152,14 +136,12 @@ SessionStats RefinementSession::Refine(size_t prefix_rows, RuleSet* rules,
     // Folded into the generalize bucket; stats.expert_seconds sums both
     // buckets below.
     stats.generalize.expert_seconds += retired.expert_seconds;
-    SnapshotRules(*rules);
   }
-  if (options_.simplify_after) {
-    // SimplifyRuleSet edits `rules` without the tracker. Deliberately no
-    // snapshot refresh: if it changed anything, the next AcquireTracker sees
-    // the mismatch and rebuilds; if it was a no-op, the snapshot still
-    // matches and the tracker stays live.
-    SimplifyRuleSet(relation_.schema(), rules, log);
+  // SimplifyRuleSet edits `rules` without the tracker; Sync carries its
+  // removals and merges over, so the held tracker stays reusable.
+  SimplifyRuleSet(relation_.schema(), rules, log);
+  if (options_.persistent_tracker && tracker_ != nullptr) {
+    tracker_->Sync(*rules);
   }
   // Retirement/simplify edits landed after the last round publish; ship the
   // final rule set so serving never answers against a superseded epoch.
@@ -173,16 +155,10 @@ SessionStats RefinementSession::Refine(size_t prefix_rows, RuleSet* rules,
       stats.generalize.expert_seconds + stats.specialize.expert_seconds;
   stats.edits = log->size() - edits_before;
   if (options_.pipelined != nullptr) {
-    // Re-open the gate. The persistent tracker rides along only while its
-    // snapshot still matches the rule set the workers would be extending it
-    // for — after a mutating simplify/retirement pass the next round
-    // rebuilds anyway, so attaching would waste worker time on a doomed
-    // tracker.
-    bool attach = options_.persistent_tracker && tracker_ != nullptr &&
-                  tracker_rules_ != nullptr &&
-                  SameRuleSet(*tracker_rules_, *rules);
-    options_.pipelined->ReleaseEpoch(attach ? tracker_.get() : nullptr,
-                                     attach ? tracker_rules_.get() : nullptr);
+    // Re-open the gate; workers keep the persistent tracker extended toward
+    // the live end until the next pin.
+    options_.pipelined->ReleaseEpoch(
+        options_.persistent_tracker ? tracker_.get() : nullptr);
   }
   return stats;
 }
@@ -203,17 +179,15 @@ void RefinementSession::NotifyVisibleLabelChanged(size_t row, Label old_label,
 CaptureTracker* RefinementSession::AcquireTracker(size_t prefix,
                                                   const RuleSet& rules,
                                                   SessionStats* stats) {
-  bool reusable = options_.persistent_tracker && tracker_ != nullptr &&
-                  tracker_rules_ != nullptr &&
-                  tracker_->prefix_rows() <= prefix &&
-                  SameRuleSet(*tracker_rules_, rules);
   // SessionStats stays locally accounted (registry totals are process-wide
   // and would cross-contaminate concurrent sessions); the registry gets a
   // mirror of the same events for dashboards and bench sidecars.
-  if (reusable) {
+  if (options_.persistent_tracker && tracker_ != nullptr &&
+      tracker_->prefix_rows() <= prefix) {
+    tracker_->Sync(rules);
     if (tracker_->prefix_rows() < prefix) {
       auto start = std::chrono::steady_clock::now();
-      tracker_->ExtendPrefix(prefix, rules);
+      tracker_->ExtendPrefix(prefix);
       double seconds = SecondsSince(start);
       stats->extend_seconds += seconds;
       ++stats->tracker_extends;
@@ -234,13 +208,7 @@ CaptureTracker* RefinementSession::AcquireTracker(size_t prefix,
   obs::MetricsRegistry::Default()
       .GetHistogram("session.tracker.rebuild.seconds")
       ->Record(seconds);
-  SnapshotRules(rules);
   return tracker_.get();
-}
-
-void RefinementSession::SnapshotRules(const RuleSet& rules) {
-  if (!options_.persistent_tracker) return;
-  tracker_rules_ = std::make_unique<RuleSet>(rules);
 }
 
 size_t RefinementSession::HeldMemoryBytes() const {
@@ -256,7 +224,6 @@ void RefinementSession::ReleaseCachedBitmaps() {
 void RefinementSession::ReleaseTracker() {
   if (options_.pipelined != nullptr) return;
   tracker_.reset();
-  tracker_rules_.reset();
 }
 
 }  // namespace rudolf

@@ -34,10 +34,6 @@ struct SessionOptions {
   /// ~10 modification rounds per rule-set update; each of our rounds makes
   /// many modifications, so a small number suffices).
   int max_rounds = 3;
-  /// Run a capture-preserving maintenance pass (duplicate/subsumed-rule
-  /// removal, fragment re-merge) after each session. Free in the cost model
-  /// — Φ(I) does not change.
-  bool simplify_after = true;
   /// Propose retiring rules whose fraud yield dried up (core/drift.h) at
   /// the end of each session. An extension beyond the paper's algorithms;
   /// off by default.
@@ -46,11 +42,11 @@ struct SessionOptions {
   /// Keep one CaptureTracker (and condition index) alive across rounds and
   /// Refine() calls, extending it as the visible prefix advances instead of
   /// rebuilding the world per round — per-round work becomes O(new rows),
-  /// not O(prefix). The refinement outcome is bit-identical to rebuild mode
-  /// (see DESIGN.md "Incremental append path"); the tracker falls back to a
-  /// rebuild whenever the rule set was edited behind its back (simplify,
-  /// retirement pruning, caller edits between Refine calls) or the prefix
-  /// shrank.
+  /// not O(prefix). Edits the engines did not mirror (the closing simplify
+  /// pass, caller edits between Refine calls) reach the held tracker through
+  /// CaptureTracker::Sync; only a shrunk prefix forces a rebuild. The
+  /// refinement outcome is bit-identical to rebuild mode (false), which
+  /// stays as the reference (see DESIGN.md "Incremental append path").
   bool persistent_tracker = true;
   /// Online serving hook: when set, every round that changed the rule set
   /// compiles and atomically publishes the new set here (and Refine
@@ -122,7 +118,9 @@ class RefinementSession {
 
   /// Runs generalize → specialize rounds over the first `prefix_rows` rows
   /// with the expert until neither pass changes anything or max_rounds is
-  /// hit.
+  /// hit, then a capture-preserving maintenance pass (SimplifyRuleSet:
+  /// duplicate/subsumed-rule removal, fragment re-merge). The pass is free
+  /// in the cost model — Φ(I) does not change.
   SessionStats Refine(size_t prefix_rows, RuleSet* rules, Expert* expert,
                       EditLog* log);
 
@@ -159,28 +157,19 @@ class RefinementSession {
 
  private:
   // Returns a tracker over `prefix` rows that is consistent with `rules`:
-  // in persistent mode the held tracker is reused (extended over the new
-  // rows if the prefix grew) when `rules` still matches the snapshot it was
-  // maintaining; otherwise — rule set edited behind its back, prefix
-  // shrank, or non-persistent mode — a fresh tracker is built. Updates
-  // `stats`'s rebuild/extend accounting.
+  // in persistent mode the held tracker is synced to `rules` and extended
+  // over the new rows; when the prefix shrank, or in non-persistent mode, a
+  // fresh tracker is built. Updates `stats`'s rebuild/extend accounting.
   CaptureTracker* AcquireTracker(size_t prefix, const RuleSet& rules,
                                  SessionStats* stats);
-
-  // Records `rules` as the live set tracker_ is maintaining (deep copy, so
-  // later caller edits are detected by comparison).
-  void SnapshotRules(const RuleSet& rules);
 
   const Relation& relation_;
   size_t default_prefix_;
   SessionOptions options_;
   GeneralizationEngine generalizer_;
   SpecializationEngine specializer_;
-  // Persistent-tracker state (persistent_tracker mode; unused otherwise).
-  // tracker_rules_ is the snapshot of the rule set as of the last moment
-  // tracker_ was known to be in sync with it.
+  // The tracker of the latest round; persistent_tracker mode reuses it.
   std::unique_ptr<CaptureTracker> tracker_;
-  std::unique_ptr<RuleSet> tracker_rules_;
 };
 
 }  // namespace rudolf

@@ -101,7 +101,7 @@ void SpecializationEngine::ApplySplit(RuleSet* rules, CaptureTracker* tracker,
   tracker->ApplyRemove(rule_id);
   for (const Rule& r : replacements) {
     RuleId id = rules->AddRule(r);
-    tracker->ApplyAdd(id, tracker->Eval(r));
+    tracker->ApplyAdd(id, r);
   }
   Edit edit;
   edit.rule = rule_id;

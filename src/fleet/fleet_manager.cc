@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"  // ResolveNumThreads
 
 namespace rudolf {
 

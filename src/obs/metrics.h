@@ -1,6 +1,6 @@
 // Process-wide metrics registry: named lock-free counters and fixed-bucket
 // latency histograms for the engine's hot paths (evaluator, indexes,
-// trackers, proposal phases, thread pool, sessions).
+// trackers, proposal phases, scheduler, sessions).
 //
 // Design constraints, in order:
 //   * near-zero overhead at the increment site — a counter increment is one

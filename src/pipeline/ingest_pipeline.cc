@@ -58,7 +58,7 @@ IngestPipeline::~IngestPipeline() {
   // Force-open the gate first: a caller that destroys the pipeline while an
   // epoch is pinned must not deadlock an applier stuck waiting to grow
   // capacity.
-  ReleaseEpoch(nullptr, nullptr);
+  ReleaseEpoch(nullptr);
   Shutdown();
   for (std::thread& t : workers_) t.join();
 }
@@ -177,13 +177,13 @@ void IngestPipeline::MaybeExtendState() {
   // the extension target is always read fresh under the lock.
   std::unique_lock<std::mutex> state(state_mu_, std::try_to_lock);
   if (!state.owns_lock()) return;
-  if (gate_closed_ || tracker_ == nullptr || tracker_rules_ == nullptr) return;
+  if (gate_closed_ || tracker_ == nullptr) return;
   size_t target = applied_rows_.load(std::memory_order_acquire);
   if (target <= tracker_->prefix_rows()) return;
   RUDOLF_SPAN("pipeline.state.extend");
   RUDOLF_SCOPED_LATENCY("pipeline.state.extend.seconds");
   RUDOLF_COUNTER_INC("pipeline.state.extends");
-  tracker_->ExtendPrefix(target, *tracker_rules_);
+  tracker_->ExtendPrefix(target);
 }
 
 size_t IngestPipeline::WaitForApplied(size_t rows) {
@@ -211,7 +211,6 @@ size_t IngestPipeline::PinEpoch(size_t target_rows) {
   std::lock_guard<std::mutex> state(state_mu_);
   gate_closed_ = true;
   tracker_ = nullptr;
-  tracker_rules_ = nullptr;
   size_t frozen =
       std::min(target_rows, applied_rows_.load(std::memory_order_acquire));
   frozen_prefix_.store(frozen, std::memory_order_release);
@@ -223,12 +222,11 @@ size_t IngestPipeline::PinEpoch(size_t target_rows) {
   return frozen;
 }
 
-void IngestPipeline::ReleaseEpoch(CaptureTracker* tracker, const RuleSet* rules) {
+void IngestPipeline::ReleaseEpoch(CaptureTracker* tracker) {
   {
     std::lock_guard<std::mutex> state(state_mu_);
     gate_closed_ = false;
     tracker_ = tracker;
-    tracker_rules_ = tracker == nullptr ? nullptr : rules;
   }
   gate_cv_.notify_all();
 }

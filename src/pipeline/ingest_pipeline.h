@@ -48,7 +48,6 @@
 #include "pipeline/row_batch.h"
 #include "pipeline/thread_safe_queue.h"
 #include "relation/relation.h"
-#include "rules/rule_set.h"
 
 namespace rudolf {
 
@@ -127,12 +126,10 @@ class IngestPipeline {
 
   /// Epoch advance, step 2: re-opens the gate and (optionally) attaches
   /// the tracker the workers should keep extended while no round runs.
-  /// `tracker` and `rules` must outlive the attachment (detach by the next
-  /// PinEpoch, a ReleaseEpoch(nullptr, nullptr), or destruction) and must
-  /// be in sync: `rules` is exactly the live set `tracker` is maintaining,
-  /// and neither may be mutated elsewhere while attached.
-  void ReleaseEpoch(CaptureTracker* tracker = nullptr,
-                    const RuleSet* rules = nullptr);
+  /// `tracker` extends its own copy of the rules; it must outlive the
+  /// attachment (detach by the next PinEpoch, a ReleaseEpoch(nullptr), or
+  /// destruction) and may not be mutated elsewhere while attached.
+  void ReleaseEpoch(CaptureTracker* tracker = nullptr);
 
   /// Epochs pinned so far.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
@@ -203,7 +200,6 @@ class IngestPipeline {
   std::condition_variable gate_cv_;
   bool gate_closed_ = false;
   CaptureTracker* tracker_ = nullptr;
-  const RuleSet* tracker_rules_ = nullptr;
   std::atomic<size_t> frozen_prefix_{0};
   std::atomic<uint64_t> epoch_{0};
 

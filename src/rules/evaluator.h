@@ -29,7 +29,6 @@
 #include "rules/rule_set.h"
 #include "util/bitset.h"
 #include "util/task_scheduler.h"
-#include "util/thread_pool.h"  // ResolveNumThreads
 
 namespace rudolf {
 

@@ -27,11 +27,6 @@ const Rule& RuleSet::Get(RuleId id) const {
   return slots_[id].rule;
 }
 
-Rule* RuleSet::MutableRule(RuleId id) {
-  assert(IsLive(id));
-  return &slots_[id].rule;
-}
-
 void RuleSet::Replace(RuleId id, Rule rule) {
   assert(IsLive(id));
   slots_[id].rule = std::move(rule);

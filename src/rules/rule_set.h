@@ -31,7 +31,6 @@ class RuleSet {
 
   /// Access to a live rule. Requires IsLive(id).
   const Rule& Get(RuleId id) const;
-  Rule* MutableRule(RuleId id);
 
   /// Replaces a live rule in place. Requires IsLive(id).
   void Replace(RuleId id, Rule rule);

@@ -39,94 +39,81 @@ void LogRemoval(EditLog* log, RuleId id, const char* why) {
 }  // namespace
 
 SimplifyStats SimplifyRuleSet(const Schema& schema, RuleSet* rules, EditLog* log) {
-  return SimplifyRuleSet(schema, rules, log, SimplifyOptions{});
-}
-
-SimplifyStats SimplifyRuleSet(const Schema& schema, RuleSet* rules, EditLog* log,
-                              const SimplifyOptions& options) {
   SimplifyStats stats;
 
   // 1. Drop rules that cannot capture anything.
-  if (options.remove_empty) {
-    for (RuleId id : rules->LiveIds()) {
-      if (rules->Get(id).HasEmptyCondition()) {
-        rules->RemoveRule(id);
-        LogRemoval(log, id, "simplify: empty condition");
-        ++stats.empty_removed;
-      }
+  for (RuleId id : rules->LiveIds()) {
+    if (rules->Get(id).HasEmptyCondition()) {
+      rules->RemoveRule(id);
+      LogRemoval(log, id, "simplify: empty condition");
+      ++stats.empty_removed;
     }
   }
 
   // 2. Duplicates: keep the first of each identical pair.
-  if (options.remove_duplicates) {
-    std::vector<RuleId> live = rules->LiveIds();
-    for (size_t i = 0; i < live.size(); ++i) {
-      if (!rules->IsLive(live[i])) continue;
-      for (size_t j = i + 1; j < live.size(); ++j) {
-        if (!rules->IsLive(live[j])) continue;
-        if (rules->Get(live[i]) == rules->Get(live[j])) {
-          rules->RemoveRule(live[j]);
-          LogRemoval(log, live[j], "simplify: duplicate rule");
-          ++stats.duplicates_removed;
-        }
+  std::vector<RuleId> live = rules->LiveIds();
+  for (size_t i = 0; i < live.size(); ++i) {
+    if (!rules->IsLive(live[i])) continue;
+    for (size_t j = i + 1; j < live.size(); ++j) {
+      if (!rules->IsLive(live[j])) continue;
+      if (rules->Get(live[i]) == rules->Get(live[j])) {
+        rules->RemoveRule(live[j]);
+        LogRemoval(log, live[j], "simplify: duplicate rule");
+        ++stats.duplicates_removed;
       }
     }
   }
 
   // 3. Merge abutting fragments until a fixpoint (a merge can enable
   // another).
-  if (options.merge_adjacent_intervals) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      std::vector<RuleId> live = rules->LiveIds();
-      for (size_t i = 0; i < live.size() && !changed; ++i) {
-        if (!rules->IsLive(live[i])) continue;
-        for (size_t j = i + 1; j < live.size() && !changed; ++j) {
-          if (!rules->IsLive(live[j])) continue;
-          for (size_t attr = 0; attr < schema.arity(); ++attr) {
-            Interval merged;
-            if (!CanMergeOn(schema, rules->Get(live[i]), rules->Get(live[j]),
-                            attr, &merged)) {
-              continue;
-            }
-            Rule fused = rules->Get(live[i]);
-            fused.set_condition(attr, Condition::MakeNumeric(merged));
-            rules->Replace(live[i], fused);
-            rules->RemoveRule(live[j]);
-            Edit edit;
-            edit.kind = EditKind::kModifyCondition;
-            edit.source = EditSource::kSystem;
-            edit.rule = live[i];
-            edit.attribute = attr;
-            edit.cost = 0.0;
-            edit.note = "simplify: merge adjacent fragments";
-            log->Record(std::move(edit));
-            ++stats.merged;
-            changed = true;
-            break;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    live = rules->LiveIds();
+    for (size_t i = 0; i < live.size() && !changed; ++i) {
+      if (!rules->IsLive(live[i])) continue;
+      for (size_t j = i + 1; j < live.size() && !changed; ++j) {
+        if (!rules->IsLive(live[j])) continue;
+        for (size_t attr = 0; attr < schema.arity(); ++attr) {
+          Interval merged;
+          if (!CanMergeOn(schema, rules->Get(live[i]), rules->Get(live[j]),
+                          attr, &merged)) {
+            continue;
           }
+          Rule fused = rules->Get(live[i]);
+          fused.set_condition(attr, Condition::MakeNumeric(merged));
+          rules->Replace(live[i], fused);
+          rules->RemoveRule(live[j]);
+          Edit edit;
+          edit.kind = EditKind::kModifyCondition;
+          edit.source = EditSource::kSystem;
+          edit.rule = live[i];
+          edit.attribute = attr;
+          edit.cost = 0.0;
+          edit.note = "simplify: merge adjacent fragments";
+          log->Record(std::move(edit));
+          ++stats.merged;
+          changed = true;
+          break;
         }
       }
     }
   }
 
   // 4. Subsumption: remove rules contained in another live rule.
-  if (options.remove_subsumed) {
-    std::vector<RuleId> live = rules->LiveIds();
-    for (RuleId narrow : live) {
-      if (!rules->IsLive(narrow)) continue;
-      for (RuleId wide : live) {
-        if (wide == narrow || !rules->IsLive(wide) || !rules->IsLive(narrow)) {
-          continue;
-        }
-        if (rules->Get(wide).ContainsRule(schema, rules->Get(narrow)) &&
-            !(rules->Get(wide) == rules->Get(narrow))) {
-          rules->RemoveRule(narrow);
-          LogRemoval(log, narrow, "simplify: subsumed rule");
-          ++stats.subsumed_removed;
-          break;
-        }
+  live = rules->LiveIds();
+  for (RuleId narrow : live) {
+    if (!rules->IsLive(narrow)) continue;
+    for (RuleId wide : live) {
+      if (wide == narrow || !rules->IsLive(wide) || !rules->IsLive(narrow)) {
+        continue;
+      }
+      if (rules->Get(wide).ContainsRule(schema, rules->Get(narrow)) &&
+          !(rules->Get(wide) == rules->Get(narrow))) {
+        rules->RemoveRule(narrow);
+        LogRemoval(log, narrow, "simplify: subsumed rule");
+        ++stats.subsumed_removed;
+        break;
       }
     }
   }

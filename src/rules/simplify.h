@@ -28,26 +28,18 @@ struct SimplifyStats {
   }
 };
 
-/// Options for SimplifyRuleSet.
-struct SimplifyOptions {
-  bool remove_duplicates = true;
-  bool remove_subsumed = true;
-  /// Fuse rules identical on all but one numeric attribute whose intervals
-  /// touch or overlap ([a,b] and [b+1,c] → [a,c]).
-  bool merge_adjacent_intervals = true;
-  bool remove_empty = true;
-};
-
 /// \brief Simplifies `rules` in place, logging every removal/merge to `log`
 /// (kRemoveRule / kModifyCondition edits with zero cost — maintenance is
 /// free in the paper's cost model since it never changes Φ(I)).
 ///
+/// Four passes, in order: drop rules with an empty condition, drop
+/// duplicates, fuse rules identical on all but one numeric attribute whose
+/// intervals touch or overlap ([a,b] and [b+1,c] → [a,c]), and drop rules
+/// contained in another live rule.
+///
 /// Capture-preserving: the simplified set captures exactly the same tuples
 /// as the input on every relation.
 SimplifyStats SimplifyRuleSet(const Schema& schema, RuleSet* rules, EditLog* log);
-
-SimplifyStats SimplifyRuleSet(const Schema& schema, RuleSet* rules, EditLog* log,
-                              const SimplifyOptions& options);
 
 }  // namespace rudolf
 

@@ -2,16 +2,39 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <exception>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"  // ResolveNumThreads
 
 namespace rudolf {
 
+int ResolveNumThreads(int requested) {
+  if (const char* env = std::getenv("RUDOLF_THREADS")) {
+    char* end = nullptr;
+    long v = std::strtol(env, &end, 10);
+    if (end != env && v >= 1) {
+      return static_cast<int>(std::min<long>(v, 1024));
+    }
+  }
+  if (requested == 0) {
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+  }
+  return std::max(requested, 1);
+}
+
 namespace sched_internal {
+
+// Innermost chunk a thread is executing (episode tag + tenant), linked
+// through parents so nested regions of *different* owners are all visible.
+struct RegionFrame {
+  const void* tag;
+  TenantId tenant;
+  const RegionFrame* parent;
+};
 
 // One ParallelFor invocation, stack-allocated on the submitter. Helpers
 // reach it only through a validated slot-table ticket, and the submitter
@@ -26,6 +49,10 @@ struct Episode {
   const std::function<void(size_t, size_t)>* body = nullptr;
   const void* tag = nullptr;
   TenantId tenant = 0;
+  // The submitter's region chain: every chunk runs nested in it, on
+  // whichever thread. The frames outlive the episode (the submitter blocks
+  // inside them until every helper has left).
+  const RegionFrame* enclosing = nullptr;
 
   std::atomic<size_t> next_chunk{0};   // claim cursor
   std::atomic<size_t> completed{0};    // chunks fully executed
@@ -111,20 +138,13 @@ namespace {
 
 using sched_internal::Episode;
 
-// Same decomposition policy as ThreadPool: a few chunks per thread so fast
-// workers absorb skew, boundaries pure arithmetic so outputs are
-// schedule-independent.
+// A few chunks per thread so fast workers absorb skew, boundaries pure
+// arithmetic so outputs are schedule-independent.
 constexpr size_t kChunksPerThread = 4;
 
-// Innermost chunk this thread is executing (episode tag + tenant), linked
-// through parents so nested regions of *different* owners are all visible.
-struct RegionFrame {
-  const void* tag;
-  TenantId tenant;
-  RegionFrame* parent;
-};
+using sched_internal::RegionFrame;
 
-thread_local RegionFrame* tls_region = nullptr;
+thread_local const RegionFrame* tls_region = nullptr;
 // Tenant set by TenantScope outside any running chunk.
 thread_local TenantId tls_scope_tenant = 0;
 // Set for the lifetime of a WorkerLoop so workers recognise their own
@@ -222,7 +242,10 @@ Episode* TaskScheduler::JoinTicket(uint64_t ticket) {
 }
 
 void TaskScheduler::RunChunks(Episode* episode) {
-  RegionFrame frame{episode->tag, episode->tenant, tls_region};
+  // Helpers are idle workers (empty chain), so nesting under the
+  // submitter's chain loses nothing of their own.
+  RegionFrame frame{episode->tag, episode->tenant, episode->enclosing};
+  const RegionFrame* saved = tls_region;
   tls_region = &frame;
   for (;;) {
     size_t c = episode->next_chunk.fetch_add(1, std::memory_order_relaxed);
@@ -241,7 +264,7 @@ void TaskScheduler::RunChunks(Episode* episode) {
       episode->done_cv.notify_all();
     }
   }
-  tls_region = frame.parent;
+  tls_region = saved;
 }
 
 void TaskScheduler::Leave(Episode* episode) {
@@ -365,6 +388,7 @@ void TaskScheduler::ParallelFor(
   episode.body = &body;
   episode.tag = tag;
   episode.tenant = CurrentTenant();
+  episode.enclosing = tls_region;
 
   uint64_t ticket = OpenSlot(&episode);
   if (ticket != 0) {
@@ -397,7 +421,7 @@ void TaskScheduler::ParallelFor(
 }
 
 bool TaskScheduler::InRegionTagged(const void* tag) {
-  for (RegionFrame* f = tls_region; f != nullptr; f = f->parent) {
+  for (const RegionFrame* f = tls_region; f != nullptr; f = f->parent) {
     if (f->tag == tag) return true;
   }
   return false;

@@ -1,19 +1,17 @@
 // A work-stealing task scheduler shared by every concurrent session in the
-// process — the fleet-era replacement for the fork-join ThreadPool gang.
+// process: the one parallel substrate of the engine.
 //
-// The old gang is exclusive: one ParallelFor owns every worker, concurrent
-// issuers serialize at a gate, and nested calls are illegal. The scheduler
-// inverts that: any number of threads (tenant sessions, bench drivers,
-// nested bodies) may issue ParallelFor episodes concurrently; workers pull
-// work from wherever it is — their own deque first, then the tenant-fair
-// injection registry, then by stealing from sibling deques.
+// Any number of threads (tenant sessions, benchmarks, nested bodies) may
+// submit ParallelFor episodes concurrently; workers pull work from wherever
+// it is — their own deque first, then the tenant-fair injection registry,
+// then by stealing from sibling deques.
 //
-// Determinism contract (identical to ThreadPool's): an episode's chunk
-// boundaries are pure arithmetic over (begin, end, grain, num_threads()),
-// never a function of runtime load, and every consumer writes state indexed
-// by its own chunk — so results are bit-identical to the serial execution
-// regardless of which worker steals which chunk, at every thread count, for
-// any interleaving of concurrent episodes.
+// Determinism contract: an episode's chunk boundaries are pure arithmetic
+// over (begin, end, grain, num_threads()), never a function of runtime
+// load, and every consumer writes state indexed by its own chunk — so
+// results are bit-identical to the serial execution regardless of which
+// worker steals which chunk, at every thread count, for any interleaving
+// of concurrent episodes.
 //
 // Fairness contract: episodes carry the tenant id in scope at submission
 // (TenantScope). Idle workers drain the injection registry round-robin
@@ -37,6 +35,14 @@
 #include <vector>
 
 namespace rudolf {
+
+/// Resolves a requested worker count against the environment:
+///   * `RUDOLF_THREADS=<n>` (n >= 1) overrides everything — the switch for
+///     running an unmodified binary (or the whole test suite) parallel;
+///   * `requested == 0` means "all hardware threads";
+///   * `requested < 0` degrades to 1 (serial);
+///   * otherwise the request stands.
+int ResolveNumThreads(int requested);
 
 /// Tenant id attached to scheduler work for fair sharing; 0 is the
 /// "untagged" tenant every episode belongs to unless a TenantScope says
@@ -136,9 +142,8 @@ class TaskScheduler {
                    const void* tag = nullptr);
 
   /// True when the calling thread is inside a chunk of an episode tagged
-  /// `tag` (at any nesting depth, on any scheduler). The replacement for
-  /// ThreadPool::OnWorkerThread() as the "am I nested in *my own* parallel
-  /// region?" test.
+  /// `tag` (at any nesting depth, on any scheduler): the "am I nested in
+  /// *my own* parallel region?" test.
   static bool InRegionTagged(const void* tag);
 
   /// The tenant id new episodes submitted from this thread are tagged with:
@@ -150,10 +155,10 @@ class TaskScheduler {
   /// destroyed.
   ///
   /// Sized once, at first call, to max(hint, all hardware threads), with
-  /// `RUDOLF_THREADS` overriding everything (see ResolveNumThreads in
-  /// thread_pool.h). Later calls return the same instance whatever their
-  /// hint — one box, one worker fleet — logging a warning when a larger
-  /// hint arrives too late to matter.
+  /// `RUDOLF_THREADS` overriding everything (see ResolveNumThreads). Later
+  /// calls return the same instance whatever their hint — one box, one
+  /// worker fleet — logging a warning when a larger hint arrives too late
+  /// to matter.
   static TaskScheduler* Shared(int hint = 0);
 
  private:

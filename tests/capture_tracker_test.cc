@@ -106,7 +106,7 @@ TEST_F(CaptureTrackerTest, ApplyReplaceKeepsStateConsistent) {
   CaptureTracker tracker(*ex_.relation, rules);
   RuleId first = rules.LiveIds()[0];
   Rule widened = Parse("time in [18:00,18:05] && amount >= 106");
-  tracker.ApplyReplace(first, tracker.Eval(widened));
+  tracker.ApplyReplace(first, widened);
   rules.Replace(first, widened);
   CaptureTracker fresh(*ex_.relation, rules);
   EXPECT_EQ(tracker.UnionCapture(), fresh.UnionCapture());
@@ -120,7 +120,7 @@ TEST_F(CaptureTrackerTest, ApplyAddAndRemoveKeepStateConsistent) {
   CaptureTracker tracker(*ex_.relation, rules);
   Rule extra = Parse("amount in [44,48]");
   RuleId id = rules.AddRule(extra);
-  tracker.ApplyAdd(id, tracker.Eval(extra));
+  tracker.ApplyAdd(id, extra);
   EXPECT_TRUE(tracker.IsCovered(5));
   RuleId first = rules.LiveIds()[0];
   rules.RemoveRule(first);

@@ -1,8 +1,8 @@
 // Extend-vs-rebuild equivalence for the incremental append path: delta-
 // maintained attribute indexes, cache-preserving ConditionIndex::ExtendTo,
-// CaptureTracker::ExtendPrefix under randomized append / relabel / rule-edit
-// interleavings (at 1, 4 and 8 threads), and the persistent-session mode —
-// every incremental result must be BIT-IDENTICAL to building from scratch.
+// CaptureTracker::ExtendPrefix and Sync under randomized append / relabel /
+// rule-edit interleavings (at 1, 4 and 8 threads), and the persistent-session
+// mode — every incremental result must be BIT-IDENTICAL to a fresh build.
 //
 // Alongside ParallelEquivalence, this binary is a TSan target: the README's
 // RUDOLF_SANITIZE=thread invocation runs it to race-check the parallel
@@ -11,14 +11,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "core/capture_tracker.h"
 #include "core/session.h"
+#include "expert/oracle_expert.h"
 #include "experiments/runner.h"
 #include "index/attribute_index.h"
 #include "index/condition_index.h"
 #include "rules/evaluator.h"
+#include "rules/simplify.h"
 #include "util/random.h"
 #include "workload/generator.h"
 #include "workload/initial_rules.h"
@@ -208,7 +212,8 @@ TEST(EvalRulesRangeBoundaries, IndexedAndScanAgreeAtZeroAndRelationSize) {
 }
 
 // Randomized interleavings of prefix growth, in-prefix relabels, and rule
-// edits: incrementally maintained trackers (serial scan, serial indexed,
+// edits (mirrored one at a time, or made behind the trackers' backs and then
+// synced): incrementally maintained trackers (serial scan, serial indexed,
 // 4- and 8-thread indexed) must stay bit-identical to a tracker freshly
 // built after every operation.
 class ExtendEquivalence : public ::testing::TestWithParam<uint64_t> {};
@@ -243,6 +248,8 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
     for (size_t t = 0; t < trackers.size(); ++t) {
       const CaptureTracker& got = *trackers[t];
       ASSERT_EQ(got.prefix_rows(), fresh.prefix_rows()) << op << " cfg " << t;
+      ASSERT_EQ(got.rules().ToString(schema), rules.ToString(schema))
+          << op << " cfg " << t;
       for (RuleId id : rules.LiveIds()) {
         ASSERT_EQ(got.RuleCapture(id), fresh.RuleCapture(id))
             << op << " cfg " << t << " rule " << id;
@@ -258,12 +265,12 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
 
   check_all("initial");
   for (int step = 0; step < 24; ++step) {
-    switch (rng.UniformInt(0, 4)) {
+    switch (rng.UniformInt(0, 6)) {
       case 0:    // the stream advances
       case 1: {  // (twice as likely as each edit kind)
         prefix = std::min(prefix + static_cast<size_t>(rng.UniformInt(1, 500)),
                           rel.NumRows());
-        for (auto& t : trackers) t->ExtendPrefix(prefix, rules);
+        for (auto& t : trackers) t->ExtendPrefix(prefix);
         check_all("extend");
         break;
       }
@@ -282,7 +289,7 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
       case 3: {  // a rule is added
         Rule rule = RandomRule(schema, &rng);
         RuleId id = rules.AddRule(rule);
-        for (auto& t : trackers) t->ApplyAdd(id, t->Eval(rule));
+        for (auto& t : trackers) t->ApplyAdd(id, rule);
         check_all("add");
         break;
       }
@@ -297,9 +304,35 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
         } else {
           Rule rule = RandomRule(schema, &rng);
           rules.Replace(id, rule);
-          for (auto& t : trackers) t->ApplyReplace(id, t->Eval(rule));
+          for (auto& t : trackers) t->ApplyReplace(id, rule);
           check_all("replace");
         }
+        break;
+      }
+      case 5: {  // edits behind the trackers' backs, then one Sync
+        std::vector<RuleId> live = rules.LiveIds();
+        auto any_live = [&] {
+          return live[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
+        };
+        rules.Replace(any_live(), RandomRule(schema, &rng));
+        rules.AddRule(rules.Get(any_live()));  // a duplicate for simplify
+        RuleId added = rules.AddRule(RandomRule(schema, &rng));
+        // Either a rule the trackers never saw or one they track goes.
+        rules.RemoveRule(rng.Bernoulli(0.5) ? added : any_live());
+        EditLog log;
+        SimplifyRuleSet(schema, &rules, &log);
+        for (auto& t : trackers) t->Sync(rules);
+        check_all("sync");
+        break;
+      }
+      case 6: {  // an id used up behind the trackers' backs, then an add
+        rules.RemoveRule(rules.AddRule(RandomRule(schema, &rng)));
+        for (auto& t : trackers) t->Sync(rules);
+        Rule rule = RandomRule(schema, &rng);
+        RuleId id = rules.AddRule(rule);
+        for (auto& t : trackers) t->ApplyAdd(id, rule);
+        check_all("sync, then add");
         break;
       }
     }
@@ -346,6 +379,96 @@ TEST(PersistentSession, MatchesRebuildModeEndToEnd) {
   // Satellite: cache counters surface through SessionStats / RoundRecord.
   const RoundRecord& last = a.rounds.back();
   EXPECT_GT(last.cache.hits + last.cache.misses, 0u);
+}
+
+// Two Refine calls, over the first 1200 and then all 2400 rows of a tiny
+// dataset. `edit_before` and `edit_between` edit the rules before the first
+// call and between the two, as a caller may.
+struct TwoRefines {
+  std::string rules;  // the final rules, as text
+  EditLog log;
+  std::vector<SessionStats> stats;
+};
+
+TwoRefines RunTwoRefines(bool persistent,
+                         const std::function<void(RuleSet*)>& edit_before,
+                         const std::function<void(RuleSet*)>& edit_between) {
+  Scenario s = TinyScenario();
+  s.options.num_transactions = 2400;
+  Dataset ds = GenerateDataset(s.options);
+  Rng rng(11);
+  RevealLabels(ds.relation.get(), 0, ds.relation->NumRows(), 0.9, 0.08, 0.004,
+               &rng);
+  RuleSet rules = SynthesizeInitialRules(ds);
+  edit_before(&rules);
+  auto expert = MakeDomainExpert(ds, 42);
+  SessionOptions options;
+  options.persistent_tracker = persistent;
+  RefinementSession session(*ds.relation, options);
+  TwoRefines out;
+  out.stats.push_back(session.Refine(1200, &rules, expert.get(), &out.log));
+  edit_between(&rules);
+  out.stats.push_back(session.Refine(2400, &rules, expert.get(), &out.log));
+  out.rules = rules.ToString(ds.relation->schema());
+  return out;
+}
+
+void ExpectSameOutcome(const TwoRefines& a, const TwoRefines& b) {
+  EXPECT_EQ(a.rules, b.rules);
+  ASSERT_EQ(a.log.size(), b.log.size());
+  for (size_t i = 0; i < a.log.size(); ++i) {
+    const Edit& x = a.log.edit(i);
+    const Edit& y = b.log.edit(i);
+    EXPECT_TRUE(x.kind == y.kind && x.source == y.source && x.rule == y.rule &&
+                x.attribute == y.attribute && x.cost == y.cost &&
+                x.group == y.group && x.note == y.note)
+        << "edit " << i << ": " << x.note << " vs " << y.note;
+  }
+}
+
+// The closing simplify pass edits the rules behind the tracker's back; the
+// session syncs its held tracker instead of rebuilding it. The initial rules
+// carry one duplicate, so the first Refine's simplify pass has work to do,
+// and the second Refine must still only extend, with the rules and edit log
+// of rebuild mode.
+TEST(PersistentSession, SimplifyKeepsTheTracker) {
+  auto duplicate_first = [](RuleSet* rules) {
+    rules->AddRule(rules->Get(rules->LiveIds()[0]));
+  };
+  auto no_edit = [](RuleSet*) {};
+  TwoRefines a = RunTwoRefines(true, duplicate_first, no_edit);
+  TwoRefines b = RunTwoRefines(false, duplicate_first, no_edit);
+
+  size_t simplify_edits = 0;
+  for (size_t i = 0; i < a.stats[0].edits; ++i) {
+    if (a.log.edit(i).note.rfind("simplify:", 0) == 0) ++simplify_edits;
+  }
+  EXPECT_GT(simplify_edits, 0u);
+  EXPECT_EQ(a.stats[1].tracker_rebuilds, 0u);
+  EXPECT_EQ(a.stats[1].tracker_extends, 1u);
+  ExpectSameOutcome(a, b);
+}
+
+// A caller that adds a rule and removes it again between two Refine calls
+// changes no live rule, but uses up an id. The held tracker must use it up
+// too, so the rules the second Refine adds get the caller's ids.
+TEST(PersistentSession, CallerUsedUpIdBetweenRefines) {
+  auto no_edit = [](RuleSet*) {};
+  auto add_and_remove = [](RuleSet* rules) {
+    rules->RemoveRule(rules->AddRule(rules->Get(rules->LiveIds()[0])));
+  };
+  TwoRefines a = RunTwoRefines(true, no_edit, add_and_remove);
+  TwoRefines b = RunTwoRefines(false, no_edit, add_and_remove);
+
+  size_t adds = 0;  // rules the second Refine added through the tracker
+  for (size_t i = a.stats[0].edits; i < a.log.size(); ++i) {
+    EditKind kind = a.log.edit(i).kind;
+    if (kind == EditKind::kAddRule || kind == EditKind::kSplitRule) ++adds;
+  }
+  EXPECT_GT(adds, 0u);
+  EXPECT_EQ(a.stats[1].tracker_rebuilds, 0u);
+  EXPECT_EQ(a.stats[1].tracker_extends, 1u);
+  ExpectSameOutcome(a, b);
 }
 
 TEST(RelationCounts, VisibleCountsStayExactUnderRelabels) {

@@ -234,7 +234,6 @@ TEST_P(PipelineEquivalence, InterleavedRefinementMatchesSerialSchedule) {
   const std::vector<size_t> refine_at = {900, 1600, 2400};
 
   SessionOptions base;
-  base.simplify_after = false;  // keep the persistent tracker attachable
   const Schema& schema = *pipelined_ds.cc.schema;
 
   // Serial schedule: the stream is "already there"; refine at each prefix.
@@ -314,7 +313,6 @@ TEST_P(PipelineEquivalence, RefinesWhileProducerKeepsAppending) {
     RevealLabels(serial_ds.relation.get(), 0, 3000, 0.9, 0.08, 0.004, &b);
   }
   SessionOptions base;
-  base.simplify_after = false;
 
   RuleSet serial_rules = SynthesizeInitialRules(serial_ds);
   EditLog serial_log;

@@ -261,13 +261,13 @@ TEST_P(SeededProperty, TrackerApplySequenceStaysConsistent) {
     if (op == 0 || live.empty()) {
       Rule r = RandomRule(ds, &rng);
       RuleId id = rules.AddRule(r);
-      tracker.ApplyAdd(id, tracker.Eval(r));
+      tracker.ApplyAdd(id, r);
     } else if (op == 1) {
       RuleId id = live[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
       Rule r = RandomRule(ds, &rng);
       rules.Replace(id, r);
-      tracker.ApplyReplace(id, tracker.Eval(r));
+      tracker.ApplyReplace(id, r);
     } else {
       RuleId id = live[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];

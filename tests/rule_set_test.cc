@@ -48,7 +48,9 @@ TEST_F(RuleSetTest, ReplaceAndMutableAccess) {
   RuleId id = s.AddRule(Parse("amount >= 100"));
   s.Replace(id, Parse("amount >= 90"));
   EXPECT_EQ(s.Get(id).condition(1).interval(), Interval::AtLeast(90));
-  s.MutableRule(id)->set_condition(1, Condition::MakeNumeric({10, 20}));
+  Rule narrowed = s.Get(id);
+  narrowed.set_condition(1, Condition::MakeNumeric({10, 20}));
+  s.Replace(id, narrowed);
   EXPECT_EQ(s.Get(id).condition(1).interval(), (Interval{10, 20}));
 }
 

@@ -136,19 +136,6 @@ TEST_F(SimplifyTest, EditsAreLoggedAtZeroCost) {
   EXPECT_EQ(log_.edit(0).kind, EditKind::kRemoveRule);
 }
 
-TEST_F(SimplifyTest, OptionsDisablePasses) {
-  RuleSet rules;
-  rules.AddRule(Parse("amount >= 100"));
-  rules.AddRule(Parse("amount >= 100"));
-  SimplifyOptions options;
-  options.remove_duplicates = false;
-  options.remove_subsumed = false;
-  options.merge_adjacent_intervals = false;
-  SimplifyStats stats = SimplifyRuleSet(*ex_.schema, &rules, &log_, options);
-  EXPECT_EQ(stats.total(), 0u);
-  EXPECT_EQ(rules.size(), 2u);
-}
-
 TEST_F(SimplifyTest, PropertyCapturePreservingOnRandomSets) {
   Rng rng(31337);
   for (int trial = 0; trial < 15; ++trial) {

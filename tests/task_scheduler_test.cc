@@ -5,16 +5,28 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "util/thread_pool.h"  // ResolveNumThreads
-
 namespace rudolf {
 namespace {
+
+TEST(ResolveNumThreads, DefaultsAndClamps) {
+  // The suite may run under an external RUDOLF_THREADS (e.g. the TSan
+  // invocation documented in README); only assert env-free semantics when
+  // the variable is absent.
+  if (std::getenv("RUDOLF_THREADS") != nullptr) {
+    GTEST_SKIP() << "RUDOLF_THREADS overrides requested counts";
+  }
+  EXPECT_EQ(ResolveNumThreads(1), 1);
+  EXPECT_EQ(ResolveNumThreads(4), 4);
+  EXPECT_EQ(ResolveNumThreads(-3), 1);  // degenerate requests go serial
+  EXPECT_GE(ResolveNumThreads(0), 1);   // 0 = hardware concurrency
+}
 
 TEST(TaskScheduler, ConstructionAndTeardown) {
   for (int n : {1, 2, 3, 4, 8}) {
