@@ -110,7 +110,7 @@ int main() {
 
   auto sweep = [&](const CaptureTracker& tracker) {
     for (const auto& [id, row] : work) {
-      engine.RankSplits(rules, tracker, id, row);
+      engine.RankSplits(tracker, id, row);
     }
   };
 
@@ -119,7 +119,7 @@ int main() {
   // proposal rankings and bit-identical replacement captures.
   for (const auto& [id, row] : work) {
     std::vector<SplitProposal> expected =
-        engine.RankSplits(rules, *trackers[0], id, row);
+        engine.RankSplits(*trackers[0], id, row);
     std::vector<Bitset> expected_captures;
     for (const SplitProposal& p : expected) {
       for (const Bitset& b : trackers[0]->EvalMany(p.replacements)) {
@@ -128,7 +128,7 @@ int main() {
     }
     for (size_t i = 1; i < kNumConfigs; ++i) {
       std::vector<SplitProposal> got =
-          engine.RankSplits(rules, *trackers[i], id, row);
+          engine.RankSplits(*trackers[i], id, row);
       bool same = got.size() == expected.size();
       for (size_t p = 0; same && p < got.size(); ++p) {
         same = got[p].attribute == expected[p].attribute &&

@@ -24,8 +24,7 @@ namespace {
 
 struct Fixture {
   Dataset dataset;
-  RuleSet rules;
-  std::unique_ptr<CaptureTracker> tracker;
+  std::unique_ptr<CaptureTracker> tracker;  // holds the rule set
   Rule representative;
   size_t legit_row = 0;
   RuleId legit_rule = kInvalidRule;
@@ -41,14 +40,13 @@ Fixture& GetFixture(size_t n) {
   fx->dataset = GenerateDataset(DefaultScenario(n).options);
   Rng reveal(7);
   RevealLabels(fx->dataset.relation.get(), 0, n, 0.95, 0.05, 0.002, &reveal);
-  fx->rules = SynthesizeInitialRules(fx->dataset);
-  fx->tracker = std::make_unique<CaptureTracker>(*fx->dataset.relation, fx->rules);
+  fx->tracker = std::make_unique<CaptureTracker>(
+      *fx->dataset.relation, SynthesizeInitialRules(fx->dataset));
   // A representative: the first drifted pattern's exact rule.
   fx->representative = fx->dataset.patterns.back().ToRule(fx->dataset.cc);
   // A captured legitimate tuple for the split path: widen one rule so it
   // certainly captures something legitimate.
-  RuleId wide = fx->rules.AddRule(Rule::Trivial(*fx->dataset.cc.schema));
-  fx->tracker->ApplyAdd(wide, fx->rules.Get(wide));
+  RuleId wide = fx->tracker->Add(Rule::Trivial(*fx->dataset.cc.schema));
   for (size_t r = 0; r < n; ++r) {
     if (fx->dataset.relation->VisibleLabel(r) == Label::kLegitimate) {
       fx->legit_row = r;
@@ -67,7 +65,7 @@ void BM_RankGeneralizationCandidates(benchmark::State& state) {
   GeneralizationEngine engine(*fx.dataset.relation, GeneralizeOptions{});
   for (auto _ : state) {
     auto proposals =
-        engine.RankCandidates(fx.rules, *fx.tracker, fx.representative, 8);
+        engine.RankCandidates(*fx.tracker, fx.representative, 8);
     benchmark::DoNotOptimize(proposals);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
@@ -79,7 +77,7 @@ void BM_RankSplits(benchmark::State& state) {
   SpecializationEngine engine(*fx.dataset.relation, SpecializeOptions{});
   for (auto _ : state) {
     auto proposals =
-        engine.RankSplits(fx.rules, *fx.tracker, fx.legit_rule, fx.legit_row);
+        engine.RankSplits(*fx.tracker, fx.legit_rule, fx.legit_row);
     benchmark::DoNotOptimize(proposals);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
@@ -89,7 +87,7 @@ void BM_CaptureTrackerBuild(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Fixture& fx = GetFixture(n);
   for (auto _ : state) {
-    CaptureTracker tracker(*fx.dataset.relation, fx.rules, n);
+    CaptureTracker tracker(*fx.dataset.relation, fx.tracker->rules(), n);
     benchmark::DoNotOptimize(tracker.TotalCounts());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
@@ -100,7 +98,7 @@ void BM_EvalRuleSet(benchmark::State& state) {
   Fixture& fx = GetFixture(n);
   RuleEvaluator eval(*fx.dataset.relation, n);
   for (auto _ : state) {
-    Bitset captured = eval.EvalRuleSet(fx.rules);
+    Bitset captured = eval.EvalRuleSet(fx.tracker->rules());
     benchmark::DoNotOptimize(captured);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));

@@ -14,8 +14,7 @@ CaptureTracker::CaptureTracker(const Relation& relation, const RuleSet& rules,
       prefix_(std::min(prefix_rows, relation.NumRows())),
       evaluator_(relation, prefix_, eval),
       rules_(rules) {
-  RUDOLF_SPAN("tracker.build");
-  RUDOLF_SCOPED_LATENCY("tracker.build.seconds");
+  RUDOLF_TIMED_SCOPE("tracker.build");
   RUDOLF_COUNTER_INC("tracker.builds");
   cover_count_.assign(prefix_, 0);
   std::vector<RuleId> ids = rules.LiveIds();
@@ -52,8 +51,7 @@ void CaptureTracker::LowerCover(size_t row) {
 }
 
 void CaptureTracker::ExtendPrefix(size_t new_prefix) {
-  RUDOLF_SPAN("tracker.extend");
-  RUDOLF_SCOPED_LATENCY("tracker.extend.seconds");
+  RUDOLF_TIMED_SCOPE("tracker.extend");
   RUDOLF_COUNTER_INC("tracker.extends");
   size_t old_prefix = prefix_;
   evaluator_.ExtendPrefix(new_prefix);
@@ -86,11 +84,11 @@ void CaptureTracker::Sync(const RuleSet& rules) {
     }
   }
   for (RuleId id : rules_.LiveIds()) {
-    if (!rules.IsLive(id)) ApplyRemove(id);
+    if (!rules.IsLive(id)) Remove(id);
   }
   // Copied even when no live rule changed: ids the caller used up since
-  // (added, then removed again) must be used up here too, or the next
-  // ApplyAdd would hand out a different id than the caller's set.
+  // (added, then removed again) must be used up here too, or the next Add
+  // would hand out an id the caller's set already spent.
   rules_ = rules;
   if (stale.empty()) return;
   std::vector<Bitset> bitmaps = evaluator_.EvalRules(rules, stale);
@@ -199,19 +197,21 @@ void CaptureTracker::SetCapture(RuleId id, Bitset capture) {
   it->second = std::move(capture);
 }
 
-void CaptureTracker::ApplyReplace(RuleId id, const Rule& rule) {
+RuleId CaptureTracker::Add(Rule rule) {
+  Bitset capture = Eval(rule);
+  RuleId id = rules_.AddRule(std::move(rule));
+  SetCapture(id, std::move(capture));
+  return id;
+}
+
+void CaptureTracker::Replace(RuleId id, Rule rule) {
   assert(captures_.count(id) == 1);
-  rules_.Replace(id, rule);
-  SetCapture(id, Eval(rule));
+  Bitset capture = Eval(rule);
+  rules_.Replace(id, std::move(rule));
+  SetCapture(id, std::move(capture));
 }
 
-void CaptureTracker::ApplyAdd(RuleId id, const Rule& rule) {
-  [[maybe_unused]] RuleId copied = rules_.AddRule(rule);
-  assert(copied == id);
-  SetCapture(id, Eval(rule));
-}
-
-void CaptureTracker::ApplyRemove(RuleId id) {
+void CaptureTracker::Remove(RuleId id) {
   rules_.RemoveRule(id);
   auto it = captures_.find(id);
   assert(it != captures_.end());

@@ -19,9 +19,10 @@ namespace rudolf {
 /// \brief Tracks per-rule capture bitmaps over a prefix of the relation.
 ///
 /// The tracker is bound to the first `prefix_rows` rows ("the past" the
-/// algorithms are allowed to see) and owns a copy of the rules it tracks.
-/// Edits reach it one at a time through the Apply* methods or in bulk
-/// through Sync; both keep that copy, the bitmaps and the cover counts
+/// algorithms are allowed to see) and owns the rule set under refinement:
+/// the engines read rules() and edit it one rule at a time through Add,
+/// Replace and Remove, and edits made elsewhere reach it in bulk through
+/// Sync. Every path keeps the rules, the bitmaps and the cover counts
 /// consistent.
 class CaptureTracker {
  public:
@@ -34,7 +35,7 @@ class CaptureTracker {
 
   size_t prefix_rows() const { return prefix_; }
   const RuleEvaluator& evaluator() const { return evaluator_; }
-  /// The tracker's copy of the rules it tracks.
+  /// The rules the tracker tracks.
   const RuleSet& rules() const { return rules_; }
 
   /// Extends the tracker over rows [prefix_rows(), new_prefix) after the
@@ -48,11 +49,11 @@ class CaptureTracker {
   /// pure appends since the last build/extension.
   void ExtendPrefix(size_t new_prefix);
 
-  /// Brings the tracker in line with `rules` after edits it was not told
-  /// about (simplification, caller edits): ids no longer live are dropped,
-  /// rules that changed are re-evaluated, new ones are added, and the
-  /// tracker's copy becomes `rules`, ids included. The state is
-  /// bit-identical to a fresh build over `rules` at the same prefix.
+  /// Brings the tracker in line with `rules` after edits made outside it
+  /// (simplification, caller edits): ids no longer live are dropped, rules
+  /// that changed are re-evaluated, new ones are added, and rules() becomes
+  /// `rules`, tombstones and next id included. The state is bit-identical
+  /// to a fresh build over `rules` at the same prefix.
   void Sync(const RuleSet& rules);
 
   /// Incremental label-count fixup: must be called (with the row's previous
@@ -69,7 +70,7 @@ class CaptureTracker {
   Bitset UnionCapture() const;
 
   /// Visible-label counts of the current Φ(I). Maintained incrementally by
-  /// the Apply* mutations and ExtendPrefix — O(1), no union scan.
+  /// the edits and ExtendPrefix — O(1), no union scan.
   LabelCounts TotalCounts() const { return total_counts_; }
 
   /// True if the row is captured by at least one rule.
@@ -102,14 +103,12 @@ class CaptureTracker {
   BenefitDelta DeltaForReplaceMany(RuleId id,
                                    const std::vector<Bitset>& captures) const;
 
-  /// Mutations mirroring an edit of the caller's rule set: the tracker
-  /// applies it to its own copy and evaluates the rule's capture itself.
-  /// ApplyAdd's `id` is the one the caller's RuleSet just assigned; the
-  /// copy assigns the same one as long as every edit since the build or
-  /// the last Sync was mirrored.
-  void ApplyReplace(RuleId id, const Rule& rule);
-  void ApplyAdd(RuleId id, const Rule& rule);
-  void ApplyRemove(RuleId id);
+  /// Edits of rules(): each evaluates the rule's capture and moves the
+  /// cover and label counts along. Add returns the id rules() assigned. Add
+  /// and Replace take the rule by value, so it may be one of rules()'s own.
+  RuleId Add(Rule rule);
+  void Replace(RuleId id, Rule rule);
+  void Remove(RuleId id);
 
   /// Approximate heap bytes held: per-rule capture bitmaps, cover counts,
   /// and the evaluator's caches (condition index + bitmap cache + masks).

@@ -5,7 +5,6 @@
 namespace rudolf {
 
 std::vector<RetirementProposal> DetectObsoleteRules(const Relation& relation,
-                                                    const RuleSet& rules,
                                                     const CaptureTracker& tracker,
                                                     const DriftOptions& options) {
   std::vector<RetirementProposal> flagged;
@@ -15,6 +14,7 @@ std::vector<RetirementProposal> DetectObsoleteRules(const Relation& relation,
                                       std::clamp(options.window_frac, 0.0, 1.0));
   size_t window_begin = prefix - window;
 
+  const RuleSet& rules = tracker.rules();
   for (RuleId id : rules.LiveIds()) {
     const Bitset& capture = tracker.RuleCapture(id);
     RetirementProposal p;
@@ -36,12 +36,12 @@ std::vector<RetirementProposal> DetectObsoleteRules(const Relation& relation,
   return flagged;
 }
 
-RetireStats RetireObsoleteRules(const Relation& relation, RuleSet* rules,
-                                CaptureTracker* tracker, Expert* expert,
-                                EditLog* log, const DriftOptions& options) {
+RetireStats RetireObsoleteRules(const Relation& relation, CaptureTracker* tracker,
+                                Expert* expert, EditLog* log,
+                                const DriftOptions& options) {
   RetireStats stats;
   std::vector<RetirementProposal> flagged =
-      DetectObsoleteRules(relation, *rules, *tracker, options);
+      DetectObsoleteRules(relation, *tracker, options);
   stats.flagged = flagged.size();
   for (const RetirementProposal& p : flagged) {
     RetirementReview review = expert->ReviewRetirement(p.rule, relation);
@@ -50,8 +50,7 @@ RetireStats RetireObsoleteRules(const Relation& relation, RuleSet* rules,
       ++stats.kept;
       continue;
     }
-    rules->RemoveRule(p.rule_id);
-    tracker->ApplyRemove(p.rule_id);
+    tracker->Remove(p.rule_id);
     Edit edit;
     edit.kind = EditKind::kRemoveRule;
     edit.source = EditSource::kSystem;

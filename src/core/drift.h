@@ -45,20 +45,20 @@ struct RetireStats {
   double expert_seconds = 0.0;
 };
 
-/// \brief Rules whose fraud yield dried up in the trailing window.
+/// \brief The tracker's rules whose fraud yield dried up in the trailing
+/// window.
 ///
 /// A rule is flagged when it captured >= min_prior_fraud reported frauds
 /// before the window but none inside it. Uses visible labels only.
 std::vector<RetirementProposal> DetectObsoleteRules(const Relation& relation,
-                                                    const RuleSet& rules,
                                                     const CaptureTracker& tracker,
                                                     const DriftOptions& options);
 
 /// \brief Proposes each flagged rule's retirement to the expert and removes
-/// the accepted ones (kRemoveRule edits), keeping the tracker consistent.
-RetireStats RetireObsoleteRules(const Relation& relation, RuleSet* rules,
-                                CaptureTracker* tracker, Expert* expert,
-                                EditLog* log, const DriftOptions& options = {});
+/// the accepted ones from the tracker's rules (kRemoveRule edits).
+RetireStats RetireObsoleteRules(const Relation& relation, CaptureTracker* tracker,
+                                Expert* expert, EditLog* log,
+                                const DriftOptions& options = {});
 
 }  // namespace rudolf
 

@@ -13,11 +13,7 @@ namespace rudolf {
 
 GeneralizationEngine::GeneralizationEngine(const Relation& relation,
                                            GeneralizeOptions options)
-    : relation_(relation), options_(std::move(options)) {
-  if (options_.clustering.num_threads <= 1) {
-    options_.clustering.num_threads = options_.eval.num_threads;
-  }
-}
+    : relation_(relation), options_(std::move(options)) {}
 
 Rule GeneralizationEngine::BuildRepresentative(
     const std::vector<size_t>& cluster_rows) const {
@@ -46,12 +42,12 @@ Rule GeneralizationEngine::BuildRepresentative(
 }
 
 std::vector<GeneralizationProposal> GeneralizationEngine::RankCandidates(
-    const RuleSet& rules, const CaptureTracker& tracker, const Rule& representative,
+    const CaptureTracker& tracker, const Rule& representative,
     size_t cluster_size) const {
-  RUDOLF_SPAN("generalize.rank");
-  RUDOLF_SCOPED_LATENCY("generalize.rank.seconds");
+  RUDOLF_TIMED_SCOPE("generalize.rank");
   RUDOLF_COUNTER_INC("generalize.rankings");
   const Schema& schema = relation_.schema();
+  const RuleSet& rules = tracker.rules();
 
   // Stage 1: distance pre-filter (Equation 1).
   struct DistanceEntry {
@@ -116,14 +112,12 @@ std::vector<GeneralizationProposal> GeneralizationEngine::RankCandidates(
   return proposals;
 }
 
-void GeneralizationEngine::ApplyRuleChange(RuleSet* rules, CaptureTracker* tracker,
-                                           EditLog* log, RuleId id,
-                                           const Rule& old_rule, const Rule& new_rule,
-                                           EditSource source) {
+void GeneralizationEngine::ApplyRuleChange(CaptureTracker* tracker, EditLog* log,
+                                           RuleId id, const Rule& old_rule,
+                                           const Rule& new_rule, EditSource source) {
   const Schema& schema = relation_.schema();
   std::vector<size_t> changed = old_rule.DiffAttributes(new_rule);
-  rules->Replace(id, new_rule);
-  tracker->ApplyReplace(id, new_rule);
+  tracker->Replace(id, new_rule);
   // All condition changes of one accepted proposal form one rule update.
   uint64_t group = changed.size() > 1 ? log->NewGroup() : 0;
   for (size_t attr : changed) {
@@ -139,11 +133,12 @@ void GeneralizationEngine::ApplyRuleChange(RuleSet* rules, CaptureTracker* track
   }
 }
 
-GeneralizeStats GeneralizationEngine::Run(RuleSet* rules, CaptureTracker* tracker,
-                                          Expert* expert, EditLog* log) {
+GeneralizeStats GeneralizationEngine::Run(CaptureTracker* tracker, Expert* expert,
+                                          EditLog* log) {
   RUDOLF_SPAN("session.generalize");
   GeneralizeStats stats;
   const Schema& schema = relation_.schema();
+  const RuleSet& rules = tracker->rules();
 
   // Uncaptured, visibly fraudulent rows of the tracker's prefix.
   const size_t prefix = tracker->prefix_rows();
@@ -168,8 +163,7 @@ GeneralizeStats GeneralizationEngine::Run(RuleSet* rules, CaptureTracker* tracke
 
   std::vector<std::vector<size_t>> clusters;
   {
-    RUDOLF_SPAN("generalize.cluster");
-    RUDOLF_SCOPED_LATENCY("generalize.cluster.seconds");
+    RUDOLF_TIMED_SCOPE("generalize.cluster");
     clusters = ClusterRows(relation_, uncovered_fraud, clustering);
   }
   stats.clusters = clusters.size();
@@ -201,7 +195,7 @@ GeneralizeStats GeneralizationEngine::Run(RuleSet* rules, CaptureTracker* tracke
       continue;
     }
     std::vector<GeneralizationProposal> candidates =
-        RankCandidates(*rules, *tracker, representative, cluster.size());
+        RankCandidates(*tracker, representative, cluster.size());
     for (GeneralizationProposal& candidate : candidates) {
       candidate.cluster_rows = cluster;
     }
@@ -213,8 +207,8 @@ GeneralizeStats GeneralizationEngine::Run(RuleSet* rules, CaptureTracker* tracke
       if (shown >= options_.max_proposals_per_cluster) break;
       // The rule may have changed while covering a previous cluster; it may
       // even cover the representative already.
-      if (!rules->IsLive(proposal.rule_id)) continue;
-      const Rule current = rules->Get(proposal.rule_id);
+      if (!rules.IsLive(proposal.rule_id)) continue;
+      const Rule current = rules.Get(proposal.rule_id);
       if (current.ContainsRule(schema, representative)) {
         covered = true;
         break;
@@ -237,12 +231,12 @@ GeneralizeStats GeneralizationEngine::Run(RuleSet* rules, CaptureTracker* tracke
       stats.expert_seconds += review.seconds;
       switch (review.action) {
         case GeneralizationReview::Action::kAccept:
-          ApplyRuleChange(rules, tracker, log, proposal.rule_id, proposal.original,
+          ApplyRuleChange(tracker, log, proposal.rule_id, proposal.original,
                           proposal.proposed, EditSource::kSystem);
           ++stats.accepted;
           break;
         case GeneralizationReview::Action::kAcceptRevised:
-          ApplyRuleChange(rules, tracker, log, proposal.rule_id, proposal.original,
+          ApplyRuleChange(tracker, log, proposal.rule_id, proposal.original,
                           review.revised, EditSource::kExpert);
           ++stats.revised;
           break;
@@ -255,7 +249,7 @@ GeneralizeStats GeneralizationEngine::Run(RuleSet* rules, CaptureTracker* tracke
           break;
       }
       if (abandoned) break;
-      if (rules->Get(proposal.rule_id).ContainsRule(schema, representative)) {
+      if (rules.Get(proposal.rule_id).ContainsRule(schema, representative)) {
         covered = true;
         break;
       }
@@ -302,8 +296,8 @@ GeneralizeStats GeneralizationEngine::Run(RuleSet* rules, CaptureTracker* tracke
       // The expert may hand back a rule that already exists (e.g. adopting
       // a scheme signature a previous cluster installed); don't duplicate.
       bool duplicate = false;
-      for (RuleId live : rules->LiveIds()) {
-        if (rules->Get(live) == to_add) {
+      for (RuleId live : rules.LiveIds()) {
+        if (rules.Get(live) == to_add) {
           duplicate = true;
           break;
         }
@@ -312,8 +306,7 @@ GeneralizeStats GeneralizationEngine::Run(RuleSet* rules, CaptureTracker* tracke
         ++stats.skipped_clusters;
         continue;
       }
-      RuleId id = rules->AddRule(to_add);
-      tracker->ApplyAdd(id, to_add);
+      RuleId id = tracker->Add(to_add);
       Edit edit;
       edit.kind = EditKind::kAddRule;
       edit.source = review.action == GeneralizationReview::Action::kAccept

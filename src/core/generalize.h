@@ -23,10 +23,8 @@ namespace rudolf {
 
 /// Configuration of the generalization pass.
 struct GeneralizeOptions {
-  /// Evaluation/clustering parallelism for this engine. A `clustering`
-  /// field left at its default (serial) inherits this value, so setting
-  /// `eval.num_threads` alone parallelizes the whole pass.
-  EvalOptions eval;
+  /// Rule evaluation runs on the tracker handed to Run(), at its width; a
+  /// session sets a serial clustering's width from SessionOptions::eval.
   ClusteringOptions clustering;
   /// Number of candidate rules ranked per representative (the paper's
   /// top-k).
@@ -72,16 +70,15 @@ class GeneralizationEngine {
   GeneralizationEngine(const Relation& relation, GeneralizeOptions options);
 
   /// One full pass: clusters uncaptured fraud and interacts with `expert`
-  /// until every cluster is covered, skipped, or out of candidates.
-  /// `rules` and `tracker` are kept mutually consistent; edits are logged.
-  GeneralizeStats Run(RuleSet* rules, CaptureTracker* tracker, Expert* expert,
-                      EditLog* log);
+  /// until every cluster is covered, skipped, or out of candidates. The
+  /// accepted edits are made to the tracker's rules and logged.
+  GeneralizeStats Run(CaptureTracker* tracker, Expert* expert, EditLog* log);
 
-  /// The ranked top-k candidate proposals for one representative —
-  /// exposed for tests and the interactive example.
+  /// The ranked top-k candidate proposals among the tracker's rules for one
+  /// representative — exposed for tests and the interactive example.
   std::vector<GeneralizationProposal> RankCandidates(
-      const RuleSet& rules, const CaptureTracker& tracker,
-      const Rule& representative, size_t cluster_size) const;
+      const CaptureTracker& tracker, const Rule& representative,
+      size_t cluster_size) const;
 
   /// Builds the representative of a cluster, honoring refine_categorical.
   Rule BuildRepresentative(const std::vector<size_t>& cluster_rows) const;
@@ -95,9 +92,9 @@ class GeneralizationEngine {
   }
 
  private:
-  // Applies an accepted rule change, keeping rules/tracker/log consistent.
-  void ApplyRuleChange(RuleSet* rules, CaptureTracker* tracker, EditLog* log,
-                       RuleId id, const Rule& old_rule, const Rule& new_rule,
+  // Applies an accepted rule change to the tracker and logs it.
+  void ApplyRuleChange(CaptureTracker* tracker, EditLog* log, RuleId id,
+                       const Rule& old_rule, const Rule& new_rule,
                        EditSource source);
 
   const Relation& relation_;

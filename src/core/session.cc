@@ -44,14 +44,11 @@ void Accumulate(SpecializeStats* into, const SpecializeStats& from) {
   into->expert_seconds += from.expert_seconds;
 }
 
-// Engines whose EvalOptions are still the serial default inherit the
-// session-level parallelism.
+// A clustering width still at the serial default inherits the session-level
+// parallelism (rule evaluation runs on the tracker, built at that width).
 SessionOptions InheritEval(SessionOptions options) {
-  if (options.generalize.eval.num_threads <= 1) {
-    options.generalize.eval = options.eval;
-  }
-  if (options.specialize.eval.num_threads <= 1) {
-    options.specialize.eval = options.eval;
+  if (options.generalize.clustering.num_threads <= 1) {
+    options.generalize.clustering.num_threads = options.eval.num_threads;
   }
   return options;
 }
@@ -114,10 +111,14 @@ SessionStats RefinementSession::Refine(size_t prefix_rows, RuleSet* rules,
     CaptureTracker* tracker = AcquireTracker(prefix, *rules, &stats);
     size_t edits_at_round_start = log->size();
 
-    GeneralizeStats g = generalizer_.Run(rules, tracker, expert, log);
+    GeneralizeStats g = generalizer_.Run(tracker, expert, log);
     Accumulate(&stats.generalize, g);
-    SpecializeStats s = specializer_.Run(rules, tracker, expert, log);
+    SpecializeStats s = specializer_.Run(tracker, expert, log);
     Accumulate(&stats.specialize, s);
+    // The engines edited the tracker's rules. The caller's set catches up
+    // here, once per round and before the round's publish, so it (and
+    // serving) only ever holds a whole round's result.
+    *rules = tracker->rules();
 
     // Round boundary = deployment boundary: the accepted edits go live on
     // the serving path while later rounds keep refining.
@@ -131,8 +132,9 @@ SessionStats RefinementSession::Refine(size_t prefix_rows, RuleSet* rules,
   }
   if (options_.retire_obsolete) {
     CaptureTracker* tracker = AcquireTracker(prefix, *rules, &stats);
-    RetireStats retired = RetireObsoleteRules(relation_, rules, tracker, expert,
-                                              log, options_.drift);
+    RetireStats retired =
+        RetireObsoleteRules(relation_, tracker, expert, log, options_.drift);
+    *rules = tracker->rules();
     // Folded into the generalize bucket; stats.expert_seconds sums both
     // buckets below.
     stats.generalize.expert_seconds += retired.expert_seconds;

@@ -22,11 +22,11 @@ class IngestPipeline;
 
 /// Configuration of a refinement session.
 struct SessionOptions {
-  /// Evaluation parallelism for the session: used for every
-  /// round's CaptureTracker build and inherited by `generalize` / `specialize`
-  /// engines whose own EvalOptions are left at the serial default. The
-  /// refinement outcome is identical at every thread count (see DESIGN.md
-  /// "Parallel evaluation pipeline").
+  /// Evaluation parallelism for the session: every CaptureTracker is built
+  /// at this width, and the engines evaluate through the tracker; a
+  /// `generalize.clustering` width left at the serial default inherits it.
+  /// The refinement outcome is identical at every thread count (see
+  /// DESIGN.md "Parallel evaluation pipeline").
   EvalOptions eval;
   GeneralizeOptions generalize;
   SpecializeOptions specialize;
@@ -42,7 +42,7 @@ struct SessionOptions {
   /// Keep one CaptureTracker (and condition index) alive across rounds and
   /// Refine() calls, extending it as the visible prefix advances instead of
   /// rebuilding the world per round — per-round work becomes O(new rows),
-  /// not O(prefix). Edits the engines did not mirror (the closing simplify
+  /// not O(prefix). Edits made outside the engines (the closing simplify
   /// pass, caller edits between Refine calls) reach the held tracker through
   /// CaptureTracker::Sync; only a shrunk prefix forces a rebuild. The
   /// refinement outcome is bit-identical to rebuild mode (false), which
@@ -94,9 +94,10 @@ struct SessionStats {
 
 /// \brief One refinement session over the visible prefix of a relation.
 ///
-/// Owns nothing: the rule set and edit log live with the caller (the
-/// experiment runner refines the same rule set session after session as new
-/// transactions arrive).
+/// The rule set and edit log live with the caller (the experiment runner
+/// refines the same rule set session after session as new transactions
+/// arrive). Inside Refine() the engines edit the session tracker's rules,
+/// and the caller's set is refreshed from them at round boundaries.
 class RefinementSession {
  public:
   /// A session may be reused as transactions arrive: each Refine() call
@@ -120,7 +121,9 @@ class RefinementSession {
   /// with the expert until neither pass changes anything or max_rounds is
   /// hit, then a capture-preserving maintenance pass (SimplifyRuleSet:
   /// duplicate/subsumed-rule removal, fragment re-merge). The pass is free
-  /// in the cost model — Φ(I) does not change.
+  /// in the cost model — Φ(I) does not change. `rules` is copied from the
+  /// tracker after each round's engines (before that round's publish) and
+  /// after retirement; in between it keeps the last round's result.
   SessionStats Refine(size_t prefix_rows, RuleSet* rules, Expert* expert,
                       EditLog* log);
 

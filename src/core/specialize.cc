@@ -13,13 +13,11 @@ SpecializationEngine::SpecializationEngine(const Relation& relation,
     : relation_(relation), options_(std::move(options)) {}
 
 std::vector<SplitProposal> SpecializationEngine::RankSplits(
-    const RuleSet& rules, const CaptureTracker& tracker, RuleId rule_id,
-    size_t row) const {
-  RUDOLF_SPAN("specialize.rank_splits");
-  RUDOLF_SCOPED_LATENCY("specialize.rank_splits.seconds");
+    const CaptureTracker& tracker, RuleId rule_id, size_t row) const {
+  RUDOLF_TIMED_SCOPE("specialize.rank_splits");
   RUDOLF_COUNTER_INC("specialize.rankings");
   const Schema& schema = relation_.schema();
-  const Rule& rule = rules.Get(rule_id);
+  const Rule& rule = tracker.rules().Get(rule_id);
   Tuple l = relation_.GetRow(row);
   std::vector<SplitProposal> proposals;
 
@@ -92,17 +90,13 @@ std::vector<SplitProposal> SpecializationEngine::RankSplits(
   return proposals;
 }
 
-void SpecializationEngine::ApplySplit(RuleSet* rules, CaptureTracker* tracker,
-                                      EditLog* log, RuleId rule_id, size_t attribute,
+void SpecializationEngine::ApplySplit(CaptureTracker* tracker, EditLog* log,
+                                      RuleId rule_id, size_t attribute,
                                       const std::vector<Rule>& replacements,
                                       EditSource source, SpecializeStats* stats) {
   const Schema& schema = relation_.schema();
-  rules->RemoveRule(rule_id);
-  tracker->ApplyRemove(rule_id);
-  for (const Rule& r : replacements) {
-    RuleId id = rules->AddRule(r);
-    tracker->ApplyAdd(id, r);
-  }
+  tracker->Remove(rule_id);
+  for (const Rule& r : replacements) tracker->Add(r);
   Edit edit;
   edit.rule = rule_id;
   edit.attribute = attribute;
@@ -128,10 +122,11 @@ void SpecializationEngine::ApplySplit(RuleSet* rules, CaptureTracker* tracker,
   log->Record(std::move(edit));
 }
 
-SpecializeStats SpecializationEngine::Run(RuleSet* rules, CaptureTracker* tracker,
-                                          Expert* expert, EditLog* log) {
+SpecializeStats SpecializationEngine::Run(CaptureTracker* tracker, Expert* expert,
+                                          EditLog* log) {
   RUDOLF_SPAN("session.specialize");
   SpecializeStats stats;
+  const RuleSet& rules = tracker->rules();
 
   // Captured, visibly legitimate rows of the prefix (snapshot; coverage may
   // change as rules are split, so each is re-checked when reached).
@@ -153,15 +148,14 @@ SpecializeStats SpecializationEngine::Run(RuleSet* rules, CaptureTracker* tracke
     ++stats.tuples;
     // Ω_l: the rules capturing l.
     std::vector<RuleId> capturing;
-    for (RuleId id : rules->LiveIds()) {
+    for (RuleId id : rules.LiveIds()) {
       if (tracker->RuleCapture(id).Test(row)) capturing.push_back(id);
     }
     bool any_rejected_entirely = false;
     for (RuleId rule_id : capturing) {
-      if (!rules->IsLive(rule_id)) continue;
+      if (!rules.IsLive(rule_id)) continue;
       if (!tracker->RuleCapture(rule_id).Test(row)) continue;
-      std::vector<SplitProposal> proposals =
-          RankSplits(*rules, *tracker, rule_id, row);
+      std::vector<SplitProposal> proposals = RankSplits(*tracker, rule_id, row);
       bool applied = false;
       size_t shown = 0;
       for (SplitProposal& p : proposals) {
@@ -172,13 +166,13 @@ SpecializeStats SpecializationEngine::Run(RuleSet* rules, CaptureTracker* tracke
         stats.expert_seconds += review.seconds;
         switch (review.action) {
           case SplitReview::Action::kAccept:
-            ApplySplit(rules, tracker, log, rule_id, p.attribute, p.replacements,
+            ApplySplit(tracker, log, rule_id, p.attribute, p.replacements,
                        EditSource::kSystem, &stats);
             ++stats.accepted;
             applied = true;
             break;
           case SplitReview::Action::kAcceptRevised:
-            ApplySplit(rules, tracker, log, rule_id, p.attribute, review.revised,
+            ApplySplit(tracker, log, rule_id, p.attribute, review.revised,
                        EditSource::kExpert, &stats);
             ++stats.revised;
             applied = true;

@@ -24,10 +24,6 @@ namespace rudolf {
 
 /// Configuration of the specialization pass.
 struct SpecializeOptions {
-  /// Evaluation parallelism for split scoring (the engine evaluates
-  /// candidate replacement rules through the session tracker's evaluator,
-  /// so this matters when the engine is driven with a standalone tracker).
-  EvalOptions eval;
   CostModel cost_model;
   /// When false, categorical attributes are never split (RUDOLF -s).
   bool refine_categorical = true;
@@ -56,27 +52,27 @@ struct SpecializeStats {
 /// \brief Runs Algorithm 2 over the visible prefix of a relation.
 class SpecializationEngine {
  public:
-  /// Like GeneralizationEngine, the visible prefix comes from the tracker
-  /// handed to Run(), so the engine (and its dismissed-tuple memory) can
-  /// persist across a session's rounds.
+  /// Like GeneralizationEngine, the visible prefix and the rules come from
+  /// the tracker handed to Run(), so the engine (and its dismissed-tuple
+  /// memory) can persist across a session's rounds. Split scoring evaluates
+  /// through the tracker's evaluator, at its width.
   SpecializationEngine(const Relation& relation, SpecializeOptions options);
 
-  /// One full pass over all captured legitimate tuples.
-  SpecializeStats Run(RuleSet* rules, CaptureTracker* tracker, Expert* expert,
-                      EditLog* log);
+  /// One full pass over all captured legitimate tuples. The accepted splits
+  /// are made to the tracker's rules and logged.
+  SpecializeStats Run(CaptureTracker* tracker, Expert* expert, EditLog* log);
 
-  /// All viable splits of `rule_id` that exclude row `row`, ranked by
-  /// benefit (best first) — exposed for tests and the interactive example.
-  std::vector<SplitProposal> RankSplits(const RuleSet& rules,
-                                        const CaptureTracker& tracker,
+  /// All viable splits of the tracker's rule `rule_id` that exclude row
+  /// `row`, ranked by benefit (best first) — exposed for tests and the
+  /// interactive example.
+  std::vector<SplitProposal> RankSplits(const CaptureTracker& tracker,
                                         RuleId rule_id, size_t row) const;
 
  private:
-  // Replaces `rule_id` by `replacements` in rules/tracker and logs it.
-  void ApplySplit(RuleSet* rules, CaptureTracker* tracker, EditLog* log,
-                  RuleId rule_id, size_t attribute,
-                  const std::vector<Rule>& replacements, EditSource source,
-                  SpecializeStats* stats);
+  // Replaces `rule_id` by `replacements` in the tracker and logs it.
+  void ApplySplit(CaptureTracker* tracker, EditLog* log, RuleId rule_id,
+                  size_t attribute, const std::vector<Rule>& replacements,
+                  EditSource source, SpecializeStats* stats);
 
   const Relation& relation_;
   SpecializeOptions options_;

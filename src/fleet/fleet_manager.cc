@@ -2,33 +2,29 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <chrono>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace rudolf {
 
 size_t ResolveFleetTenants(size_t requested) {
-  if (const char* env = std::getenv("RUDOLF_FLEET_TENANTS")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) {
-      return static_cast<size_t>(std::min<long>(v, 1 << 20));
-    }
+  if (std::optional<int64_t> v = IntFromEnv("RUDOLF_FLEET_TENANTS", 1)) {
+    return static_cast<size_t>(std::min<int64_t>(*v, 1 << 20));
   }
   return requested;
 }
 
 size_t ResolveFleetMemoryBudget(size_t requested_bytes) {
-  if (const char* env = std::getenv("RUDOLF_FLEET_MEMORY_MB")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 0) {
-      return static_cast<size_t>(v) * (size_t{1} << 20);
-    }
+  // Capped at the largest budget whose byte count fits in a size_t.
+  constexpr int64_t kMaxMb =
+      static_cast<int64_t>(std::numeric_limits<size_t>::max() >> 20);
+  if (std::optional<int64_t> v = IntFromEnv("RUDOLF_FLEET_MEMORY_MB", 0, kMaxMb)) {
+    return static_cast<size_t>(*v) << 20;
   }
   return requested_bytes;
 }

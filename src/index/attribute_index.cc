@@ -33,8 +33,7 @@ bool EntryLess(CellValue av, uint32_t ar, CellValue bv, uint32_t br) {
 NumericAttributeIndex::NumericAttributeIndex(const std::vector<CellValue>& column,
                                              size_t prefix_rows)
     : prefix_(prefix_rows), main_rows_(prefix_rows), chunk_(ChunkFor(prefix_rows)) {
-  RUDOLF_SPAN("index.numeric.build");
-  RUDOLF_SCOPED_LATENCY("index.numeric.build.seconds");
+  RUDOLF_TIMED_SCOPE("index.numeric.build");
   RUDOLF_COUNTER_INC("index.numeric.builds");
   assert(column.size() >= prefix_rows);
   assert(prefix_rows <= std::numeric_limits<uint32_t>::max());
@@ -95,8 +94,7 @@ void NumericAttributeIndex::AppendRows(const std::vector<CellValue>& column,
                      delta_.end(), less);
   prefix_ = new_prefix;
   if (delta_.size() > DeltaCompactionThreshold()) {
-    RUDOLF_SPAN("index.numeric.compact");
-    RUDOLF_SCOPED_LATENCY("index.numeric.compact.seconds");
+    RUDOLF_TIMED_SCOPE("index.numeric.compact");
     RUDOLF_COUNTER_INC("index.numeric.compactions");
     size_t old_main = sorted_.size();
     sorted_.insert(sorted_.end(), delta_.begin(), delta_.end());
@@ -165,8 +163,7 @@ CategoricalAttributeIndex::CategoricalAttributeIndex(
     const std::vector<CellValue>& column, size_t prefix_rows,
     const Ontology* ontology)
     : prefix_(prefix_rows), ontology_(ontology) {
-  RUDOLF_SPAN("index.categorical.build");
-  RUDOLF_SCOPED_LATENCY("index.categorical.build.seconds");
+  RUDOLF_TIMED_SCOPE("index.categorical.build");
   RUDOLF_COUNTER_INC("index.categorical.builds");
   assert(column.size() >= prefix_rows);
   ontology_->WarmCaches();

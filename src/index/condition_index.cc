@@ -12,8 +12,6 @@ namespace rudolf {
 ConditionIndex::ConditionIndex(const Relation& relation, size_t prefix_rows,
                                size_t cache_capacity)
     : relation_(relation),
-      requested_prefix_(prefix_rows),
-      snapshot_rows_(relation.NumRows()),
       prefix_(std::min(prefix_rows, relation.NumRows())),
       numeric_(relation.schema().arity()),
       categorical_(relation.schema().arity()),
@@ -91,8 +89,7 @@ void ConditionIndex::ExtendTo(size_t new_prefix) {
   }
   size_t old_prefix = prefix_;
   if (new_prefix != old_prefix) {
-    RUDOLF_SPAN("index.extend_to");
-    RUDOLF_SCOPED_LATENCY("index.extend_to.seconds");
+    RUDOLF_TIMED_SCOPE("index.extend_to");
     for (size_t i = 0; i < numeric_.size(); ++i) {
       if (numeric_[i] != nullptr) {
         numeric_[i]->AppendRows(relation_.Column(i), new_prefix);
@@ -134,19 +131,6 @@ void ConditionIndex::ExtendTo(size_t new_prefix) {
         });
     prefix_ = new_prefix;
   }
-  if (requested_prefix_ < prefix_) requested_prefix_ = prefix_;
-  snapshot_rows_ = relation_.NumRows();
-}
-
-bool ConditionIndex::InvalidateIfGrown() {
-  if (relation_.NumRows() == snapshot_rows_) return false;
-  RUDOLF_COUNTER_INC("index.invalidations");
-  snapshot_rows_ = relation_.NumRows();
-  prefix_ = std::min(requested_prefix_, snapshot_rows_);
-  std::fill(numeric_.begin(), numeric_.end(), nullptr);
-  std::fill(categorical_.begin(), categorical_.end(), nullptr);
-  cache_.Clear();
-  return true;
 }
 
 size_t ConditionIndex::ApproxMemoryBytes() const {

@@ -12,17 +12,16 @@
 // (the LRU cache is internally locked).
 //
 // Append/delta contract: indexes and cached bitmaps describe the first
-// prefix_rows() rows as of the last (re)build or extension. A RuleEvaluator
+// prefix_rows() rows as of the last build or extension. A RuleEvaluator
 // bound to a fixed prefix never goes stale. A long-lived index over an
-// advancing stream has two maintenance paths:
-//   * ExtendTo(new_prefix) — the delta path for pure appends: attribute
-//     indexes absorb only the new rows (numeric via a sorted delta segment,
-//     categorical by extending postings in place) and every cached condition
-//     bitmap is extended by scanning just the new row range. Work is
-//     O(batch), results bit-identical to a rebuild.
-//   * InvalidateIfGrown() — the wholesale path, still required after
-//     non-append mutations (SetCell rewrites of already-indexed rows, or a
-//     shrunk relation): drops every index and bitmap and re-binds.
+// advancing stream follows it through ExtendTo(new_prefix), the delta path
+// for pure appends: attribute indexes absorb only the new rows (numeric via
+// a sorted delta segment, categorical by extending postings in place) and
+// every cached condition bitmap is extended by scanning just the new row
+// range. Work is O(batch), results bit-identical to a rebuild. Rows must
+// not be rewritten once an index covers them: the one in-place rewrite,
+// Relation::SetCell, is called only by GenerateDataset's risk-score
+// back-fill, which runs before any evaluator exists.
 
 #ifndef RUDOLF_INDEX_CONDITION_INDEX_H_
 #define RUDOLF_INDEX_CONDITION_INDEX_H_
@@ -72,18 +71,13 @@ class ConditionIndex {
   /// every cached condition bitmap is extended by extracting only that row
   /// range. O(batch × (built indexes + cached conditions)); bit-identical
   /// to dropping and rebuilding. Serial-only, like EnsureForRule. Only
-  /// valid when the relation grew by pure appends since the last
-  /// (re)build/extension — after SetCell rewrites use InvalidateIfGrown.
+  /// valid when the relation grew by pure appends since the last build or
+  /// extension (see the append/delta contract above).
   /// A `new_prefix` at or below prefix_rows() is a checked no-op (counted
   /// as `index.extend_to.rejected` when strictly below): the binding
   /// already covers those rows, and shrinking would corrupt every cached
   /// bitmap.
   void ExtendTo(size_t new_prefix);
-
-  /// Re-binds to the relation's current rows if it has grown (or shrunk)
-  /// since the last (re)build, dropping every index and cached bitmap.
-  /// Returns true if an invalidation happened.
-  bool InvalidateIfGrown();
 
   ConditionCacheStats cache_stats() const { return cache_.stats(); }
 
@@ -98,8 +92,6 @@ class ConditionIndex {
 
  private:
   const Relation& relation_;
-  size_t requested_prefix_;
-  size_t snapshot_rows_;  // relation.NumRows() at the last (re)build
   size_t prefix_;
   std::vector<std::unique_ptr<NumericAttributeIndex>> numeric_;
   std::vector<std::unique_ptr<CategoricalAttributeIndex>> categorical_;

@@ -6,8 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <utility>
+
+#include "util/string_util.h"
 
 namespace rudolf {
 namespace obs {
@@ -261,15 +264,6 @@ SnapshotExporter* g_flight = nullptr;
 MetricsRegistry* g_registry = nullptr;
 std::atomic<bool> g_shutdown_done{false};
 
-int EnvInt(const char* name, int fallback) {
-  if (const char* env = std::getenv(name)) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<int>(v);
-  }
-  return fallback;
-}
-
 }  // namespace
 
 void InitDefaultExportFromEnv(MetricsRegistry* registry) {
@@ -290,9 +284,11 @@ void InitDefaultExportFromEnv(MetricsRegistry* registry) {
   }
   if (!flight_path.empty()) {
     SnapshotExporterOptions options;
-    options.interval_ms = EnvInt("RUDOLF_METRICS_INTERVAL_MS", 1000);
+    constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+    options.interval_ms = static_cast<int>(
+        IntFromEnv("RUDOLF_METRICS_INTERVAL_MS", 1, kIntMax).value_or(1000));
     options.ring_windows = static_cast<size_t>(
-        EnvInt("RUDOLF_METRICS_FLIGHT_WINDOWS", 512));
+        IntFromEnv("RUDOLF_METRICS_FLIGHT_WINDOWS", 1, kIntMax).value_or(512));
     options.flight_path = std::move(flight_path);
     g_flight = new SnapshotExporter(registry, options);
     g_flight->Start();

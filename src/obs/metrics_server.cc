@@ -6,11 +6,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/exporter.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace rudolf {
 namespace obs {
@@ -78,14 +78,8 @@ void AppendDouble(std::string* out, double v) {
 }  // namespace
 
 int ResolveMetricsPort(int requested) {
-  if (const char* env = std::getenv("RUDOLF_METRICS_PORT")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 0 && v <= 65535) {
-      return static_cast<int>(v);
-    }
-  }
-  return requested;
+  std::optional<int64_t> port = IntFromEnv("RUDOLF_METRICS_PORT", 0, 65535);
+  return port ? static_cast<int>(*port) : requested;
 }
 
 MetricsServer::MetricsServer(MetricsRegistry* registry, ServeOptions options)

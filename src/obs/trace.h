@@ -1,6 +1,7 @@
 // Scoped-span tracing with Chrome trace_event export.
 //
 //   RUDOLF_SPAN("eval.rule");   // RAII: records [ctor, dtor) as one span
+//   RUDOLF_TIMED_SCOPE("tracker.build");  // span + "tracker.build.seconds"
 //
 // When tracing is disabled (the default) a span is one relaxed atomic load
 // and a branch — no clock read, no allocation — so instrumented hot paths
@@ -27,6 +28,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace rudolf {
 namespace obs {
@@ -139,6 +142,14 @@ class ScopedSpan {
 /// Traces the enclosing scope as a span named `name` (a string literal).
 #define RUDOLF_SPAN(name) \
   ::rudolf::obs::ScopedSpan RUDOLF_OBS_CONCAT(rudolf_obs_span_, __LINE__)(name)
+
+/// Times the enclosing scope both ways: as the span `name` and into the
+/// histogram `name ".seconds"` (`name` a string literal). The one idiom for a
+/// timed scope; per-row or per-candidate scopes keep a bare span or
+/// histogram.
+#define RUDOLF_TIMED_SCOPE(name) \
+  RUDOLF_SPAN(name);             \
+  RUDOLF_SCOPED_LATENCY(name ".seconds")
 
 }  // namespace obs
 }  // namespace rudolf

@@ -1,11 +1,11 @@
 #include "pipeline/ingest_pipeline.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace rudolf {
 
@@ -14,17 +14,11 @@ namespace {
 constexpr size_t kNoTarget = static_cast<size_t>(-1);
 
 IngestPipelineOptions ResolveOptions(IngestPipelineOptions options) {
-  if (const char* env = std::getenv("RUDOLF_PIPELINE_WORKERS")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) {
-      options.num_workers = static_cast<int>(std::min<long>(v, 1024));
-    }
+  if (std::optional<int64_t> v = IntFromEnv("RUDOLF_PIPELINE_WORKERS", 1)) {
+    options.num_workers = static_cast<int>(std::min<int64_t>(*v, 1024));
   }
-  if (const char* env = std::getenv("RUDOLF_PIPELINE_QUEUE")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) options.queue_capacity = static_cast<size_t>(v);
+  if (std::optional<int64_t> v = IntFromEnv("RUDOLF_PIPELINE_QUEUE", 1)) {
+    options.queue_capacity = static_cast<size_t>(*v);
   }
   if (options.num_workers < 1) options.num_workers = 1;
   if (options.queue_capacity == 0) options.queue_capacity = 1;
@@ -180,8 +174,7 @@ void IngestPipeline::MaybeExtendState() {
   if (gate_closed_ || tracker_ == nullptr) return;
   size_t target = applied_rows_.load(std::memory_order_acquire);
   if (target <= tracker_->prefix_rows()) return;
-  RUDOLF_SPAN("pipeline.state.extend");
-  RUDOLF_SCOPED_LATENCY("pipeline.state.extend.seconds");
+  RUDOLF_TIMED_SCOPE("pipeline.state.extend");
   RUDOLF_COUNTER_INC("pipeline.state.extends");
   tracker_->ExtendPrefix(target);
 }

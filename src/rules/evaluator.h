@@ -32,8 +32,10 @@
 
 namespace rudolf {
 
-/// Parallelism knobs for rule evaluation, threaded through
-/// GeneralizeOptions / SpecializeOptions / SessionOptions.
+/// Parallelism knobs for rule evaluation. A session builds every
+/// CaptureTracker, through which its engines evaluate, with
+/// SessionOptions::eval; standalone evaluators and trackers take them
+/// directly.
 struct EvalOptions {
   /// 1 (default): the serial code path, no scheduler involved. 0: all
   /// hardware threads. n > 1: the process-wide TaskScheduler (sized at

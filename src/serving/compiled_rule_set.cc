@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace rudolf {
@@ -25,8 +24,7 @@ struct CategoricalCond {
 std::shared_ptr<const CompiledRuleSet> CompiledRuleSet::Compile(
     std::shared_ptr<const Schema> schema, const RuleSet& rules,
     uint64_t epoch) {
-  RUDOLF_SPAN("serving.compile");
-  RUDOLF_SCOPED_LATENCY("serving.compile.seconds");
+  RUDOLF_TIMED_SCOPE("serving.compile");
   assert(schema != nullptr);
   auto compiled = std::shared_ptr<CompiledRuleSet>(new CompiledRuleSet());
   CompiledRuleSet& c = *compiled;

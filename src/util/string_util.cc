@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/logging.h"
+
 namespace rudolf {
 
 std::vector<std::string> Split(std::string_view s, char sep) {
@@ -62,6 +64,20 @@ Result<int64_t> ParseInt64(std::string_view s) {
     return Status::ParseError("trailing characters in integer: " + buf);
   }
   return static_cast<int64_t>(v);
+}
+
+std::optional<int64_t> IntFromEnv(const char* name, int64_t lo, int64_t hi) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return std::nullopt;
+  Result<int64_t> v = ParseInt64(env);
+  if (v.ok() && *v >= lo && *v <= hi) return *v;
+  std::string range = hi == std::numeric_limits<int64_t>::max()
+                          ? ">= " + std::to_string(lo)
+                          : "in [" + std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]";
+  RUDOLF_LOG(Warning) << "ignoring " << name << "='" << env
+                      << "': want an integer " << range;
+  return std::nullopt;
 }
 
 Result<double> ParseDouble(std::string_view s) {

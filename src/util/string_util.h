@@ -4,6 +4,8 @@
 #define RUDOLF_UTIL_STRING_UTIL_H_
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +34,15 @@ Result<int64_t> ParseInt64(std::string_view s);
 
 /// Parses a double; the whole string must be consumed.
 Result<double> ParseDouble(std::string_view s);
+
+/// Reads the integer environment variable `name` (the `RUDOLF_*` knobs):
+/// nullopt when it is unset or empty. A value that is not a whole integer
+/// (ParseInt64), or lies outside [lo, hi], logs one warning naming the
+/// variable and the accepted range and also yields nullopt, so the caller
+/// keeps its default.
+std::optional<int64_t> IntFromEnv(
+    const char* name, int64_t lo,
+    int64_t hi = std::numeric_limits<int64_t>::max());
 
 /// Formats minutes-since-midnight as "HH:MM" (wraps modulo 24h, keeping the
 /// day offset out of the rendering). Negative values are clamped to 0.

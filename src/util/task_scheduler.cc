@@ -2,22 +2,18 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <exception>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace rudolf {
 
 int ResolveNumThreads(int requested) {
-  if (const char* env = std::getenv("RUDOLF_THREADS")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) {
-      return static_cast<int>(std::min<long>(v, 1024));
-    }
+  if (std::optional<int64_t> v = IntFromEnv("RUDOLF_THREADS", 1)) {
+    return static_cast<int>(std::min<int64_t>(*v, 1024));
   }
   if (requested == 0) {
     unsigned hw = std::thread::hardware_concurrency();

@@ -106,8 +106,9 @@ TEST_F(CaptureTrackerTest, ApplyReplaceKeepsStateConsistent) {
   CaptureTracker tracker(*ex_.relation, rules);
   RuleId first = rules.LiveIds()[0];
   Rule widened = Parse("time in [18:00,18:05] && amount >= 106");
-  tracker.ApplyReplace(first, widened);
+  tracker.Replace(first, widened);
   rules.Replace(first, widened);
+  EXPECT_EQ(tracker.rules().ToString(*ex_.schema), rules.ToString(*ex_.schema));
   CaptureTracker fresh(*ex_.relation, rules);
   EXPECT_EQ(tracker.UnionCapture(), fresh.UnionCapture());
   for (size_t r = 0; r < ex_.relation->NumRows(); ++r) {
@@ -119,12 +120,15 @@ TEST_F(CaptureTrackerTest, ApplyAddAndRemoveKeepStateConsistent) {
   RuleSet rules = ex_.rules;
   CaptureTracker tracker(*ex_.relation, rules);
   Rule extra = Parse("amount in [44,48]");
-  RuleId id = rules.AddRule(extra);
-  tracker.ApplyAdd(id, extra);
+  EXPECT_EQ(tracker.Add(extra), rules.AddRule(extra));
   EXPECT_TRUE(tracker.IsCovered(5));
   RuleId first = rules.LiveIds()[0];
   rules.RemoveRule(first);
-  tracker.ApplyRemove(first);
+  tracker.Remove(first);
+  // A rule of the tracker's own set, passed back in.
+  RuleId last = tracker.rules().LiveIds().back();
+  EXPECT_EQ(tracker.Add(tracker.rules().Get(last)), rules.AddRule(rules.Get(last)));
+  EXPECT_EQ(tracker.rules().ToString(*ex_.schema), rules.ToString(*ex_.schema));
   CaptureTracker fresh(*ex_.relation, rules);
   EXPECT_EQ(tracker.UnionCapture(), fresh.UnionCapture());
 }

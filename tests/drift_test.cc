@@ -47,7 +47,7 @@ TEST_F(DriftTest, DetectsRuleWithDriedUpYield) {
   CaptureTracker tracker(*relation_, rules_);
   DriftOptions options;
   options.window_frac = 0.5;  // rows 50..99: no fraud captured there
-  auto flagged = DetectObsoleteRules(*relation_, rules_, tracker, options);
+  auto flagged = DetectObsoleteRules(*relation_, tracker, options);
   ASSERT_EQ(flagged.size(), 1u);
   EXPECT_EQ(flagged[0].rule_id, old_rule_);
   EXPECT_EQ(flagged[0].prior_fraud, 10u);
@@ -67,7 +67,7 @@ TEST_F(DriftTest, ActiveRuleIsNotFlagged) {
   CaptureTracker tracker(*relation_, rules_);
   DriftOptions options;
   options.window_frac = 0.3;
-  EXPECT_TRUE(DetectObsoleteRules(*relation_, rules_, tracker, options).empty());
+  EXPECT_TRUE(DetectObsoleteRules(*relation_, tracker, options).empty());
 }
 
 TEST_F(DriftTest, YoungRulesAreLeftAlone) {
@@ -76,7 +76,7 @@ TEST_F(DriftTest, YoungRulesAreLeftAlone) {
   CaptureTracker tracker(*relation_, rules);
   DriftOptions options;
   // Captures nothing at all: prior fraud 0 < min_prior_fraud.
-  EXPECT_TRUE(DetectObsoleteRules(*relation_, rules, tracker, options).empty());
+  EXPECT_TRUE(DetectObsoleteRules(*relation_, tracker, options).empty());
 }
 
 TEST_F(DriftTest, RetirementRemovesRuleAndLogsIt) {
@@ -86,10 +86,10 @@ TEST_F(DriftTest, RetirementRemovesRuleAndLogsIt) {
   ScriptedExpert expert;  // default retirement review accepts
   EditLog log;
   RetireStats stats =
-      RetireObsoleteRules(*relation_, &rules_, &tracker, &expert, &log, options);
+      RetireObsoleteRules(*relation_, &tracker, &expert, &log, options);
   EXPECT_EQ(stats.flagged, 1u);
   EXPECT_EQ(stats.retired, 1u);
-  EXPECT_FALSE(rules_.IsLive(old_rule_));
+  EXPECT_FALSE(tracker.rules().IsLive(old_rule_));
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log.edit(0).kind, EditKind::kRemoveRule);
   EXPECT_TRUE(tracker.UnionCapture().None());
@@ -111,12 +111,27 @@ TEST_F(DriftTest, ExpertCanKeepTheRule) {
   KeepEverything expert;
   EditLog log;
   RetireStats stats =
-      RetireObsoleteRules(*relation_, &rules_, &tracker, &expert, &log, options);
+      RetireObsoleteRules(*relation_, &tracker, &expert, &log, options);
   EXPECT_EQ(stats.kept, 1u);
   EXPECT_EQ(stats.retired, 0u);
-  EXPECT_TRUE(rules_.IsLive(old_rule_));
+  EXPECT_TRUE(tracker.rules().IsLive(old_rule_));
   EXPECT_DOUBLE_EQ(stats.expert_seconds, 5.0);
   EXPECT_EQ(log.size(), 0u);
+}
+
+TEST_F(DriftTest, SessionRetirementReachesTheCallersSet) {
+  // The session retires through its tracker; the caller's set must lose the
+  // rule as well, and keep it lost through the closing simplify pass.
+  SessionOptions options;
+  options.retire_obsolete = true;
+  options.drift.window_frac = 0.5;
+  RefinementSession session(*relation_, options);
+  ScriptedExpert expert;  // default retirement review accepts
+  EditLog log;
+  session.Refine(&rules_, &expert, &log);
+  EXPECT_FALSE(rules_.IsLive(old_rule_));
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.edit(0).kind, EditKind::kRemoveRule);
 }
 
 TEST(DriftOracle, KeepsOngoingPatternRuleRetiresFadedOne) {

@@ -212,10 +212,12 @@ TEST(EvalRulesRangeBoundaries, IndexedAndScanAgreeAtZeroAndRelationSize) {
 }
 
 // Randomized interleavings of prefix growth, in-prefix relabels, and rule
-// edits (mirrored one at a time, or made behind the trackers' backs and then
-// synced): incrementally maintained trackers (serial scan, serial indexed,
-// 4- and 8-thread indexed) must stay bit-identical to a tracker freshly
-// built after every operation.
+// edits (made through each tracker and to the reference set alike, or made
+// to the reference set behind the trackers' backs and then synced):
+// incrementally maintained trackers (serial scan, serial indexed, 4- and
+// 8-thread indexed) must stay bit-identical to a tracker freshly built
+// after every operation, and every Add must hand out the id the reference
+// set does.
 class ExtendEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtendEquivalence,
@@ -289,7 +291,7 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
       case 3: {  // a rule is added
         Rule rule = RandomRule(schema, &rng);
         RuleId id = rules.AddRule(rule);
-        for (auto& t : trackers) t->ApplyAdd(id, rule);
+        for (auto& t : trackers) ASSERT_EQ(t->Add(rule), id);
         check_all("add");
         break;
       }
@@ -299,12 +301,12 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
             rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
         if (live.size() > 1 && rng.Bernoulli(0.3)) {
           rules.RemoveRule(id);
-          for (auto& t : trackers) t->ApplyRemove(id);
+          for (auto& t : trackers) t->Remove(id);
           check_all("remove");
         } else {
           Rule rule = RandomRule(schema, &rng);
           rules.Replace(id, rule);
-          for (auto& t : trackers) t->ApplyReplace(id, rule);
+          for (auto& t : trackers) t->Replace(id, rule);
           check_all("replace");
         }
         break;
@@ -331,7 +333,7 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
         for (auto& t : trackers) t->Sync(rules);
         Rule rule = RandomRule(schema, &rng);
         RuleId id = rules.AddRule(rule);
-        for (auto& t : trackers) t->ApplyAdd(id, rule);
+        for (auto& t : trackers) ASSERT_EQ(t->Add(rule), id);
         check_all("sync, then add");
         break;
       }

@@ -184,5 +184,39 @@ TEST(FleetEnvKnobs, ResolversParseAndClamp) {
   }
 }
 
+TEST(FleetEnvKnobs, InvalidValuesFallBackToTheRequest) {
+  // Saved and restored: CI runs this suite under RUDOLF_FLEET_TENANTS=8.
+  const char* names[] = {"RUDOLF_FLEET_TENANTS", "RUDOLF_FLEET_MEMORY_MB"};
+  std::vector<const char*> outer;
+  std::vector<std::string> saved;
+  for (const char* name : names) {
+    outer.push_back(std::getenv(name));
+    saved.push_back(outer.back() != nullptr ? outer.back() : "");
+  }
+  setenv("RUDOLF_FLEET_TENANTS", "8x", 1);  // trailing garbage
+  EXPECT_EQ(ResolveFleetTenants(64), 64u);
+  setenv("RUDOLF_FLEET_TENANTS", "0", 1);  // below the range
+  EXPECT_EQ(ResolveFleetTenants(64), 64u);
+  setenv("RUDOLF_FLEET_TENANTS", "8", 1);
+  EXPECT_EQ(ResolveFleetTenants(64), 8u);
+  setenv("RUDOLF_FLEET_TENANTS", "2000000", 1);  // accepted, clamped as before
+  EXPECT_EQ(ResolveFleetTenants(64), size_t{1} << 20);
+  setenv("RUDOLF_FLEET_MEMORY_MB", "16MB", 1);
+  EXPECT_EQ(ResolveFleetMemoryBudget(123), 123u);
+  setenv("RUDOLF_FLEET_MEMORY_MB", "-1", 1);
+  EXPECT_EQ(ResolveFleetMemoryBudget(123), 123u);
+  setenv("RUDOLF_FLEET_MEMORY_MB", "16", 1);
+  EXPECT_EQ(ResolveFleetMemoryBudget(123), size_t{16} << 20);
+  setenv("RUDOLF_FLEET_MEMORY_MB", "0", 1);  // 0 = unlimited
+  EXPECT_EQ(ResolveFleetMemoryBudget(123), 0u);
+  for (size_t i = 0; i < outer.size(); ++i) {
+    if (outer[i] != nullptr) {
+      setenv(names[i], saved[i].c_str(), 1);
+    } else {
+      unsetenv(names[i]);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rudolf

@@ -21,7 +21,9 @@ class GeneralizeTest : public ::testing::Test {
                             GeneralizeOptions options = {}) {
     GeneralizationEngine engine(*ex_.relation, options);
     CaptureTracker tracker(*ex_.relation, *rules);
-    return engine.Run(rules, &tracker, expert, &log_);
+    GeneralizeStats stats = engine.Run(&tracker, expert, &log_);
+    *rules = tracker.rules();
+    return stats;
   }
 
   PaperExample ex_;
@@ -59,7 +61,7 @@ TEST_F(GeneralizeTest, EditsAreLoggedPerChangedAttribute) {
   GeneralizationEngine engine(*ex_.relation, coarse);
   CaptureTracker tracker(*ex_.relation, rules, 3);
   ScriptedExpert expert;
-  engine.Run(&rules, &tracker, &expert, &log_);
+  engine.Run(&tracker, &expert, &log_);
   // Only amount needed to change.
   EXPECT_EQ(log_.size(), 1u);
   EXPECT_EQ(log_.edit(0).kind, EditKind::kModifyCondition);
@@ -121,7 +123,7 @@ TEST_F(GeneralizeTest, TopKLimitsCandidates) {
   Rule rep = Parse(
       "time in [18:02,18:03] && amount in [106,107] && "
       "type = 'Online, no CCV' && location = 'Online Store'");
-  EXPECT_EQ(engine.RankCandidates(ex_.rules, tracker, rep, 2).size(), 1u);
+  EXPECT_EQ(engine.RankCandidates(tracker, rep, 2).size(), 1u);
 }
 
 TEST_F(GeneralizeTest, RevisedRuleTakesPriorityOverProposal) {
@@ -186,7 +188,7 @@ TEST_F(GeneralizeTest, ProposalToStringMentionsRuleAndScore) {
   GeneralizationEngine engine(*ex_.relation, GeneralizeOptions{});
   CaptureTracker tracker(*ex_.relation, ex_.rules);
   Rule rep = Parse("time in [18:02,18:03] && amount in [106,107]");
-  auto candidates = engine.RankCandidates(ex_.rules, tracker, rep, 2);
+  auto candidates = engine.RankCandidates(tracker, rep, 2);
   ASSERT_FALSE(candidates.empty());
   std::string s = candidates[0].ToString(*ex_.schema);
   EXPECT_NE(s.find("GENERALIZE"), std::string::npos);

@@ -267,27 +267,6 @@ TEST(ConditionIndex, IndexedEvalHitsCacheOnRepeatedConditions) {
   EXPECT_GE(misses->value, after_second.misses);
 }
 
-TEST(ConditionIndex, InvalidateIfGrownRebindsPrefix) {
-  PaperExample ex = MakePaperExample();
-  Relation& relation = *ex.relation;
-  ConditionIndex index(relation);  // snapshot: all current rows
-  Rule rule = ParseRule(*ex.schema, "amount >= 100").ValueOrDie();
-  index.EnsureForRule(rule);
-  size_t before = index.ConditionBitmap(1, rule.condition(1))->ToBitset().Count();
-  EXPECT_FALSE(index.InvalidateIfGrown());  // nothing changed
-
-  // Append a matching row; the index is stale until invalidated.
-  Tuple row = relation.GetRow(0);
-  row[1] = 500;  // amount
-  ASSERT_TRUE(relation.AppendRow(row).ok());
-  EXPECT_TRUE(index.InvalidateIfGrown());
-  EXPECT_EQ(index.prefix_rows(), relation.NumRows());
-  EXPECT_FALSE(index.ReadyForRule(rule));  // indexes dropped
-  index.EnsureForRule(rule);
-  EXPECT_EQ(index.ConditionBitmap(1, rule.condition(1))->ToBitset().Count(),
-            before + 1);
-}
-
 TEST(ConditionIndex, ExtendToRejectsNonMonotonicPrefix) {
   // The extend path must be monotone: a stale or racing caller asking for a
   // prefix at or below the current binding is a counted no-op, never a

@@ -286,6 +286,8 @@ TEST(MetricsServerLifecycle, ResolveMetricsPortPrefersEnv) {
   EXPECT_EQ(ResolveMetricsPort(-1), 9200);
   setenv("RUDOLF_METRICS_PORT", "not-a-port", 1);
   EXPECT_EQ(ResolveMetricsPort(9100), 9100);
+  setenv("RUDOLF_METRICS_PORT", "9200x", 1);  // trailing garbage
+  EXPECT_EQ(ResolveMetricsPort(9100), 9100);
   setenv("RUDOLF_METRICS_PORT", "70000", 1);
   EXPECT_EQ(ResolveMetricsPort(9100), 9100);
   unsetenv("RUDOLF_METRICS_PORT");

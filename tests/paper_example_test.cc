@@ -66,7 +66,7 @@ TEST_F(PaperExampleTest, Example44RanksRuleOneFirst) {
   GeneralizationEngine engine(*ex_.relation, options);
   CaptureTracker tracker(*ex_.relation, ex_.rules);
   Rule rep1 = RepresentativeOfRows(*ex_.relation, {0, 1});
-  auto candidates = engine.RankCandidates(ex_.rules, tracker, rep1, 2);
+  auto candidates = engine.RankCandidates(tracker, rep1, 2);
   ASSERT_FALSE(candidates.empty());
   EXPECT_EQ(candidates[0].rule_id, ex_.rules.LiveIds()[0]);
   EXPECT_DOUBLE_EQ(candidates[0].distance, 4.0);
@@ -88,7 +88,6 @@ TEST_F(PaperExampleTest, Example44ExpertRoundsDown) {
   options.clustering.leader_threshold = 0.3;
   GeneralizationEngine engine(*ex_.relation, options);
   CaptureTracker tracker(*ex_.relation, ex_.rules);
-  RuleSet rules = ex_.rules;
   EditLog log;
   ScriptedExpert expert;
   // Clusters are triaged by size, so the gas-station cluster (3 rows) is
@@ -100,7 +99,8 @@ TEST_F(PaperExampleTest, Example44ExpertRoundsDown) {
   elena.action = GeneralizationReview::Action::kAcceptRevised;
   elena.revised = Parse("time in [18:00,18:05] && amount >= 100");
   expert.PushGeneralization(elena);
-  GeneralizeStats stats = engine.Run(&rules, &tracker, &expert, &log);
+  GeneralizeStats stats = engine.Run(&tracker, &expert, &log);
+  const RuleSet& rules = tracker.rules();
   EXPECT_GE(stats.revised, 1u);
   // The first rule became Elena's version.
   EXPECT_EQ(rules.Get(0).condition(1).interval(), Interval::AtLeast(100));
@@ -113,10 +113,10 @@ TEST_F(PaperExampleTest, FullGeneralizationCapturesAllFraud) {
   GeneralizeOptions options;
   GeneralizationEngine engine(*ex_.relation, options);
   CaptureTracker tracker(*ex_.relation, ex_.rules);
-  RuleSet rules = ex_.rules;
   EditLog log;
   ScriptedExpert expert;  // accepts everything
-  engine.Run(&rules, &tracker, &expert, &log);
+  engine.Run(&tracker, &expert, &log);
+  const RuleSet& rules = tracker.rules();
   for (size_t r : {0u, 1u, 3u, 5u, 6u, 7u}) {
     EXPECT_TRUE(rules.CapturesRow(*ex_.relation, r)) << r;
   }
@@ -151,7 +151,7 @@ TEST_F(PaperSpecializeTest, SplitCandidatesMatchExample47) {
   SpecializationEngine engine(*ex_.relation, options);
   CaptureTracker tracker(*ex_.relation, rules_);
   // l1 = row 2, captured by rule 0.
-  auto proposals = engine.RankSplits(rules_, tracker, 0, 2);
+  auto proposals = engine.RankSplits(tracker, 0, 2);
   ASSERT_FALSE(proposals.empty());
   // Splitting on location would lose the two captured frauds (rows 0,1) —
   // the paper notes it has lower benefit than time/amount/type.
@@ -178,7 +178,7 @@ TEST_F(PaperSpecializeTest, TypeSplitUsesOntologyCover) {
   SpecializeOptions options;
   SpecializationEngine engine(*ex_.relation, options);
   CaptureTracker tracker(*ex_.relation, rules_);
-  auto proposals = engine.RankSplits(rules_, tracker, 0, 2);
+  auto proposals = engine.RankSplits(tracker, 0, 2);
   const SplitProposal* type_split = nullptr;
   for (const auto& p : proposals) {
     if (p.attribute == 2) type_split = &p;
@@ -201,14 +201,15 @@ TEST_F(PaperSpecializeTest, FullSpecializationExcludesLegitimates) {
   CaptureTracker tracker(*ex_.relation, rules_);
   EditLog log;
   ScriptedExpert expert;  // accepts the top-benefit split each time
-  SpecializeStats stats = engine.Run(&rules_, &tracker, &expert, &log);
+  SpecializeStats stats = engine.Run(&tracker, &expert, &log);
+  const RuleSet& rules = tracker.rules();
   EXPECT_EQ(stats.tuples, 3u);
   for (size_t r : {2u, 4u, 9u}) {
-    EXPECT_FALSE(rules_.CapturesRow(*ex_.relation, r)) << r;
+    EXPECT_FALSE(rules.CapturesRow(*ex_.relation, r)) << r;
   }
   // The fraudulent rows previously captured stay captured.
   for (size_t r : {0u, 1u, 3u, 5u, 6u, 7u}) {
-    EXPECT_TRUE(rules_.CapturesRow(*ex_.relation, r)) << r;
+    EXPECT_TRUE(rules.CapturesRow(*ex_.relation, r)) << r;
   }
   EXPECT_GT(log.CountKind(EditKind::kSplitRule), 0u);
 }

@@ -196,7 +196,7 @@ TEST_P(SeededProperty, SplitsExcludeTheTupleAndNothingOutsideTheRule) {
     RuleId id = rules.AddRule(rule);
     CaptureTracker tracker(*ds.relation, rules);
     Tuple l = ds.relation->GetRow(row);
-    for (const SplitProposal& p : engine.RankSplits(rules, tracker, id, row)) {
+    for (const SplitProposal& p : engine.RankSplits(tracker, id, row)) {
       for (const Rule& replacement : p.replacements) {
         // Excludes l.
         EXPECT_FALSE(replacement.MatchesTuple(schema, l));
@@ -254,27 +254,27 @@ TEST_P(SeededProperty, TrackerApplySequenceStaysConsistent) {
   RuleSet rules;
   for (int i = 0; i < 3; ++i) rules.AddRule(RandomRule(ds, &rng));
   CaptureTracker tracker(*ds.relation, rules);
-  // Random apply sequence.
+  // Random edit sequence, mirrored into the reference `rules`.
   for (int step = 0; step < 6; ++step) {
     std::vector<RuleId> live = rules.LiveIds();
     int op = static_cast<int>(rng.UniformInt(0, 2));
     if (op == 0 || live.empty()) {
       Rule r = RandomRule(ds, &rng);
-      RuleId id = rules.AddRule(r);
-      tracker.ApplyAdd(id, r);
+      EXPECT_EQ(tracker.Add(r), rules.AddRule(r));
     } else if (op == 1) {
       RuleId id = live[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
       Rule r = RandomRule(ds, &rng);
       rules.Replace(id, r);
-      tracker.ApplyReplace(id, r);
+      tracker.Replace(id, r);
     } else {
       RuleId id = live[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
       rules.RemoveRule(id);
-      tracker.ApplyRemove(id);
+      tracker.Remove(id);
     }
   }
+  EXPECT_EQ(tracker.rules().ToString(*ds.cc.schema), rules.ToString(*ds.cc.schema));
   CaptureTracker fresh(*ds.relation, rules);
   EXPECT_EQ(tracker.UnionCapture(), fresh.UnionCapture());
   for (size_t r = 0; r < ds.relation->NumRows(); r += 11) {

@@ -105,7 +105,8 @@ TEST(Theorem41, GeneralizationEngineSolvesTheInstanceFeasibly) {
   GeneralizationEngine engine(*inst.relation, options);
   ScriptedExpert expert;
   EditLog log;
-  engine.Run(&rules, &tracker, &expert, &log);
+  engine.Run(&tracker, &expert, &log);
+  rules = tracker.rules();
   // Feasible: the fraud is captured and no unlabeled tuple is.
   EXPECT_TRUE(rules.CapturesRow(*inst.relation, inst.ones_row));
   for (size_t r = 0; r < inst.ones_row; ++r) {
@@ -151,7 +152,8 @@ TEST(Theorem45, OneSplitPassExcludesTheLegitimateTuple) {
   SpecializationEngine engine(*inst.relation, options);
   ScriptedExpert expert;
   EditLog log;
-  engine.Run(&rules, &tracker, &expert, &log);
+  engine.Run(&tracker, &expert, &log);
+  rules = tracker.rules();
   // A single split on one attribute must exclude the legitimate tuple but
   // cannot keep every fraud on this adversarial instance (the proof's
   // solution needs one rule per hitting-set element) — that recovery is the

@@ -295,5 +295,72 @@ TEST(ServingEquivalence, SessionPublishHookServesFinalRules) {
   }
 }
 
+// Serving only ever sees whole rounds: the session's engines edit its
+// tracker, and the caller's set is refreshed from it after each round's
+// engines, just before that round's publish. So at every review, the
+// serving engine answers exactly as the caller's set does. (The closing
+// simplify-and-publish hides a stale round publish from the test above.)
+TEST(ServingEquivalence, SessionServesCallersSetAtEveryReview) {
+  // Checks the serving engine against the caller's set, then forwards the
+  // review to a ScriptedExpert.
+  class ForwardingExpert : public Expert {
+   public:
+    ForwardingExpert(const PaperExample& ex, const ServingEngine& engine,
+                     const RuleSet& rules)
+        : ex_(ex), engine_(engine), rules_(rules) {}
+
+    GeneralizationReview ReviewGeneralization(
+        const GeneralizationProposal& proposal,
+        const Relation& relation) override {
+      CheckServingMatchesCaller();
+      return inner_.ReviewGeneralization(proposal, relation);
+    }
+    SplitReview ReviewSplit(const SplitProposal& proposal,
+                            const Relation& relation) override {
+      CheckServingMatchesCaller();
+      return inner_.ReviewSplit(proposal, relation);
+    }
+    std::string name() const override { return "forwarding"; }
+
+    size_t reviews = 0;
+
+   private:
+    void CheckServingMatchesCaller() {
+      ++reviews;
+      Decision decision;
+      for (size_t r = 0; r < ex_.relation->NumRows(); ++r) {
+        Tuple tuple = ex_.relation->GetRow(r);
+        engine_.Decide(tuple, &decision);
+        EXPECT_EQ(decision.fired, rules_.CapturingRules(*ex_.schema, tuple))
+            << "review " << reviews << ", row " << r;
+      }
+    }
+
+    const PaperExample& ex_;
+    const ServingEngine& engine_;
+    const RuleSet& rules_;
+    ScriptedExpert inner_;
+  };
+
+  PaperExample ex = MakePaperExample();
+  MarkPaperLegitimates(&ex);
+  ServingEngine engine(ex.schema);
+  RuleSet rules = ex.rules;
+  engine.Publish(rules);
+  SessionOptions options;
+  options.serving = &engine;
+  // One cluster and one legitimate tuple per pass spread the work over the
+  // rounds, so later rounds review proposals after earlier rounds' publishes.
+  options.generalize.max_clusters_per_pass = 1;
+  options.specialize.max_legit_tuples = 1;
+  RefinementSession session(*ex.relation, ex.relation->NumRows(), options);
+  EditLog log;
+  ForwardingExpert expert(ex, engine, rules);
+  SessionStats stats = session.Refine(&rules, &expert, &log);
+  ASSERT_GT(stats.edits, 0u);
+  EXPECT_GE(stats.rounds, 2);  // a review follows a round's publish
+  EXPECT_GT(expert.reviews, 1u);
+}
+
 }  // namespace
 }  // namespace rudolf

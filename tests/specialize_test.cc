@@ -22,7 +22,9 @@ class SpecializeTest : public ::testing::Test {
                             SpecializeOptions options = {}) {
     SpecializationEngine engine(*ex_.relation, options);
     CaptureTracker tracker(*ex_.relation, *rules);
-    return engine.Run(rules, &tracker, expert, &log_);
+    SpecializeStats stats = engine.Run(&tracker, expert, &log_);
+    *rules = tracker.rules();
+    return stats;
   }
 
   PaperExample ex_;
@@ -56,7 +58,7 @@ TEST_F(SpecializeTest, SplitRanksLossyAttributesLower) {
   SpecializeOptions options;
   SpecializationEngine engine(*ex_.relation, options);
   CaptureTracker tracker(*ex_.relation, rules);
-  auto proposals = engine.RankSplits(rules, tracker, id, 2);
+  auto proposals = engine.RankSplits(tracker, id, 2);
   ASSERT_GE(proposals.size(), 2u);
   // Every proposal's replacements exclude the tuple.
   Tuple l = ex_.relation->GetRow(2);
@@ -76,7 +78,7 @@ TEST_F(SpecializeTest, SplitOnAmountProducesTwoIntervals) {
   RuleId id = rules.AddRule(Parse("amount in [100,120]"));
   SpecializationEngine engine(*ex_.relation, SpecializeOptions{});
   CaptureTracker tracker(*ex_.relation, rules);
-  auto proposals = engine.RankSplits(rules, tracker, id, 2);  // amount 112
+  auto proposals = engine.RankSplits(tracker, id, 2);  // amount 112
   const SplitProposal* amount = nullptr;
   for (const auto& p : proposals) {
     if (p.attribute == 1) amount = &p;
@@ -92,7 +94,7 @@ TEST_F(SpecializeTest, SplitAtIntervalBoundaryKeepsOneSide) {
   RuleId id = rules.AddRule(Parse("amount in [112,130]"));
   SpecializationEngine engine(*ex_.relation, SpecializeOptions{});
   CaptureTracker tracker(*ex_.relation, rules);
-  auto proposals = engine.RankSplits(rules, tracker, id, 2);  // amount = 112
+  auto proposals = engine.RankSplits(tracker, id, 2);  // amount = 112
   const SplitProposal* amount = nullptr;
   for (const auto& p : proposals) {
     if (p.attribute == 1) amount = &p;
@@ -107,7 +109,7 @@ TEST_F(SpecializeTest, PointConditionSplitsToRuleRemoval) {
   RuleId id = rules.AddRule(Parse("amount = 112"));
   SpecializationEngine engine(*ex_.relation, SpecializeOptions{});
   CaptureTracker tracker(*ex_.relation, rules);
-  auto proposals = engine.RankSplits(rules, tracker, id, 2);
+  auto proposals = engine.RankSplits(tracker, id, 2);
   const SplitProposal* amount = nullptr;
   for (const auto& p : proposals) {
     if (p.attribute == 1) amount = &p;
@@ -144,7 +146,7 @@ TEST_F(SpecializeTest, RejectMovesToNextAttribute) {
   RuleId id = rules.AddRule(Parse("time in [18:00,18:05] && amount >= 100"));
   SpecializationEngine engine(*ex_.relation, SpecializeOptions{});
   CaptureTracker tracker(*ex_.relation, rules);
-  auto ranked = engine.RankSplits(rules, tracker, id, 2);
+  auto ranked = engine.RankSplits(tracker, id, 2);
   ASSERT_GE(ranked.size(), 2u);
   ScriptedExpert expert;
   SplitReview reject;
@@ -195,7 +197,7 @@ TEST_F(SpecializeTest, NoOntologyModeSkipsCategoricalSplits) {
   options.refine_categorical = false;
   SpecializationEngine engine(*ex_.relation, options);
   CaptureTracker tracker(*ex_.relation, rules);
-  auto proposals = engine.RankSplits(rules, tracker, id, 9);
+  auto proposals = engine.RankSplits(tracker, id, 9);
   for (const auto& p : proposals) {
     EXPECT_EQ(ex_.schema->attribute(p.attribute).kind, AttrKind::kNumeric);
   }
@@ -241,7 +243,7 @@ class SentinelSplitTest : public ::testing::Test {
     RuleId id = rules.AddRule(rule);
     SpecializationEngine engine(relation_, SpecializeOptions{});
     CaptureTracker tracker(relation_, rules);
-    auto proposals = engine.RankSplits(rules, tracker, id, 0);
+    auto proposals = engine.RankSplits(tracker, id, 0);
     for (auto& p : proposals) {
       if (p.attribute == cc_.layout.amount) return p;
     }
@@ -294,7 +296,7 @@ TEST_F(SpecializeTest, SplitProposalToString) {
   RuleId id = rules.AddRule(Parse("amount in [100,120]"));
   SpecializationEngine engine(*ex_.relation, SpecializeOptions{});
   CaptureTracker tracker(*ex_.relation, rules);
-  auto proposals = engine.RankSplits(rules, tracker, id, 2);
+  auto proposals = engine.RankSplits(tracker, id, 2);
   ASSERT_FALSE(proposals.empty());
   std::string s = proposals[0].ToString(*ex_.schema);
   EXPECT_NE(s.find("SPLIT"), std::string::npos);

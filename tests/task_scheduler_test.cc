@@ -9,6 +9,7 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +27,25 @@ TEST(ResolveNumThreads, DefaultsAndClamps) {
   EXPECT_EQ(ResolveNumThreads(4), 4);
   EXPECT_EQ(ResolveNumThreads(-3), 1);  // degenerate requests go serial
   EXPECT_GE(ResolveNumThreads(0), 1);   // 0 = hardware concurrency
+}
+
+TEST(ResolveNumThreads, InvalidEnvFallsBackToTheRequest) {
+  // Saved and restored: CI runs this suite under RUDOLF_THREADS=8.
+  const char* outer = std::getenv("RUDOLF_THREADS");
+  const std::string saved = outer != nullptr ? outer : "";
+  setenv("RUDOLF_THREADS", "8x", 1);  // trailing garbage
+  EXPECT_EQ(ResolveNumThreads(2), 2);
+  setenv("RUDOLF_THREADS", "0", 1);  // below the range
+  EXPECT_EQ(ResolveNumThreads(2), 2);
+  setenv("RUDOLF_THREADS", "6", 1);
+  EXPECT_EQ(ResolveNumThreads(2), 6);
+  setenv("RUDOLF_THREADS", "5000", 1);  // accepted, clamped as before
+  EXPECT_EQ(ResolveNumThreads(2), 1024);
+  if (outer != nullptr) {
+    setenv("RUDOLF_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("RUDOLF_THREADS");
+  }
 }
 
 TEST(TaskScheduler, ConstructionAndTeardown) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
+#include <optional>
+
+#include "util/logging.h"
+
 namespace rudolf {
 namespace {
 
@@ -56,6 +62,65 @@ TEST(ParseInt64, Invalid) {
   EXPECT_FALSE(ParseInt64("abc").ok());
   EXPECT_FALSE(ParseInt64("12x").ok());
   EXPECT_FALSE(ParseInt64("99999999999999999999999").ok());
+}
+
+// Every integer RUDOLF_* knob goes through IntFromEnv: unset or empty means
+// "not configured"; anything else must be a whole integer in range, or it is
+// ignored with a warning naming the variable and the accepted range.
+TEST(IntFromEnv, AcceptsOnlyWholeIntegersInRange) {
+  constexpr char kVar[] = "RUDOLF_TEST_INT_KNOB";
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Case {
+    const char* value;  // nullptr: unset
+    int64_t lo;
+    int64_t hi;
+    std::optional<int64_t> want;
+    const char* range;  // in the warning; nullptr: no warning
+  };
+  const Case kCases[] = {
+      {nullptr, 1, 10, std::nullopt, nullptr},
+      {"", 1, 10, std::nullopt, nullptr},
+      {"8", 1, 10, 8, nullptr},
+      {" 8 ", 1, 10, 8, nullptr},  // surrounding whitespace is trimmed
+      {"+8", 1, 10, 8, nullptr},
+      {"1", 1, 10, 1, nullptr},  // both bounds are inclusive
+      {"10", 1, 10, 10, nullptr},
+      {"-3", -5, 5, -3, nullptr},
+      {"0", 1, 10, std::nullopt, "in [1, 10]"},
+      {"11", 1, 10, std::nullopt, "in [1, 10]"},
+      {"0", 1, kMax, std::nullopt, ">= 1"},
+      {"8x", 1, 10, std::nullopt, "in [1, 10]"},
+      {"x8", 1, 10, std::nullopt, "in [1, 10]"},
+      {"8 8", 1, 10, std::nullopt, "in [1, 10]"},
+      {"8.0", 1, 10, std::nullopt, "in [1, 10]"},
+      {"0x10", 0, 100, std::nullopt, "in [0, 100]"},
+      {"9223372036854775807", 1, kMax, kMax, nullptr},
+      {"9223372036854775808", 1, kMax, std::nullopt, ">= 1"},  // overflows
+  };
+  LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kWarning);
+  for (const Case& c : kCases) {
+    const std::string shown = c.value != nullptr ? c.value : "(unset)";
+    if (c.value != nullptr) {
+      setenv(kVar, c.value, 1);
+    } else {
+      unsetenv(kVar);
+    }
+    testing::internal::CaptureStderr();
+    std::optional<int64_t> got = IntFromEnv(kVar, c.lo, c.hi);
+    std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(got, c.want) << "'" << shown << "'";
+    if (c.range == nullptr) {
+      EXPECT_EQ(warning, "") << "'" << shown << "'";
+    } else {
+      EXPECT_NE(warning.find(std::string(kVar) + "='" + c.value + "'"),
+                std::string::npos)
+          << warning;
+      EXPECT_NE(warning.find(c.range), std::string::npos) << warning;
+    }
+  }
+  unsetenv(kVar);
+  SetLogLevel(level);
 }
 
 TEST(ParseDouble, Valid) {
