@@ -17,6 +17,13 @@ CaptureTracker::CaptureTracker(const Relation& relation, const RuleSet& rules,
   RUDOLF_TIMED_SCOPE("tracker.build");
   RUDOLF_COUNTER_INC("tracker.builds");
   cover_count_.assign(prefix_, 0);
+  covered_ = Bitset(prefix_);
+  once_ = Bitset(prefix_);
+  fraud_ = Bitset(prefix_);
+  legit_ = Bitset(prefix_);
+  for (size_t row = 0; row < prefix_; ++row) {
+    SetLabel(row, relation_.VisibleLabel(row));
+  }
   std::vector<RuleId> ids = rules.LiveIds();
   // Bitmap evaluation fans out across rules; the cover-count accumulation
   // stays serial (it is a cheap pass and rules would contend on the array).
@@ -27,27 +34,54 @@ CaptureTracker::CaptureTracker(const Relation& relation, const RuleSet& rules,
   }
 }
 
+void CaptureTracker::SetLabel(size_t row, Label label) {
+  if (label == Label::kFraud) {
+    fraud_.Set(row);
+  } else {
+    fraud_.Clear(row);
+  }
+  if (label == Label::kLegitimate) {
+    legit_.Set(row);
+  } else {
+    legit_.Clear(row);
+  }
+}
+
 void CaptureTracker::AdjustTotals(size_t row, int direction) {
   size_t delta = static_cast<size_t>(direction);  // +1 or (wrapping) -1
-  switch (relation_.VisibleLabel(row)) {
-    case Label::kFraud:
-      total_counts_.fraud += delta;
-      break;
-    case Label::kLegitimate:
-      total_counts_.legitimate += delta;
-      break;
-    case Label::kUnlabeled:
-      total_counts_.unlabeled += delta;
-      break;
+  if (fraud_.Test(row)) {
+    total_counts_.fraud += delta;
+  } else if (legit_.Test(row)) {
+    total_counts_.legitimate += delta;
+  } else {
+    total_counts_.unlabeled += delta;
   }
 }
 
 void CaptureTracker::RaiseCover(size_t row) {
-  if (cover_count_[row]++ == 0) AdjustTotals(row, +1);
+  switch (cover_count_[row]++) {
+    case 0:
+      covered_.Set(row);
+      once_.Set(row);
+      AdjustTotals(row, +1);
+      break;
+    case 1:
+      once_.Clear(row);
+      break;
+  }
 }
 
 void CaptureTracker::LowerCover(size_t row) {
-  if (--cover_count_[row] == 0) AdjustTotals(row, -1);
+  switch (--cover_count_[row]) {
+    case 0:
+      covered_.Clear(row);
+      once_.Clear(row);
+      AdjustTotals(row, -1);
+      break;
+    case 1:
+      once_.Set(row);
+      break;
+  }
 }
 
 void CaptureTracker::ExtendPrefix(size_t new_prefix) {
@@ -58,6 +92,12 @@ void CaptureTracker::ExtendPrefix(size_t new_prefix) {
   prefix_ = evaluator_.num_rows();
   if (prefix_ == old_prefix) return;
   cover_count_.resize(prefix_, 0);
+  for (Bitset* plane : {&covered_, &once_, &fraud_, &legit_}) {
+    plane->Resize(prefix_);
+  }
+  for (size_t row = old_prefix; row < prefix_; ++row) {
+    SetLabel(row, relation_.VisibleLabel(row));
+  }
   std::vector<RuleId> ids = rules_.LiveIds();
   std::vector<Bitset*> outs;
   outs.reserve(ids.size());
@@ -99,35 +139,19 @@ void CaptureTracker::Sync(const RuleSet& rules) {
 
 void CaptureTracker::OnVisibleLabelChanged(size_t row, Label old_label,
                                            Label new_label) {
-  if (row >= prefix_ || cover_count_[row] == 0 || old_label == new_label) return;
-  auto bucket = [this](Label l) -> size_t& {
-    switch (l) {
-      case Label::kFraud:
-        return total_counts_.fraud;
-      case Label::kLegitimate:
-        return total_counts_.legitimate;
-      default:
-        return total_counts_.unlabeled;
-    }
-  };
-  --bucket(old_label);
-  ++bucket(new_label);
+  if (row >= prefix_ || old_label == new_label) return;
+  // The planes follow every row of the prefix, covered or not: a delta that
+  // would cover an uncovered row reads its label here.
+  bool covered = cover_count_[row] > 0;
+  if (covered) AdjustTotals(row, -1);
+  SetLabel(row, new_label);
+  if (covered) AdjustTotals(row, +1);
 }
 
 const Bitset& CaptureTracker::RuleCapture(RuleId id) const {
   auto it = captures_.find(id);
   assert(it != captures_.end());
   return it->second;
-}
-
-Bitset CaptureTracker::UnionCapture() const {
-  Bitset out(prefix_);
-  if (prefix_ == 0) return out;
-  // Collapse the cover counts into word-packed bits in one kernel pass.
-  std::vector<uint64_t> words(Bitset::WordsFor(prefix_));
-  simd::NonZeroMaskU32(cover_count_.data(), prefix_, words.data());
-  out.OrWords(words.data(), 0, words.size());
-  return out;
 }
 
 Bitset CaptureTracker::Eval(const Rule& rule) const {
@@ -141,30 +165,33 @@ std::vector<Bitset> CaptureTracker::EvalMany(const std::vector<Rule>& rules) con
   return captures;
 }
 
+LabelCounts CaptureTracker::CountsVisible(const Bitset& capture) const {
+  assert(capture.size() == prefix_);
+  simd::LabelRowCounts c = simd::CountByLabel(
+      capture.Words(), fraud_.Words(), legit_.Words(), capture.WordCount());
+  LabelCounts counts;
+  counts.fraud = static_cast<size_t>(c.fraud);
+  counts.legitimate = static_cast<size_t>(c.legit);
+  counts.unlabeled = static_cast<size_t>(c.unlabeled);
+  return counts;
+}
+
 BenefitDelta CaptureTracker::DeltaBetween(const Bitset& old_capture,
                                           const Bitset& new_capture) const {
+  assert(old_capture.size() == prefix_ && new_capture.size() == prefix_);
+  simd::CoverDeltaCounts c = simd::CountCoverDelta(
+      old_capture.Words(), new_capture.Words(),
+      {covered_.Words(), once_.Words(), fraud_.Words(), legit_.Words()},
+      covered_.WordCount());
+  // ΔF counts the *increase* in captured fraud; ΔL and ΔR the *decrease*
+  // in captured legitimate and unlabeled rows.
   BenefitDelta delta;
-  auto classify = [&](size_t row, int direction) {
-    switch (relation_.VisibleLabel(row)) {
-      case Label::kFraud:
-        delta.fraud += direction;  // ΔF counts *increase* in captured fraud
-        break;
-      case Label::kLegitimate:
-        delta.legit -= direction;  // ΔL counts *decrease* in captured legit
-        break;
-      case Label::kUnlabeled:
-        delta.unlabeled -= direction;  // ΔR likewise
-        break;
-    }
-  };
-  // Rows newly covered: in new, not in old, not covered by any other rule.
-  new_capture.ForEach([&](size_t row) {
-    if (!old_capture.Test(row) && cover_count_[row] == 0) classify(row, +1);
-  });
-  // Rows newly uncovered: in old, not in new, covered only by this rule.
-  old_capture.ForEach([&](size_t row) {
-    if (!new_capture.Test(row) && cover_count_[row] == 1) classify(row, -1);
-  });
+  delta.fraud = static_cast<int64_t>(c.gained.fraud) -
+                static_cast<int64_t>(c.lost.fraud);
+  delta.legit = static_cast<int64_t>(c.lost.legit) -
+                static_cast<int64_t>(c.gained.legit);
+  delta.unlabeled = static_cast<int64_t>(c.lost.unlabeled) -
+                    static_cast<int64_t>(c.gained.unlabeled);
   return delta;
 }
 
@@ -222,6 +249,9 @@ void CaptureTracker::Remove(RuleId id) {
 size_t CaptureTracker::ApproxMemoryBytes() const {
   size_t bytes = evaluator_.ApproxMemoryBytes();
   bytes += cover_count_.capacity() * sizeof(uint32_t);
+  for (const Bitset* plane : {&covered_, &once_, &fraud_, &legit_}) {
+    bytes += plane->WordCount() * sizeof(uint64_t);
+  }
   for (const auto& entry : captures_) {
     bytes += sizeof(RuleId) + entry.second.WordCount() * sizeof(uint64_t);
   }

@@ -2,7 +2,8 @@
 // many rules capture each row, and what the benefit deltas of hypothetical
 // edits (replace / add / remove a rule) would be — without re-evaluating the
 // whole rule set. This is what keeps Algorithm 1/2 proposal scoring under
-// the paper's "at most one second".
+// the paper's "at most one second": a delta is a handful of masked
+// popcounts per 64 rows over the tracker's bit planes (see DeltaForReplace).
 
 #ifndef RUDOLF_CORE_CAPTURE_TRACKER_H_
 #define RUDOLF_CORE_CAPTURE_TRACKER_H_
@@ -24,6 +25,12 @@ namespace rudolf {
 /// Replace and Remove, and edits made elsewhere reach it in bulk through
 /// Sync. Every path keeps the rules, the bitmaps and the cover counts
 /// consistent.
+///
+/// Four bit planes over the prefix feed the benefit deltas and
+/// CountsVisible: `covered` (cover count > 0) and `once` (cover count
+/// == 1) follow every cover-count change, and `fraud` / `legit` hold each
+/// row's visible label (an unlabeled row is in neither), kept current by
+/// ExtendPrefix and OnVisibleLabelChanged.
 class CaptureTracker {
  public:
   /// Copies `rules` and builds bitmaps for every live rule over the first
@@ -56,18 +63,20 @@ class CaptureTracker {
   /// to a fresh build over `rules` at the same prefix.
   void Sync(const RuleSet& rules);
 
-  /// Incremental label-count fixup: must be called (with the row's previous
-  /// and new visible label) whenever a row *inside* the prefix is relabeled
-  /// while the tracker is live, or TotalCounts() goes stale. Label changes
-  /// beyond the prefix need no notification — ExtendPrefix reads them when
-  /// the rows come into view.
+  /// Label fixup: must be called (with the row's previous and new visible
+  /// label) whenever a row *inside* the prefix is relabeled while the
+  /// tracker is live — covered or not — or the label planes go stale, and
+  /// with them every DeltaFor*, CountsVisible and TotalCounts(). Label
+  /// changes beyond the prefix need no notification — ExtendPrefix reads
+  /// them when the rows come into view.
   void OnVisibleLabelChanged(size_t row, Label old_label, Label new_label);
 
   /// Capture bitmap of one live rule.
   const Bitset& RuleCapture(RuleId id) const;
 
-  /// Rows captured by the whole rule set (cover count > 0).
-  Bitset UnionCapture() const;
+  /// Rows captured by the whole rule set (cover count > 0): a copy of the
+  /// covered plane.
+  Bitset UnionCapture() const { return covered_; }
 
   /// Visible-label counts of the current Φ(I). Maintained incrementally by
   /// the edits and ExtendPrefix — O(1), no union scan.
@@ -89,7 +98,17 @@ class CaptureTracker {
   /// attribute's extraction.
   std::vector<Bitset> EvalMany(const std::vector<Rule>& rules) const;
 
-  /// Benefit delta if rule `id`'s capture became `new_capture`.
+  /// Visible-label counts of the rows in `capture`, read from the label
+  /// planes (the labels the deltas see) by simd::CountByLabel. `capture`
+  /// must cover exactly the prefix, like an Eval/EvalMany result.
+  LabelCounts CountsVisible(const Bitset& capture) const;
+
+  /// Benefit delta if rule `id`'s capture became `new_capture`. Computed
+  /// one 64-row word at a time by simd::CountCoverDelta: the rows the edit
+  /// newly covers are new & ~old & ~covered, the rows it leaves uncovered
+  /// old & ~new & once, each split by the label planes. Every capture
+  /// argument of the DeltaFor* family must cover exactly the prefix
+  /// (size() == prefix_rows(), like an Eval/EvalMany result).
   BenefitDelta DeltaForReplace(RuleId id, const Bitset& new_capture) const;
 
   /// Benefit delta if a rule with capture `capture` were added.
@@ -111,7 +130,8 @@ class CaptureTracker {
   void Remove(RuleId id);
 
   /// Approximate heap bytes held: per-rule capture bitmaps, cover counts,
-  /// and the evaluator's caches (condition index + bitmap cache + masks).
+  /// the four bit planes (4 bits per prefix row), and the evaluator's
+  /// caches (condition index + bitmap cache + masks).
   /// The fleet's per-tenant accounting; call only while the tracker is
   /// quiescent.
   size_t ApproxMemoryBytes() const;
@@ -123,15 +143,18 @@ class CaptureTracker {
   void ReleaseCachedBitmaps();
 
  private:
-  // Classifies the row-coverage transition of replacing old with new.
+  // Counts the rows whose coverage replacing old with new would change.
   BenefitDelta DeltaBetween(const Bitset& old_capture,
                             const Bitset& new_capture) const;
+
+  // Writes one row's visible label into the fraud and legit planes.
+  void SetLabel(size_t row, Label label);
 
   // Adjusts total_counts_ for a row entering (+1) or leaving (-1) the union.
   void AdjustTotals(size_t row, int direction);
 
-  // Raises (or lowers) one row's cover count, keeping total_counts_ in sync
-  // across the 0 <-> 1 transitions.
+  // Raises (or lowers) one row's cover count, keeping the covered and once
+  // planes and total_counts_ in sync across the 0 <-> 1 <-> 2 transitions.
   void RaiseCover(size_t row);
   void LowerCover(size_t row);
 
@@ -145,6 +168,13 @@ class CaptureTracker {
   RuleSet rules_;
   std::unordered_map<RuleId, Bitset> captures_;
   std::vector<uint32_t> cover_count_;
+  // The bit planes over the prefix (see the class comment). They belong to
+  // the tracker, not the relation: an appender may write rows past this
+  // prefix concurrently, and a 64-row word would straddle the two.
+  Bitset covered_;
+  Bitset once_;
+  Bitset fraud_;
+  Bitset legit_;
   LabelCounts total_counts_;
 };
 

@@ -76,7 +76,7 @@ std::vector<SplitProposal> SpecializationEngine::RankSplits(
     p.benefit = options_.cost_model.Benefit(p.delta);
     p.replacement_counts.reserve(captures.size());
     for (const Bitset& capture : captures) {
-      p.replacement_counts.push_back(tracker.evaluator().CountsVisible(capture));
+      p.replacement_counts.push_back(tracker.CountsVisible(capture));
     }
     p.replacements = std::move(replacements);
     proposals.push_back(std::move(p));

@@ -1,16 +1,19 @@
 #include "index/cached_bitmap.h"
 
-#include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "util/string_util.h"
 
 namespace rudolf {
 
 bool ResolveCompressBitmaps() {
-  const char* env = std::getenv("RUDOLF_COMPRESS");
-  if (env != nullptr && env[0] != '\0') return env[0] != '0';
-  return true;
+  // Read once per process, so an invalid value warns once, not once per
+  // cached bitmap.
+  static const std::optional<int64_t> env =
+      IntFromEnv("RUDOLF_COMPRESS", 0, 1);
+  return env.value_or(1) == 1;
 }
 
 std::shared_ptr<const CachedBitmap> CachedBitmap::Make(Bitset dense) {

@@ -19,7 +19,8 @@
 namespace rudolf {
 
 /// The effective compression setting: `RUDOLF_COMPRESS=0|1` wins over the
-/// built-in default (on). Resolved per call so tests can flip it.
+/// built-in default (on); any other value warns and keeps the default.
+/// Resolved once per process.
 bool ResolveCompressBitmaps();
 
 /// \brief Immutable dense-or-compressed condition bitmap.

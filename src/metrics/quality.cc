@@ -52,10 +52,13 @@ PredictionQuality EvaluateOnRange(const Relation& relation, const RuleSet& rules
   PredictionQuality q;
   if (begin >= end) return q;
 
-  // Evaluate each rule once over the full prefix [0, end) and OR the
-  // captures; then count within [begin, end).
-  RuleEvaluator evaluator(relation, end);
-  Bitset captured = evaluator.EvalRuleSet(rules);
+  // Each rule is evaluated once, so an index would not pay for its build:
+  // scan each live rule over [begin, end) only, OR-ing into one bitmap.
+  RuleEvaluator evaluator(relation, end, EvalOptions{.use_index = false});
+  Bitset captured(end);
+  for (RuleId id : rules.LiveIds()) {
+    evaluator.EvalRuleRange(rules.Get(id), begin, end, &captured);
+  }
   for (size_t r = begin; r < end; ++r) {
     ++q.rows;
     bool hit = captured.Test(r);

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simd/simd.h"
+#include "util/string_util.h"
 
 namespace rudolf {
 
@@ -27,11 +27,10 @@ constexpr size_t kMinVectorRows = 128;
 }  // namespace
 
 bool ResolveUseIndex(bool requested) {
-  if (const char* env = std::getenv("RUDOLF_INDEX")) {
-    if (std::strcmp(env, "0") == 0) return false;
-    if (std::strcmp(env, "1") == 0) return true;
-  }
-  return requested;
+  // Read once per process, so an invalid value warns once, not once per
+  // evaluator.
+  static const std::optional<int64_t> env = IntFromEnv("RUDOLF_INDEX", 0, 1);
+  return env.has_value() ? *env == 1 : requested;
 }
 
 RuleEvaluator::RuleEvaluator(const Relation& relation, size_t prefix_rows,

@@ -52,7 +52,8 @@ struct EvalOptions {
 };
 
 /// The effective indexed-evaluation setting: `RUDOLF_INDEX=0|1` wins over
-/// the requested value.
+/// the requested value; any other value warns and leaves the request
+/// alone. The variable is read once per process.
 bool ResolveUseIndex(bool requested);
 
 /// Number of captured rows per label class.

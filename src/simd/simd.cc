@@ -1,9 +1,9 @@
 #include "simd/simd.h"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.h"
+#include "util/logging.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define RUDOLF_SIMD_X86 1
@@ -85,26 +85,51 @@ void EqMaskScalar(const int64_t* data, size_t n, int64_t value,
   }
 }
 
+// The counting kernels' word bodies. Every body that uses them inlines
+// them, so their popcounts compile to that body's instruction: a libgcc call
+// at the x86-64 baseline (the build has no -mpopcnt), POPCNT under
+// target("popcnt"), and CNT on aarch64.
+__attribute__((always_inline)) inline void AddByLabel(uint64_t mask,
+                                                      uint64_t fraud,
+                                                      uint64_t legit,
+                                                      LabelRowCounts* c) {
+  c->fraud += static_cast<uint64_t>(__builtin_popcountll(mask & fraud));
+  c->legit += static_cast<uint64_t>(__builtin_popcountll(mask & legit));
+  c->unlabeled +=
+      static_cast<uint64_t>(__builtin_popcountll(mask & ~(fraud | legit)));
+}
+
+__attribute__((always_inline)) inline void AddCoverDeltaWord(
+    const uint64_t* prev, const uint64_t* next, const CoverPlanes& planes,
+    size_t w, CoverDeltaCounts* c) {
+  uint64_t gained = next[w] & ~prev[w] & ~planes.covered[w];
+  uint64_t lost = prev[w] & ~next[w] & planes.once[w];
+  if ((gained | lost) == 0) return;
+  AddByLabel(gained, planes.fraud[w], planes.legit[w], &c->gained);
+  AddByLabel(lost, planes.fraud[w], planes.legit[w], &c->lost);
+}
+
+__attribute__((always_inline)) inline void AddByLabelWord(
+    const uint64_t* mask, const uint64_t* fraud, const uint64_t* legit,
+    size_t w, LabelRowCounts* c) {
+  if (mask[w] != 0) AddByLabel(mask[w], fraud[w], legit[w], c);
+}
+
 RUDOLF_NO_AUTOVEC
-void NonZeroMaskScalar(const uint32_t* data, size_t n, uint64_t* words) {
-  size_t nw = n / 64;
-  for (size_t w = 0; w < nw; ++w) {
-    const uint32_t* p = data + w * 64;
-    uint64_t m = 0;
-    for (int b = 0; b < 64; ++b) {
-      m |= static_cast<uint64_t>(p[b] != 0) << b;
-    }
-    words[w] = m;
-  }
-  size_t tail = n - nw * 64;
-  if (tail != 0) {
-    const uint32_t* p = data + nw * 64;
-    uint64_t m = 0;
-    for (size_t b = 0; b < tail; ++b) {
-      m |= static_cast<uint64_t>(p[b] != 0) << b;
-    }
-    words[nw] = m;
-  }
+CoverDeltaCounts CountCoverDeltaScalar(const uint64_t* prev,
+                                       const uint64_t* next,
+                                       const CoverPlanes& planes, size_t n) {
+  CoverDeltaCounts c;
+  for (size_t w = 0; w < n; ++w) AddCoverDeltaWord(prev, next, planes, w, &c);
+  return c;
+}
+
+RUDOLF_NO_AUTOVEC
+LabelRowCounts CountByLabelScalar(const uint64_t* mask, const uint64_t* fraud,
+                                  const uint64_t* legit, size_t n) {
+  LabelRowCounts c;
+  for (size_t w = 0; w < n; ++w) AddByLabelWord(mask, fraud, legit, w, &c);
+  return c;
 }
 
 // Membership is a byte-table lookup, so every tier shares this packed loop:
@@ -201,27 +226,27 @@ void EqMaskSse2(const int64_t* data, size_t n, int64_t value,
   if (tail != 0) EqMaskScalar(data + nw * 64, tail, value, words + nw);
 }
 
-void NonZeroMaskSse2(const uint32_t* data, size_t n, uint64_t* words) {
-  const __m128i zero = _mm_setzero_si128();
-  size_t nw = n / 64;
-  for (size_t w = 0; w < nw; ++w) {
-    const uint32_t* p = data + w * 64;
-    uint64_t m = 0;
-    for (int g = 0; g < 64; g += 4) {
-      __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + g));
-      unsigned is_zero = static_cast<unsigned>(
-          _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(x, zero))));
-      m |= static_cast<uint64_t>(~is_zero & 0xFu) << g;
-    }
-    words[w] = m;
-  }
-  size_t tail = n - nw * 64;
-  if (tail != 0) NonZeroMaskScalar(data + nw * 64, tail, words + nw);
-}
-
 #endif  // RUDOLF_SIMD_X86
 
 #if defined(RUDOLF_SIMD_HAVE_AVX2_TARGET)
+
+// The counting kernels of the AVX2 and AVX-512 tiers: the scalar word loops
+// with the hardware popcount (both tiers' DetectTier probes require POPCNT).
+__attribute__((target("popcnt"))) CoverDeltaCounts CountCoverDeltaPopcnt(
+    const uint64_t* prev, const uint64_t* next, const CoverPlanes& planes,
+    size_t n) {
+  CoverDeltaCounts c;
+  for (size_t w = 0; w < n; ++w) AddCoverDeltaWord(prev, next, planes, w, &c);
+  return c;
+}
+
+__attribute__((target("popcnt"))) LabelRowCounts CountByLabelPopcnt(
+    const uint64_t* mask, const uint64_t* fraud, const uint64_t* legit,
+    size_t n) {
+  LabelRowCounts c;
+  for (size_t w = 0; w < n; ++w) AddByLabelWord(mask, fraud, legit, w, &c);
+  return c;
+}
 
 __attribute__((target("avx2"))) void RangeMaskAvx2(const int64_t* data,
                                                    size_t n, int64_t lo,
@@ -280,27 +305,6 @@ __attribute__((target("avx2"))) void EqMaskAvx2(const int64_t* data, size_t n,
   }
   size_t tail = n - nw * 64;
   if (tail != 0) EqMaskScalar(data + nw * 64, tail, value, words + nw);
-}
-
-__attribute__((target("avx2"))) void NonZeroMaskAvx2(const uint32_t* data,
-                                                     size_t n,
-                                                     uint64_t* words) {
-  const __m256i zero = _mm256_setzero_si256();
-  size_t nw = n / 64;
-  for (size_t w = 0; w < nw; ++w) {
-    const uint32_t* p = data + w * 64;
-    uint64_t m = 0;
-    for (int g = 0; g < 64; g += 8) {
-      __m256i x =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + g));
-      unsigned is_zero = static_cast<unsigned>(_mm256_movemask_ps(
-          _mm256_castsi256_ps(_mm256_cmpeq_epi32(x, zero))));
-      m |= static_cast<uint64_t>(~is_zero & 0xFFu) << g;
-    }
-    words[w] = m;
-  }
-  size_t tail = n - nw * 64;
-  if (tail != 0) NonZeroMaskScalar(data + nw * 64, tail, words + nw);
 }
 
 #endif  // RUDOLF_SIMD_HAVE_AVX2_TARGET
@@ -368,24 +372,6 @@ __attribute__((target("avx512f,avx512dq,avx512bw"))) void EqMaskAvx512(
   if (tail != 0) EqMaskScalar(data + nw * 64, tail, value, words + nw);
 }
 
-__attribute__((target("avx512f,avx512dq,avx512bw"))) void NonZeroMaskAvx512(
-    const uint32_t* data, size_t n, uint64_t* words) {
-  const __m512i zero = _mm512_setzero_si512();
-  size_t nw = n / 64;
-  for (size_t w = 0; w < nw; ++w) {
-    const uint32_t* p = data + w * 64;
-    uint64_t m = 0;
-    for (int g = 0; g < 64; g += 16) {
-      __m512i x =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(p + g));
-      m |= static_cast<uint64_t>(_mm512_cmpneq_epu32_mask(x, zero)) << g;
-    }
-    words[w] = m;
-  }
-  size_t tail = n - nw * 64;
-  if (tail != 0) NonZeroMaskScalar(data + nw * 64, tail, words + nw);
-}
-
 #endif  // RUDOLF_SIMD_HAVE_AVX512_TARGET
 
 #if defined(RUDOLF_SIMD_NEON)
@@ -428,25 +414,6 @@ void EqMaskNeon(const int64_t* data, size_t n, int64_t value,
   if (tail != 0) EqMaskScalar(data + nw * 64, tail, value, words + nw);
 }
 
-void NonZeroMaskNeon(const uint32_t* data, size_t n, uint64_t* words) {
-  const uint32x4_t zero = vdupq_n_u32(0);
-  size_t nw = n / 64;
-  for (size_t w = 0; w < nw; ++w) {
-    const uint32_t* p = data + w * 64;
-    uint64_t m = 0;
-    for (int g = 0; g < 64; g += 4) {
-      uint32x4_t nz = vmvnq_u32(vceqq_u32(vld1q_u32(p + g), zero));
-      m |= static_cast<uint64_t>(vgetq_lane_u32(nz, 0) & 1) << g;
-      m |= static_cast<uint64_t>(vgetq_lane_u32(nz, 1) & 1) << (g + 1);
-      m |= static_cast<uint64_t>(vgetq_lane_u32(nz, 2) & 1) << (g + 2);
-      m |= static_cast<uint64_t>(vgetq_lane_u32(nz, 3) & 1) << (g + 3);
-    }
-    words[w] = m;
-  }
-  size_t tail = n - nw * 64;
-  if (tail != 0) NonZeroMaskScalar(data + nw * 64, tail, words + nw);
-}
-
 #endif  // RUDOLF_SIMD_NEON
 
 // True iff `tier` can run when `detected` was the probed capability — the
@@ -461,22 +428,6 @@ bool TierRunnable(Tier tier, Tier detected) {
     default:
       return false;
   }
-}
-
-Tier ParseRequestedTier(const char* env, Tier detected) {
-  Tier requested = detected;
-  if (std::strcmp(env, "scalar") == 0) requested = Tier::kScalar;
-#if defined(RUDOLF_SIMD_X86)
-  if (std::strcmp(env, "sse2") == 0) requested = Tier::kSSE2;
-  if (std::strcmp(env, "avx2") == 0) requested = Tier::kAVX2;
-  if (std::strcmp(env, "avx512") == 0) requested = Tier::kAVX512;
-#endif
-#if defined(RUDOLF_SIMD_NEON)
-  if (std::strcmp(env, "neon") == 0) requested = Tier::kNEON;
-#endif
-  // "auto", an unknown name, or a tier this build/host cannot run: use
-  // whatever was detected.
-  return TierRunnable(requested, detected) ? requested : detected;
 }
 
 }  // namespace
@@ -497,16 +448,35 @@ const char* TierName(Tier tier) {
   return "scalar";
 }
 
+Tier ParseTierName(std::string_view name, Tier detected) {
+  if (name == "auto") return detected;
+  for (Tier tier : {Tier::kScalar, Tier::kSSE2, Tier::kAVX2, Tier::kNEON,
+                    Tier::kAVX512}) {
+    if (name != TierName(tier)) continue;
+    if (TierRunnable(tier, detected)) return tier;
+    RUDOLF_LOG(Warning) << "ignoring RUDOLF_SIMD='" << name
+                        << "': this build or host cannot run it; using "
+                        << TierName(detected);
+    return detected;
+  }
+  RUDOLF_LOG(Warning) << "ignoring RUDOLF_SIMD='" << name
+                      << "': want scalar|sse2|avx2|avx512|neon|auto; using "
+                      << TierName(detected);
+  return detected;
+}
+
 Tier DetectTier() {
 #if defined(RUDOLF_SIMD_HAVE_AVX512_TARGET)
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512bw")) {
+      __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("popcnt")) {
     return Tier::kAVX512;
   }
 #endif
 #if defined(RUDOLF_SIMD_HAVE_AVX2_TARGET)
-  if (__builtin_cpu_supports("avx2")) return Tier::kAVX2;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt")) {
+    return Tier::kAVX2;
+  }
 #endif
 #if defined(RUDOLF_SIMD_X86)
   return Tier::kSSE2;
@@ -520,10 +490,9 @@ Tier DetectTier() {
 Tier ActiveTier() {
   static const Tier tier = [] {
     Tier detected = DetectTier();
-    Tier chosen = detected;
-    if (const char* env = std::getenv("RUDOLF_SIMD")) {
-      chosen = ParseRequestedTier(env, detected);
-    }
+    const char* env = std::getenv("RUDOLF_SIMD");
+    Tier chosen = env != nullptr && *env != '\0' ? ParseTierName(env, detected)
+                                                  : detected;
     // Exported once so every sidecar records which path ran (0 = scalar,
     // 1 = sse2, 2 = avx2, 3 = neon, 4 = avx512).
     RUDOLF_COUNTER_ADD("simd.dispatch_tier", static_cast<uint64_t>(chosen));
@@ -596,33 +565,30 @@ void InSetMaskI64Tier(Tier tier, const int64_t* data, size_t n,
   InSetMaskImpl(data, n, member, domain, words);
 }
 
-void NonZeroMaskU32Tier(Tier tier, const uint32_t* data, size_t n,
-                        uint64_t* words) {
-  switch (tier) {
-#if defined(RUDOLF_SIMD_HAVE_AVX512_TARGET)
-    case Tier::kAVX512:
-      NonZeroMaskAvx512(data, n, words);
-      return;
-#endif
+// SSE2 has no POPCNT, and aarch64's baseline popcount is already the CNT
+// instruction, so both share the scalar counting bodies.
+CoverDeltaCounts CountCoverDeltaTier(Tier tier, const uint64_t* prev,
+                                     const uint64_t* next,
+                                     const CoverPlanes& planes, size_t n) {
 #if defined(RUDOLF_SIMD_HAVE_AVX2_TARGET)
-    case Tier::kAVX2:
-      NonZeroMaskAvx2(data, n, words);
-      return;
-#endif
-#if defined(RUDOLF_SIMD_X86)
-    case Tier::kSSE2:
-      NonZeroMaskSse2(data, n, words);
-      return;
-#endif
-#if defined(RUDOLF_SIMD_NEON)
-    case Tier::kNEON:
-      NonZeroMaskNeon(data, n, words);
-      return;
-#endif
-    default:
-      NonZeroMaskScalar(data, n, words);
-      return;
+  if (tier == Tier::kAVX2 || tier == Tier::kAVX512) {
+    return CountCoverDeltaPopcnt(prev, next, planes, n);
   }
+#endif
+  (void)tier;
+  return CountCoverDeltaScalar(prev, next, planes, n);
+}
+
+LabelRowCounts CountByLabelTier(Tier tier, const uint64_t* mask,
+                                const uint64_t* fraud, const uint64_t* legit,
+                                size_t n) {
+#if defined(RUDOLF_SIMD_HAVE_AVX2_TARGET)
+  if (tier == Tier::kAVX2 || tier == Tier::kAVX512) {
+    return CountByLabelPopcnt(mask, fraud, legit, n);
+  }
+#endif
+  (void)tier;
+  return CountByLabelScalar(mask, fraud, legit, n);
 }
 
 void RangeMaskI64(const int64_t* data, size_t n, int64_t lo, int64_t hi,
@@ -639,8 +605,14 @@ void InSetMaskI64(const int64_t* data, size_t n, const uint8_t* member,
   InSetMaskI64Tier(ActiveTier(), data, n, member, domain, words);
 }
 
-void NonZeroMaskU32(const uint32_t* data, size_t n, uint64_t* words) {
-  NonZeroMaskU32Tier(ActiveTier(), data, n, words);
+CoverDeltaCounts CountCoverDelta(const uint64_t* prev, const uint64_t* next,
+                                 const CoverPlanes& planes, size_t n) {
+  return CountCoverDeltaTier(ActiveTier(), prev, next, planes, n);
+}
+
+LabelRowCounts CountByLabel(const uint64_t* mask, const uint64_t* fraud,
+                            const uint64_t* legit, size_t n) {
+  return CountByLabelTier(ActiveTier(), mask, fraud, legit, n);
 }
 
 }  // namespace rudolf::simd

@@ -216,8 +216,8 @@ TEST(EvalRulesRangeBoundaries, IndexedAndScanAgreeAtZeroAndRelationSize) {
 // to the reference set behind the trackers' backs and then synced):
 // incrementally maintained trackers (serial scan, serial indexed, 4- and
 // 8-thread indexed) must stay bit-identical to a tracker freshly built
-// after every operation, and every Add must hand out the id the reference
-// set does.
+// after every operation, every Add must hand out the id the reference set
+// does, and every kind of benefit delta must match a brute-force recount.
 class ExtendEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtendEquivalence,
@@ -245,8 +245,49 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
         std::make_unique<CaptureTracker>(rel, rules, prefix, eval));
   }
 
+  // Captures to score, drawn from their own stream so the edit sequence
+  // stays the same whatever the checks draw.
+  Rng capture_rng(GetParam() ^ 0xDE17A);
+  auto random_capture = [&] {
+    Bitset capture(prefix);
+    double density = capture_rng.UniformDouble(0.05, 0.6);
+    for (size_t r = 0; r < prefix; ++r) {
+      if (capture_rng.Bernoulli(density)) capture.Set(r);
+    }
+    return capture;
+  };
+
   auto check_all = [&](const char* op) {
     CaptureTracker fresh(rel, rules, prefix, EvalOptions{1, false});
+    // The deltas' reference: DeltaFromCounts of the visible-label counts of
+    // the rule-set union before and after each hypothetical edit, counted
+    // row by row from the relation.
+    auto union_without = [&](RuleId skip) {
+      Bitset out(prefix);
+      for (RuleId id : rules.LiveIds()) {
+        if (id != skip) out |= fresh.RuleCapture(id);
+      }
+      return out;
+    };
+    const Bitset all = union_without(kInvalidRule);
+    const LabelCounts before = fresh.evaluator().CountsVisible(all);
+    auto brute = [&](const Bitset& after) {
+      return DeltaFromCounts(before, fresh.evaluator().CountsVisible(after));
+    };
+    // Every row added (reads the label of each uncovered row), and two
+    // random captures (the partial last word included).
+    const std::vector<Bitset> draws = {Bitset(prefix, true), random_capture(),
+                                       random_capture()};
+    std::vector<BenefitDelta> want_add;
+    for (const Bitset& c : draws) want_add.push_back(brute(all | c));
+    std::vector<RuleId> live = rules.LiveIds();
+    std::vector<BenefitDelta> want_remove, want_replace, want_split;
+    for (RuleId id : live) {
+      Bitset others = union_without(id);
+      want_remove.push_back(brute(others));
+      want_replace.push_back(brute(others | draws[1]));
+      want_split.push_back(brute(others | draws[1] | draws[2]));
+    }
     for (size_t t = 0; t < trackers.size(); ++t) {
       const CaptureTracker& got = *trackers[t];
       ASSERT_EQ(got.prefix_rows(), fresh.prefix_rows()) << op << " cfg " << t;
@@ -262,6 +303,19 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
       }
       ASSERT_EQ(got.TotalCounts(), fresh.TotalCounts()) << op << " cfg " << t;
       ASSERT_EQ(got.UnionCapture(), fresh.UnionCapture()) << op << " cfg " << t;
+      for (size_t d = 0; d < draws.size(); ++d) {
+        ASSERT_EQ(got.DeltaForAdd(draws[d]), want_add[d])
+            << op << " cfg " << t << " add draw " << d;
+      }
+      for (size_t k = 0; k < live.size(); ++k) {
+        ASSERT_EQ(got.DeltaForRemove(live[k]), want_remove[k])
+            << op << " cfg " << t << " remove rule " << live[k];
+        ASSERT_EQ(got.DeltaForReplace(live[k], draws[1]), want_replace[k])
+            << op << " cfg " << t << " replace rule " << live[k];
+        ASSERT_EQ(got.DeltaForReplaceMany(live[k], {draws[1], draws[2]}),
+                  want_split[k])
+            << op << " cfg " << t << " split rule " << live[k];
+      }
     }
   };
 

@@ -10,6 +10,7 @@
 #include "core/generalize.h"
 #include "core/specialize.h"
 #include "io/csv.h"
+#include "metrics/quality.h"
 #include "ontology/serialization.h"
 #include "rules/parser.h"
 #include "util/random.h"
@@ -242,10 +243,73 @@ TEST_P(SeededProperty, TrackerDeltasMatchBruteForce) {
 
   // Brute force: evaluate the union before and after.
   LabelCounts before = eval.CountsVisible(eval.EvalRuleSet(rules));
+  auto brute = [&](const RuleSet& modified) {
+    return DeltaFromCounts(before,
+                           eval.CountsVisible(eval.EvalRuleSet(modified)));
+  };
   RuleSet modified = rules;
   modified.Replace(target, replacement);
-  LabelCounts after = eval.CountsVisible(eval.EvalRuleSet(modified));
-  EXPECT_EQ(fast, DeltaFromCounts(before, after));
+  EXPECT_EQ(fast, brute(modified));
+
+  // Add, remove, and a two-way split of the target.
+  Rule extra = RandomRule(ds, &rng);
+  RuleSet added = rules;
+  added.AddRule(extra);
+  EXPECT_EQ(tracker.DeltaForAdd(tracker.Eval(extra)), brute(added));
+  RuleSet removed = rules;
+  removed.RemoveRule(target);
+  EXPECT_EQ(tracker.DeltaForRemove(target), brute(removed));
+  Rule side = RandomRule(ds, &rng);
+  RuleSet split = removed;
+  split.AddRule(replacement);
+  split.AddRule(side);
+  EXPECT_EQ(tracker.DeltaForReplaceMany(
+                target, tracker.EvalMany({replacement, side})),
+            brute(split));
+}
+
+// EvaluateOnRange scans each rule over its window only; its counts must
+// equal a row-by-row match over the same window. The window is longer than
+// the vectorized-block minimum (128 rows) and starts off a 64-row word
+// boundary, so both the per-row head and the kernel body run.
+TEST_P(SeededProperty, EvaluateOnRangeMatchesRowByRow) {
+  const Dataset& ds = SharedDataset();
+  const Relation& rel = *ds.relation;
+  Rng rng(GetParam() ^ 0x0E7A);
+  RuleSet rules;
+  for (int i = 0; i < 4; ++i) rules.AddRule(RandomRule(ds, &rng));
+  rules.RemoveRule(rules.LiveIds()[static_cast<size_t>(rng.UniformInt(0, 3))]);
+  size_t begin = 64 * static_cast<size_t>(rng.UniformInt(0, 4)) +
+                 static_cast<size_t>(rng.UniformInt(1, 63));
+  size_t end = begin + static_cast<size_t>(rng.UniformInt(129, 700));
+  ASSERT_LE(end, rel.NumRows());
+
+  PredictionQuality want;
+  for (size_t r = begin; r < end; ++r) {
+    bool hit = false;
+    for (RuleId id : rules.LiveIds()) {
+      hit = hit || rules.Get(id).MatchesRow(rel, r);
+    }
+    ++want.rows;
+    if (rel.TrueLabel(r) == Label::kFraud) {
+      ++want.true_fraud;
+      if (hit) {
+        ++want.fraud_captured;
+      } else {
+        ++want.fraud_missed;
+      }
+    } else {
+      ++want.true_legit;
+      if (hit) ++want.legit_captured;
+    }
+  }
+  PredictionQuality got = EvaluateOnRange(rel, rules, begin, end);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.true_fraud, want.true_fraud);
+  EXPECT_EQ(got.true_legit, want.true_legit);
+  EXPECT_EQ(got.fraud_captured, want.fraud_captured);
+  EXPECT_EQ(got.fraud_missed, want.fraud_missed);
+  EXPECT_EQ(got.legit_captured, want.legit_captured);
 }
 
 TEST_P(SeededProperty, TrackerApplySequenceStaysConsistent) {

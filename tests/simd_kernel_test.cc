@@ -1,17 +1,22 @@
 // Kernel-vs-scalar exactness: every tier this build can run on this host
-// must produce bit-identical word-packed masks to the scalar reference, for
-// every kernel, across unaligned lengths (the ragged-tail path), random
-// data, and sentinel values (INT64_MIN/MAX, empty intervals). This is the
-// gate that lets the evaluator/index paths treat the dispatch tier as an
+// must produce bit-identical word-packed masks (and identical counts) to the
+// scalar reference, for every kernel, across unaligned lengths (the
+// ragged-tail path), random data, and sentinel values (INT64_MIN/MAX, empty
+// intervals, all-zero and all-one words). This is the gate that lets the
+// evaluator, index and tracker paths treat the dispatch tier as an
 // implementation detail.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "simd/simd.h"
+#include "util/logging.h"
 #include "util/random.h"
 
 namespace rudolf::simd {
@@ -76,6 +81,58 @@ TEST(SimdKernelTest, TierOrderAndNames) {
   // ActiveTier is DetectTier clamped by the environment; both must be
   // runnable on this host.
   EXPECT_LE(ActiveTier(), DetectTier());
+  // The forced-scalar CI job relies on dispatch honouring the variable.
+  const char* env = std::getenv("RUDOLF_SIMD");
+  if (env != nullptr && std::strcmp(env, "scalar") == 0) {
+    EXPECT_EQ(ActiveTier(), Tier::kScalar);
+  }
+}
+
+// RUDOLF_SIMD values: a runnable tier name is taken, "auto" is the detected
+// tier, and anything else warns (naming the tier used instead) and keeps
+// the detected tier.
+TEST(SimdKernelTest, ParseTierNameTable) {
+  struct Case {
+    const char* value;
+    Tier detected;
+    Tier want;
+    const char* warning;  // substring of the warning; nullptr: none
+  };
+  const Case kCases[] = {
+      {"auto", Tier::kAVX2, Tier::kAVX2, nullptr},
+      {"scalar", Tier::kAVX2, Tier::kScalar, nullptr},
+      {"sse2", Tier::kAVX2, Tier::kSSE2, nullptr},
+      {"avx2", Tier::kAVX2, Tier::kAVX2, nullptr},
+      {"avx2", Tier::kAVX512, Tier::kAVX2, nullptr},  // clamps down
+      {"avx512", Tier::kAVX512, Tier::kAVX512, nullptr},
+      {"neon", Tier::kNEON, Tier::kNEON, nullptr},
+      {"scalar", Tier::kNEON, Tier::kScalar, nullptr},
+      {"avx512", Tier::kAVX2, Tier::kAVX2, "cannot run it; using avx2"},
+      {"neon", Tier::kAVX512, Tier::kAVX512, "cannot run it; using avx512"},
+      {"sse2", Tier::kNEON, Tier::kNEON, "cannot run it; using neon"},
+      {"avx2", Tier::kSSE2, Tier::kSSE2, "cannot run it; using sse2"},
+      {"banana", Tier::kAVX2, Tier::kAVX2, "want scalar|sse2|avx2|avx512"},
+      {"AVX2", Tier::kAVX2, Tier::kAVX2, "; using avx2"},
+      {" avx2", Tier::kAVX2, Tier::kAVX2, "; using avx2"},
+      {"0", Tier::kSSE2, Tier::kSSE2, "; using sse2"},
+  };
+  LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kWarning);
+  for (const Case& c : kCases) {
+    testing::internal::CaptureStderr();
+    Tier got = ParseTierName(c.value, c.detected);
+    std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(got, c.want) << "'" << c.value << "' on " << TierName(c.detected);
+    if (c.warning == nullptr) {
+      EXPECT_EQ(warning, "") << "'" << c.value << "'";
+    } else {
+      EXPECT_NE(warning.find(std::string("RUDOLF_SIMD='") + c.value + "'"),
+                std::string::npos)
+          << warning;
+      EXPECT_NE(warning.find(c.warning), std::string::npos) << warning;
+    }
+  }
+  SetLogLevel(level);
 }
 
 TEST(SimdKernelTest, RangeMaskAllTiersAllLengths) {
@@ -164,26 +221,153 @@ TEST(SimdKernelTest, InSetMaskBoundsCheckedMembership) {
   }
 }
 
-TEST(SimdKernelTest, NonZeroMaskAllTiersAllLengths) {
-  const std::vector<Tier> tiers = HostTiers();
-  Rng rng(4);
-  std::vector<uint32_t> counts(257);
-  for (auto& c : counts) {
-    c = rng.Bernoulli(0.3) ? static_cast<uint32_t>(rng.UniformInt(1, 5)) : 0;
-  }
-  for (size_t n = 0; n <= counts.size(); ++n) {
-    std::vector<uint64_t> ref = Poisoned(WordsFor(n) + 1);
-    NonZeroMaskU32Tier(Tier::kScalar, counts.data(), n, ref.data());
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ((ref[i / 64] >> (i % 64)) & 1, counts[i] != 0 ? 1u : 0u) << i;
+// Word arrays for the counting kernels: each word is all-zero, all-one, a
+// dense random word or a sparse one.
+std::vector<uint64_t> MakeWords(size_t n, Rng* rng) {
+  std::vector<uint64_t> words(n);
+  for (uint64_t& w : words) {
+    switch (rng->UniformInt(0, 3)) {
+      case 0:
+        w = 0;
+        break;
+      case 1:
+        w = ~uint64_t{0};
+        break;
+      case 2:
+        w = rng->Next();
+        break;
+      default:
+        w = rng->Next() & rng->Next() & rng->Next();
+        break;
     }
-    for (Tier t : tiers) {
-      std::vector<uint64_t> got = Poisoned(WordsFor(n) + 1);
-      NonZeroMaskU32Tier(t, counts.data(), n, got.data());
-      for (size_t w = 0; w < WordsFor(n); ++w) {
-        ASSERT_EQ(got[w], ref[w]) << TierName(t) << " n=" << n;
+  }
+  return words;
+}
+
+// The inputs of one CountCoverDelta call: two captures that agree on some
+// words (the skipped path) and differ in one bit or arbitrarily on others,
+// and planes whose fraud and legit words are disjoint, as labels are.
+// CountByLabel counts `next` against the same label planes.
+struct CoverDeltaInput {
+  std::vector<uint64_t> prev, next, covered, once, fraud, legit;
+
+  CoverDeltaInput(size_t n, uint64_t seed) {
+    Rng rng(seed);
+    prev = MakeWords(n, &rng);
+    next = MakeWords(n, &rng);
+    for (size_t w = 0; w < n; ++w) {
+      switch (rng.UniformInt(0, 2)) {
+        case 0:
+          next[w] = prev[w];
+          break;
+        case 1:
+          next[w] = prev[w] ^ (uint64_t{1} << rng.UniformInt(0, 63));
+          break;
+        default:
+          break;
       }
     }
+    covered = MakeWords(n, &rng);
+    once = MakeWords(n, &rng);
+    fraud = MakeWords(n, &rng);
+    legit = MakeWords(n, &rng);
+    for (size_t w = 0; w < n; ++w) legit[w] &= ~fraud[w];
+  }
+
+  CoverPlanes planes() const {
+    return {covered.data(), once.data(), fraud.data(), legit.data()};
+  }
+};
+
+// The kernel's definition, one bit at a time, over `in`'s planes.
+CoverDeltaCounts NaiveCoverDelta(const std::vector<uint64_t>& prev,
+                                 const std::vector<uint64_t>& next,
+                                 const CoverDeltaInput& in, size_t n) {
+  CoverDeltaCounts c;
+  for (size_t i = 0; i < n * 64; ++i) {
+    auto bit = [i](const std::vector<uint64_t>& v) {
+      return ((v[i / 64] >> (i % 64)) & 1) != 0;
+    };
+    bool gained = bit(next) && !bit(prev) && !bit(in.covered);
+    bool lost = bit(prev) && !bit(next) && bit(in.once);
+    if (!gained && !lost) continue;
+    LabelRowCounts& side = gained ? c.gained : c.lost;
+    if (bit(in.fraud)) {
+      ++side.fraud;
+    } else if (bit(in.legit)) {
+      ++side.legit;
+    } else {
+      ++side.unlabeled;
+    }
+  }
+  return c;
+}
+
+// CountByLabel's definition, one bit at a time.
+LabelRowCounts NaiveByLabel(const CoverDeltaInput& in, size_t n) {
+  LabelRowCounts c;
+  for (size_t i = 0; i < n * 64; ++i) {
+    uint64_t bit = uint64_t{1} << (i % 64);
+    size_t w = i / 64;
+    if ((in.next[w] & bit) == 0) continue;
+    if ((in.fraud[w] & bit) != 0) {
+      ++c.fraud;
+    } else if ((in.legit[w] & bit) != 0) {
+      ++c.legit;
+    } else {
+      ++c.unlabeled;
+    }
+  }
+  return c;
+}
+
+TEST(SimdKernelTest, CountCoverDeltaAllTiersAllLengths) {
+  const std::vector<Tier> tiers = HostTiers();
+  const CoverDeltaInput in(41, 6);
+  for (size_t n = 0; n <= in.prev.size(); ++n) {
+    CoverDeltaCounts ref = CountCoverDeltaTier(
+        Tier::kScalar, in.prev.data(), in.next.data(), in.planes(), n);
+    ASSERT_EQ(ref, NaiveCoverDelta(in.prev, in.next, in, n)) << "n=" << n;
+    for (Tier t : tiers) {
+      CoverDeltaCounts got = CountCoverDeltaTier(
+          t, in.prev.data(), in.next.data(), in.planes(), n);
+      ASSERT_EQ(got, ref) << TierName(t) << " n=" << n;
+    }
+  }
+}
+
+TEST(SimdKernelTest, CountByLabelAllTiersAllLengths) {
+  const std::vector<Tier> tiers = HostTiers();
+  const CoverDeltaInput in(41, 9);
+  for (size_t n = 0; n <= in.next.size(); ++n) {
+    LabelRowCounts ref = CountByLabelTier(Tier::kScalar, in.next.data(),
+                                          in.fraud.data(), in.legit.data(), n);
+    ASSERT_EQ(ref, NaiveByLabel(in, n)) << "n=" << n;
+    for (Tier t : tiers) {
+      LabelRowCounts got = CountByLabelTier(t, in.next.data(), in.fraud.data(),
+                                            in.legit.data(), n);
+      ASSERT_EQ(got, ref) << TierName(t) << " n=" << n;
+    }
+  }
+}
+
+// Uniform captures: nothing changes when they agree; all-zero to all-one
+// gains every uncovered row, the reverse loses every once-covered row.
+TEST(SimdKernelTest, CountCoverDeltaUniformCaptures) {
+  const CoverDeltaInput in(41, 8);
+  const size_t n = in.prev.size();
+  const std::vector<uint64_t> zeros(n, 0);
+  const std::vector<uint64_t> ones(n, ~uint64_t{0});
+  for (Tier t : HostTiers()) {
+    EXPECT_EQ(CountCoverDeltaTier(t, ones.data(), ones.data(), in.planes(), n),
+              CoverDeltaCounts{})
+        << TierName(t);
+    EXPECT_EQ(CountCoverDeltaTier(t, zeros.data(), ones.data(), in.planes(), n),
+              NaiveCoverDelta(zeros, ones, in, n))
+        << TierName(t);
+    EXPECT_EQ(CountCoverDeltaTier(t, ones.data(), zeros.data(), in.planes(), n),
+              NaiveCoverDelta(ones, zeros, in, n))
+        << TierName(t);
   }
 }
 
@@ -199,6 +383,16 @@ TEST(SimdKernelTest, DispatchingEntryPointsMatchScalar) {
   EqMaskI64Tier(Tier::kScalar, col.data(), col.size(), 0, ref.data());
   EqMaskI64(col.data(), col.size(), 0, got.data());
   EXPECT_EQ(got, ref);
+
+  const CoverDeltaInput in(WordsFor(col.size()), 7);
+  EXPECT_EQ(CountCoverDelta(in.prev.data(), in.next.data(), in.planes(),
+                            in.prev.size()),
+            CountCoverDeltaTier(Tier::kScalar, in.prev.data(), in.next.data(),
+                                in.planes(), in.prev.size()));
+  EXPECT_EQ(CountByLabel(in.next.data(), in.fraud.data(), in.legit.data(),
+                         in.next.size()),
+            CountByLabelTier(Tier::kScalar, in.next.data(), in.fraud.data(),
+                             in.legit.data(), in.next.size()));
 }
 
 }  // namespace
