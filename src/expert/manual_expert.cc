@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "cluster/representative.h"
-#include "core/capture_tracker.h"
+#include "rules/evaluator.h"
 
 namespace rudolf {
 
@@ -101,13 +101,19 @@ ManualRoundStats ManualExpert::RunRound(RuleSet* rules, size_t prefix_rows,
   const Schema& schema = *dataset_.cc.schema;
   size_t prefix = std::min(prefix_rows, relation.NumRows());
 
-  // Snapshot of the problematic transactions at round start.
-  CaptureTracker tracker(relation, *rules, prefix);
+  // Snapshot of the problematic transactions at round start. Each rule is
+  // evaluated once, so an index would not pay for its build: scan each live
+  // rule over the prefix, OR-ing into one bitmap.
+  RuleEvaluator evaluator(relation, prefix, EvalOptions{.use_index = false});
+  Bitset covered(prefix);
+  for (RuleId id : rules->LiveIds()) {
+    evaluator.EvalRuleRange(rules->Get(id), 0, prefix, &covered);
+  }
   std::vector<size_t> problematic;  // stream order: frauds missed, legits hit
   for (size_t r = 0; r < prefix; ++r) {
     Label l = relation.VisibleLabel(r);
-    if ((l == Label::kFraud && !tracker.IsCovered(r)) ||
-        (l == Label::kLegitimate && tracker.IsCovered(r))) {
+    if ((l == Label::kFraud && !covered.Test(r)) ||
+        (l == Label::kLegitimate && covered.Test(r))) {
       problematic.push_back(r);
     }
   }

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <limits>
 
-#include "index/cached_bitmap.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simd/column_scan.h"
@@ -197,7 +196,6 @@ CategoricalAttributeIndex::CategoricalAttributeIndex(
 }
 
 void CategoricalAttributeIndex::CompactPostings() {
-  if (!ResolveCompressBitmaps()) return;
   for (Posting& p : postings_) {
     if (p.packed) continue;
     CompressedBitmap packed(p.dense);
@@ -213,12 +211,6 @@ void CategoricalAttributeIndex::CompactPostings() {
       p.dense = Bitset();
     }
   }
-}
-
-size_t CategoricalAttributeIndex::packed_postings() const {
-  size_t n = 0;
-  for (const Posting& p : postings_) n += p.packed ? 1 : 0;
-  return n;
 }
 
 size_t CategoricalAttributeIndex::ApproxMemoryBytes() const {

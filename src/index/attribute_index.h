@@ -115,10 +115,6 @@ class CategoricalAttributeIndex {
   /// (reflexive containment), exactly as the scan's concept mask would.
   Bitset Extract(ConceptId concept_id) const;
 
-  size_t num_postings() const { return postings_.size(); }
-  /// Postings currently stored compressed — for tests/benches.
-  size_t packed_postings() const;
-
   /// Approximate heap bytes of the postings (dense or compressed) and the
   /// value→slot map.
   size_t ApproxMemoryBytes() const;
@@ -134,8 +130,8 @@ class CategoricalAttributeIndex {
     CompressedBitmap bits;
   };
 
-  // Re-decides dense vs compressed storage for every dense posting (same
-  // halve-the-footprint rule as CachedBitmap::Make).
+  // Moves every dense posting whose compressed form at most halves its
+  // footprint into compressed storage.
   void CompactPostings();
 
   size_t prefix_;

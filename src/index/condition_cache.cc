@@ -9,7 +9,7 @@ namespace rudolf {
 ConditionCache::ConditionCache(size_t capacity)
     : capacity_(std::max<size_t>(capacity, 1)) {}
 
-std::shared_ptr<const CachedBitmap> ConditionCache::Get(const ConditionKey& key) {
+std::shared_ptr<const Bitset> ConditionCache::Get(const ConditionKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it == map_.end()) {
@@ -24,7 +24,7 @@ std::shared_ptr<const CachedBitmap> ConditionCache::Get(const ConditionKey& key)
 }
 
 void ConditionCache::Put(const ConditionKey& key,
-                         std::shared_ptr<const CachedBitmap> bitmap) {
+                         std::shared_ptr<const Bitset> bitmap) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it != map_.end()) {
@@ -44,8 +44,8 @@ void ConditionCache::Put(const ConditionKey& key,
 }
 
 void ConditionCache::ExtendEntries(
-    const std::function<std::shared_ptr<const CachedBitmap>(
-        const ConditionKey&, const CachedBitmap&)>& extend) {
+    const std::function<std::shared_ptr<const Bitset>(
+        const ConditionKey&, const Bitset&)>& extend) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, bitmap] : lru_) {
     bitmap = extend(key, *bitmap);
@@ -74,7 +74,7 @@ size_t ConditionCache::ApproxMemoryBytes() const {
   size_t bytes = 0;
   for (const auto& [key, bitmap] : lru_) {
     bytes += sizeof(key) + sizeof(bitmap);
-    if (bitmap != nullptr) bytes += bitmap->MemoryBytes();
+    if (bitmap != nullptr) bytes += bitmap->WordCount() * sizeof(uint64_t);
   }
   return bytes;
 }

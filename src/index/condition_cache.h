@@ -3,9 +3,10 @@
 // bitmaps, and neighbouring rules in a refinement session (split candidates,
 // minimal generalizations) share all but one condition with an existing
 // rule — so the cache turns a candidate evaluation into one extraction plus
-// arity−1 hits. Thread-safe: a single mutex guards the map and recency
-// list; entries are shared_ptr so a concurrent eviction never invalidates a
-// bitmap another thread is intersecting.
+// arity−1 hits. Entries are dense Bitsets over the index's prefix, so an
+// intersection is a straight word-wise AND. Thread-safe: a single mutex
+// guards the map and recency list; entries are shared_ptr so a concurrent
+// eviction never invalidates a bitmap another thread is intersecting.
 
 #ifndef RUDOLF_INDEX_CONDITION_CACHE_H_
 #define RUDOLF_INDEX_CONDITION_CACHE_H_
@@ -19,7 +20,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "index/cached_bitmap.h"
 #include "rules/condition.h"
 #include "util/bitset.h"
 
@@ -73,11 +73,11 @@ class ConditionCache {
   explicit ConditionCache(size_t capacity = kDefaultCapacity);
 
   /// The cached bitmap, refreshed as most-recently used; null on miss.
-  std::shared_ptr<const CachedBitmap> Get(const ConditionKey& key);
+  std::shared_ptr<const Bitset> Get(const ConditionKey& key);
 
   /// Inserts (or refreshes) an entry, evicting least-recently-used entries
   /// beyond capacity.
-  void Put(const ConditionKey& key, std::shared_ptr<const CachedBitmap> bitmap);
+  void Put(const ConditionKey& key, std::shared_ptr<const Bitset> bitmap);
 
   /// Rewrites every cached bitmap via `extend(key, old)` without touching
   /// recency order or counters — the append path of ConditionIndex, which
@@ -86,8 +86,8 @@ class ConditionCache {
   /// holding the old shared_ptr are unaffected. Runs under the cache lock;
   /// serial coordinating-thread use only.
   void ExtendEntries(
-      const std::function<std::shared_ptr<const CachedBitmap>(
-          const ConditionKey&, const CachedBitmap&)>& extend);
+      const std::function<std::shared_ptr<const Bitset>(
+          const ConditionKey&, const Bitset&)>& extend);
 
   /// Drops every entry (stats are reset too).
   void Clear();
@@ -103,7 +103,7 @@ class ConditionCache {
 
  private:
   using LruList =
-      std::list<std::pair<ConditionKey, std::shared_ptr<const CachedBitmap>>>;
+      std::list<std::pair<ConditionKey, std::shared_ptr<const Bitset>>>;
 
   mutable std::mutex mu_;
   size_t capacity_;

@@ -53,10 +53,10 @@ bool ConditionIndex::ReadyForRule(const Rule& rule) const {
   return true;
 }
 
-std::shared_ptr<const CachedBitmap> ConditionIndex::ConditionBitmap(
+std::shared_ptr<const Bitset> ConditionIndex::ConditionBitmap(
     size_t attr, const Condition& cond) {
   ConditionKey key = ConditionKey::For(attr, cond);
-  if (std::shared_ptr<const CachedBitmap> hit = cache_.Get(key)) return hit;
+  if (std::shared_ptr<const Bitset> hit = cache_.Get(key)) return hit;
   // Extraction happens outside the cache lock; a concurrent extraction of
   // the same key produces the identical bitmap and Put keeps one.
   RUDOLF_SPAN("index.extract");
@@ -69,8 +69,7 @@ std::shared_ptr<const CachedBitmap> ConditionIndex::ConditionBitmap(
     assert(categorical_[attr] != nullptr);
     extracted = categorical_[attr]->Extract(cond.concept_id());
   }
-  std::shared_ptr<const CachedBitmap> bitmap =
-      CachedBitmap::Make(std::move(extracted));
+  auto bitmap = std::make_shared<const Bitset>(std::move(extracted));
   cache_.Put(key, bitmap);
   return bitmap;
 }
@@ -98,17 +97,17 @@ void ConditionIndex::ExtendTo(size_t new_prefix) {
         categorical_[i]->AppendRows(relation_.Column(i), new_prefix);
       }
     }
-    // Cached bitmaps: materialize, grow, and set the matches of the new row
-    // range by a vectorized column scan — O(batch) per entry, the exact bits
-    // a fresh extraction over the extended prefix would produce. Entries are
-    // replaced (not mutated) so outstanding readers keep their snapshot, and
-    // each replacement re-decides its dense/compressed representation for
-    // the new density.
+    // Cached bitmaps: copy, grow, and set the matches of the new row range
+    // by a vectorized column scan — the exact bits a fresh extraction over
+    // the extended prefix would produce. The scan is O(batch) per entry, but
+    // the copy is O(prefix / 64) words per entry: ROADMAP item 2 makes the
+    // extension lazy. Entries are replaced (not mutated) so outstanding
+    // readers keep their snapshot.
     const Schema& schema = relation_.schema();
     cache_.ExtendEntries(
-        [&](const ConditionKey& key, const CachedBitmap& old_bitmap)
-            -> std::shared_ptr<const CachedBitmap> {
-          Bitset extended = old_bitmap.ToBitset();
+        [&](const ConditionKey& key, const Bitset& old_bitmap)
+            -> std::shared_ptr<const Bitset> {
+          Bitset extended = old_bitmap;
           extended.Resize(new_prefix);
           const std::vector<CellValue>& col = relation_.Column(key.attribute);
           if (key.kind == AttrKind::kNumeric) {
@@ -127,7 +126,7 @@ void ConditionIndex::ExtendTo(size_t new_prefix) {
             simd::OrMemberMatches(col.data(), old_prefix, new_prefix,
                                   member.data(), member.size(), &extended);
           }
-          return CachedBitmap::Make(std::move(extended));
+          return std::make_shared<const Bitset>(std::move(extended));
         });
     prefix_ = new_prefix;
   }

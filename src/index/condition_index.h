@@ -17,11 +17,13 @@
 // advancing stream follows it through ExtendTo(new_prefix), the delta path
 // for pure appends: attribute indexes absorb only the new rows (numeric via
 // a sorted delta segment, categorical by extending postings in place) and
-// every cached condition bitmap is extended by scanning just the new row
-// range. Work is O(batch), results bit-identical to a rebuild. Rows must
-// not be rewritten once an index covers them: the one in-place rewrite,
-// Relation::SetCell, is called only by GenerateDataset's risk-score
-// back-fill, which runs before any evaluator exists.
+// every cached condition bitmap is copied and completed by scanning just
+// the new row range. The scans are O(batch), but the copies are
+// O(cached entries × prefix / 64) words under the cache mutex (ROADMAP
+// item 2 makes the extension lazy). Results are bit-identical to a
+// rebuild. Rows must not be rewritten once an index covers them: the one
+// in-place rewrite, Relation::SetCell, is called only by GenerateDataset's
+// risk-score back-fill, which runs before any evaluator exists.
 
 #ifndef RUDOLF_INDEX_CONDITION_INDEX_H_
 #define RUDOLF_INDEX_CONDITION_INDEX_H_
@@ -59,18 +61,19 @@ class ConditionIndex {
   bool ReadyForRule(const Rule& rule) const;
 
   /// Capture bitmap of one condition over the prefix: LRU-cached, extracted
-  /// from the attribute index on miss, stored dense or compressed by density
-  /// (CachedBitmap). Requires the attribute's index (EnsureForRule /
-  /// ReadyForRule). Thread-safe.
-  std::shared_ptr<const CachedBitmap> ConditionBitmap(size_t attr,
-                                                      const Condition& cond);
+  /// from the attribute index on miss. Requires the attribute's index
+  /// (EnsureForRule / ReadyForRule). Thread-safe.
+  std::shared_ptr<const Bitset> ConditionBitmap(size_t attr,
+                                                const Condition& cond);
 
   /// Delta-maintains the binding out to `new_prefix` rows (clamped to the
   /// relation's current rows; must not shrink the prefix): every built
   /// attribute index absorbs the rows of [prefix_rows(), new_prefix) and
-  /// every cached condition bitmap is extended by extracting only that row
-  /// range. O(batch × (built indexes + cached conditions)); bit-identical
-  /// to dropping and rebuilding. Serial-only, like EnsureForRule. Only
+  /// every cached condition bitmap is replaced by a copy completed by
+  /// scanning only that row range. The scans cost O(batch × (built indexes
+  /// + cached conditions)); the copies cost O(cached conditions × prefix /
+  /// 64) words, under the cache mutex (ROADMAP item 2). Bit-identical to
+  /// dropping and rebuilding. Serial-only, like EnsureForRule. Only
   /// valid when the relation grew by pure appends since the last build or
   /// extension (see the append/delta contract above).
   /// A `new_prefix` at or below prefix_rows() is a checked no-op (counted

@@ -258,11 +258,10 @@ void RuleEvaluator::EvalRuleBlockVectorized(const Rule& rule,
 Bitset RuleEvaluator::EvalRuleIndexed(const Rule& rule,
                                       const std::vector<size_t>& conditions) const {
   Bitset out =
-      index_->ConditionBitmap(conditions[0], rule.condition(conditions[0]))
-          ->ToBitset();
+      *index_->ConditionBitmap(conditions[0], rule.condition(conditions[0]));
   for (size_t c = 1; c < conditions.size(); ++c) {
-    index_->ConditionBitmap(conditions[c], rule.condition(conditions[c]))
-        ->AndInto(&out);
+    out &=
+        *index_->ConditionBitmap(conditions[c], rule.condition(conditions[c]));
   }
   return out;
 }

@@ -3,7 +3,7 @@
 // predicate kernels"). The predicate kernels evaluate one predicate over
 // a contiguous int64 column data[0, n) and write a *word-packed mask*: bit i
 // of words[i/64] is 1 iff data[i] satisfies the predicate. Masks drop
-// straight into Bitset words (Bitset::OrWords / AndWords), so a columnar
+// straight into Bitset words (Bitset::OrWords), so a columnar
 // scan becomes a handful of cache-streaming kernel passes instead of a
 // per-row branchy loop. The counting kernels go the other way: they read
 // word-packed masks and return masked popcounts.

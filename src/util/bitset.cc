@@ -72,24 +72,6 @@ void Bitset::OrWords(const uint64_t* src, size_t word_offset, size_t n) {
   if (word_offset + n == words_.size()) ClearPadding();
 }
 
-void Bitset::AndWords(const uint64_t* src, size_t word_offset, size_t n) {
-  assert(word_offset + n <= words_.size());
-  uint64_t* dst = words_.data() + word_offset;
-  for (size_t i = 0; i < n; ++i) dst[i] &= src[i];
-}
-
-void Bitset::AndNotWords(const uint64_t* src, size_t word_offset, size_t n) {
-  assert(word_offset + n <= words_.size());
-  uint64_t* dst = words_.data() + word_offset;
-  for (size_t i = 0; i < n; ++i) dst[i] &= ~src[i];
-}
-
-void Bitset::ZeroWords(size_t word_offset, size_t n) {
-  assert(word_offset + n <= words_.size());
-  uint64_t* dst = words_.data() + word_offset;
-  for (size_t i = 0; i < n; ++i) dst[i] = 0;
-}
-
 void Bitset::OrZeroExtended(const Bitset& other) {
   assert(other.size_ <= size_);
   for (size_t i = 0; i < other.words_.size(); ++i) words_[i] |= other.words_[i];

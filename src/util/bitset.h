@@ -86,22 +86,15 @@ class Bitset {
 
   /// Word-level access for the vectorized scan kernels (src/simd/) and the
   /// compressed-bitmap converters: bit i of word i/64 is row i. Writers must
-  /// preserve the padding invariant (bits ≥ size() stay clear); the
-  /// word-range mutators below re-clear the padding whenever they touch the
-  /// last word, so masks produced by the kernels can be ORed/ANDed in
-  /// directly.
+  /// preserve the padding invariant (bits ≥ size() stay clear); OrWords
+  /// re-clears the padding whenever it touches the last word, so masks
+  /// produced by the kernels can be ORed in directly.
   static size_t WordsFor(size_t bits) { return (bits + 63) / 64; }
   const uint64_t* Words() const { return words_.data(); }
   size_t WordCount() const { return words_.size(); }
 
   /// this.words[word_offset + i] |= src[i] for i in [0, n).
   void OrWords(const uint64_t* src, size_t word_offset, size_t n);
-  /// this.words[word_offset + i] &= src[i] for i in [0, n).
-  void AndWords(const uint64_t* src, size_t word_offset, size_t n);
-  /// this.words[word_offset + i] &= ~src[i] for i in [0, n).
-  void AndNotWords(const uint64_t* src, size_t word_offset, size_t n);
-  /// this.words[word_offset + i] = 0 for i in [0, n).
-  void ZeroWords(size_t word_offset, size_t n);
 
   /// Calls fn(index) for every set bit in ascending order.
   template <typename Fn>

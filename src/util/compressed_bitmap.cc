@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 namespace rudolf {
 
@@ -22,23 +21,6 @@ size_t RunCount(const uint64_t* words, size_t nwords) {
     prev_msb = x >> 63;
   }
   return runs;
-}
-
-// Sets bits [begin, end) of a word buffer.
-void SetWordRange(uint64_t* words, size_t begin, size_t end) {
-  if (begin >= end) return;
-  size_t fw = begin / 64;
-  size_t lw = (end - 1) / 64;
-  uint64_t head = ~uint64_t{0} << (begin % 64);
-  uint64_t tail =
-      end % 64 == 0 ? ~uint64_t{0} : (uint64_t{1} << (end % 64)) - 1;
-  if (fw == lw) {
-    words[fw] |= head & tail;
-    return;
-  }
-  words[fw] |= head;
-  for (size_t w = fw + 1; w < lw; ++w) words[w] = ~uint64_t{0};
-  words[lw] |= tail;
 }
 
 }  // namespace
@@ -100,24 +82,6 @@ CompressedBitmap::Container CompressedBitmap::FromWords(const uint64_t* words,
   return c;
 }
 
-void CompressedBitmap::ToWords(const Container& c, uint64_t* words) {
-  switch (c.kind) {
-    case Kind::kArray:
-      for (uint16_t off : c.array) {
-        words[off / 64] |= uint64_t{1} << (off % 64);
-      }
-      break;
-    case Kind::kRuns:
-      for (const auto& [first, last] : c.runs) {
-        SetWordRange(words, first, static_cast<size_t>(last) + 1);
-      }
-      break;
-    case Kind::kDense:
-      std::memcpy(words, c.words.data(), c.words.size() * sizeof(uint64_t));
-      break;
-  }
-}
-
 CompressedBitmap::CompressedBitmap(const Bitset& dense) : size_(dense.size()) {
   const uint64_t* words = dense.Words();
   size_t total_words = dense.WordCount();
@@ -131,36 +95,6 @@ CompressedBitmap::CompressedBitmap(const Bitset& dense) : size_(dense.size()) {
       chunks_.push_back(std::move(c));
     }
   }
-}
-
-size_t CompressedBitmap::Count() const {
-  size_t n = 0;
-  for (const Container& c : chunks_) n += c.card;
-  return n;
-}
-
-bool CompressedBitmap::Test(size_t i) const {
-  assert(i < size_);
-  uint32_t key = static_cast<uint32_t>(i / kChunkBits);
-  auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-  if (it == keys_.end() || *it != key) return false;
-  const Container& c = chunks_[static_cast<size_t>(it - keys_.begin())];
-  uint16_t off = static_cast<uint16_t>(i % kChunkBits);
-  switch (c.kind) {
-    case Kind::kArray:
-      return std::binary_search(c.array.begin(), c.array.end(), off);
-    case Kind::kRuns: {
-      auto rit = std::upper_bound(
-          c.runs.begin(), c.runs.end(), off,
-          [](uint16_t v, const std::pair<uint16_t, uint16_t>& run) {
-            return v < run.first;
-          });
-      return rit != c.runs.begin() && off <= std::prev(rit)->second;
-    }
-    case Kind::kDense:
-      return (c.words[off / 64] >> (off % 64)) & 1;
-  }
-  return false;
 }
 
 void CompressedBitmap::Resize(size_t new_size) {
@@ -238,55 +172,6 @@ void CompressedBitmap::OrInto(Bitset* out) const {
   }
 }
 
-void CompressedBitmap::AndInto(Bitset* out) const {
-  assert(out->size() == size_);
-  size_t total_words = out->WordCount();
-  size_t grid = (size_ + kChunkBits - 1) / kChunkBits;
-  size_t ci = 0;
-  uint64_t scratch[kChunkWords];
-  for (size_t g = 0; g < grid; ++g) {
-    size_t base_word = g * kChunkWords;
-    size_t nw = std::min(kChunkWords, total_words - base_word);
-    if (ci < keys_.size() && keys_[ci] == g) {
-      const Container& c = chunks_[ci++];
-      if (c.kind == Kind::kDense) {
-        out->AndWords(c.words.data(), base_word, nw);
-      } else {
-        std::memset(scratch, 0, nw * sizeof(uint64_t));
-        ToWords(c, scratch);
-        out->AndWords(scratch, base_word, nw);
-      }
-    } else {
-      out->ZeroWords(base_word, nw);
-    }
-  }
-}
-
-void CompressedBitmap::AndNotInto(Bitset* out) const {
-  assert(out->size() >= size_);
-  uint64_t scratch[kChunkWords];
-  size_t my_words = Bitset::WordsFor(size_);
-  for (size_t c = 0; c < keys_.size(); ++c) {
-    size_t base = static_cast<size_t>(keys_[c]) * kChunkBits;
-    size_t base_word = static_cast<size_t>(keys_[c]) * kChunkWords;
-    size_t nw = std::min(kChunkWords, my_words - base_word);
-    const Container& k = chunks_[c];
-    switch (k.kind) {
-      case Kind::kArray:
-        for (uint16_t off : k.array) out->Clear(base + off);
-        break;
-      case Kind::kRuns:
-        std::memset(scratch, 0, nw * sizeof(uint64_t));
-        ToWords(k, scratch);
-        out->AndNotWords(scratch, base_word, nw);
-        break;
-      case Kind::kDense:
-        out->AndNotWords(k.words.data(), base_word, nw);
-        break;
-    }
-  }
-}
-
 size_t CompressedBitmap::MemoryBytes() const {
   size_t bytes = sizeof(*this) + keys_.capacity() * sizeof(uint32_t) +
                  chunks_.capacity() * sizeof(Container);
@@ -296,119 +181,6 @@ size_t CompressedBitmap::MemoryBytes() const {
              c.words.capacity() * sizeof(uint64_t);
   }
   return bytes;
-}
-
-CompressedBitmap CompressedBitmap::And(const CompressedBitmap& a,
-                                       const CompressedBitmap& b) {
-  assert(a.size_ == b.size_);
-  CompressedBitmap out;
-  out.size_ = a.size_;
-  uint64_t sa[kChunkWords];
-  uint64_t sb[kChunkWords];
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.keys_.size() && j < b.keys_.size()) {
-    if (a.keys_[i] < b.keys_[j]) {
-      ++i;
-    } else if (b.keys_[j] < a.keys_[i]) {
-      ++j;
-    } else {
-      std::memset(sa, 0, sizeof(sa));
-      std::memset(sb, 0, sizeof(sb));
-      ToWords(a.chunks_[i], sa);
-      ToWords(b.chunks_[j], sb);
-      for (size_t w = 0; w < kChunkWords; ++w) sa[w] &= sb[w];
-      Container c = FromWords(sa, kChunkWords);
-      if (c.card != 0) {
-        out.keys_.push_back(a.keys_[i]);
-        out.chunks_.push_back(std::move(c));
-      }
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-CompressedBitmap CompressedBitmap::Or(const CompressedBitmap& a,
-                                      const CompressedBitmap& b) {
-  assert(a.size_ == b.size_);
-  CompressedBitmap out;
-  out.size_ = a.size_;
-  uint64_t sa[kChunkWords];
-  uint64_t sb[kChunkWords];
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.keys_.size() || j < b.keys_.size()) {
-    bool take_a = j >= b.keys_.size() ||
-                  (i < a.keys_.size() && a.keys_[i] < b.keys_[j]);
-    bool take_b = i >= a.keys_.size() ||
-                  (j < b.keys_.size() && b.keys_[j] < a.keys_[i]);
-    if (take_a) {
-      out.keys_.push_back(a.keys_[i]);
-      out.chunks_.push_back(a.chunks_[i]);
-      ++i;
-    } else if (take_b) {
-      out.keys_.push_back(b.keys_[j]);
-      out.chunks_.push_back(b.chunks_[j]);
-      ++j;
-    } else {
-      std::memset(sa, 0, sizeof(sa));
-      std::memset(sb, 0, sizeof(sb));
-      ToWords(a.chunks_[i], sa);
-      ToWords(b.chunks_[j], sb);
-      for (size_t w = 0; w < kChunkWords; ++w) sa[w] |= sb[w];
-      out.keys_.push_back(a.keys_[i]);
-      out.chunks_.push_back(FromWords(sa, kChunkWords));
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-CompressedBitmap CompressedBitmap::AndNot(const CompressedBitmap& a,
-                                          const CompressedBitmap& b) {
-  assert(a.size_ == b.size_);
-  CompressedBitmap out;
-  out.size_ = a.size_;
-  uint64_t sa[kChunkWords];
-  uint64_t sb[kChunkWords];
-  size_t j = 0;
-  for (size_t i = 0; i < a.keys_.size(); ++i) {
-    while (j < b.keys_.size() && b.keys_[j] < a.keys_[i]) ++j;
-    if (j >= b.keys_.size() || b.keys_[j] != a.keys_[i]) {
-      out.keys_.push_back(a.keys_[i]);
-      out.chunks_.push_back(a.chunks_[i]);
-      continue;
-    }
-    std::memset(sa, 0, sizeof(sa));
-    std::memset(sb, 0, sizeof(sb));
-    ToWords(a.chunks_[i], sa);
-    ToWords(b.chunks_[j], sb);
-    for (size_t w = 0; w < kChunkWords; ++w) sa[w] &= ~sb[w];
-    Container c = FromWords(sa, kChunkWords);
-    if (c.card != 0) {
-      out.keys_.push_back(a.keys_[i]);
-      out.chunks_.push_back(std::move(c));
-    }
-  }
-  return out;
-}
-
-bool CompressedBitmap::operator==(const CompressedBitmap& other) const {
-  if (size_ != other.size_ || keys_ != other.keys_) return false;
-  uint64_t sa[kChunkWords];
-  uint64_t sb[kChunkWords];
-  for (size_t c = 0; c < chunks_.size(); ++c) {
-    if (chunks_[c].card != other.chunks_[c].card) return false;
-    std::memset(sa, 0, sizeof(sa));
-    std::memset(sb, 0, sizeof(sb));
-    ToWords(chunks_[c], sa);
-    ToWords(other.chunks_[c], sb);
-    if (std::memcmp(sa, sb, sizeof(sa)) != 0) return false;
-  }
-  return true;
 }
 
 }  // namespace rudolf

@@ -2,16 +2,16 @@
 // each non-empty chunk picks the cheapest of three container forms —
 // sorted-offset array (sparse), run list (clustered), or dense words —
 // roaring-bitmap style. At the 10M-row regime a dense Bitset costs 1.25MB
-// regardless of selectivity; a 0.1%-selective condition bitmap compresses
-// ~40x, which is what lets the ConditionCache and the categorical postings
-// hold many conditions per tenant. The representation is exact: every
-// operation produces the same bits as the dense Bitset it mirrors
-// (tests/compressed_bitmap_test fuzzes the equivalence).
+// regardless of selectivity; a 0.1%-selective posting compresses ~40x,
+// which is what keeps a high-cardinality categorical column's postings
+// (CategoricalAttributeIndex, the one user) near the column's size. The
+// representation is exact: every operation produces the same bits as the
+// dense Bitset it mirrors (tests/compressed_bitmap_test fuzzes the
+// equivalence).
 //
-// Mutation is deliberately narrow — Append (strictly increasing bit
-// positions, the build order of postings and extracted condition bitmaps)
-// and grow-only Resize. Everything else is construction from / conversion
-// to dense, chunk-wise set algebra, and read-side merges into Bitset words.
+// The interface is what postings need: construction from dense, Append
+// (strictly increasing bit positions, the order streaming rows arrive in),
+// grow-only Resize, and conversion back to dense words (ToBitset, OrInto).
 
 #ifndef RUDOLF_UTIL_COMPRESSED_BITMAP_H_
 #define RUDOLF_UTIL_COMPRESSED_BITMAP_H_
@@ -40,11 +40,6 @@ class CompressedBitmap {
 
   size_t size() const { return size_; }
 
-  /// Total set bits — O(chunks), cardinalities are maintained per chunk.
-  size_t Count() const;
-
-  bool Test(size_t i) const;
-
   /// Grows the universe; new bits start clear. Shrinking is not supported.
   void Resize(size_t new_size);
 
@@ -60,44 +55,6 @@ class CompressedBitmap {
   /// out |= zext(this); out must span at least size() bits.
   void OrInto(Bitset* out) const;
 
-  /// out &= this; out must span exactly size() bits.
-  void AndInto(Bitset* out) const;
-
-  /// out &= ~zext(this); out must span at least size() bits.
-  void AndNotInto(Bitset* out) const;
-
-  /// Calls fn(index) for every set bit in ascending order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t c = 0; c < keys_.size(); ++c) {
-      size_t base = static_cast<size_t>(keys_[c]) * kChunkBits;
-      const Container& k = chunks_[c];
-      switch (k.kind) {
-        case Kind::kArray:
-          for (uint16_t off : k.array) fn(base + off);
-          break;
-        case Kind::kRuns:
-          for (const auto& [first, last] : k.runs) {
-            for (size_t i = first;; ++i) {
-              fn(base + i);
-              if (i == last) break;  // last may be 65535
-            }
-          }
-          break;
-        case Kind::kDense:
-          for (size_t w = 0; w < k.words.size(); ++w) {
-            uint64_t word = k.words[w];
-            while (word != 0) {
-              int bit = __builtin_ctzll(word);
-              fn(base + w * 64 + static_cast<size_t>(bit));
-              word &= word - 1;
-            }
-          }
-          break;
-      }
-    }
-  }
-
   /// Heap + object footprint in bytes (what the density heuristics compare
   /// against DenseBytes of the same universe).
   size_t MemoryBytes() const;
@@ -106,17 +63,6 @@ class CompressedBitmap {
   static size_t DenseBytes(size_t bits) { return Bitset::WordsFor(bits) * 8; }
 
   size_t NumChunks() const { return chunks_.size(); }
-
-  /// Chunk-wise set algebra; both operands must share one universe size.
-  static CompressedBitmap And(const CompressedBitmap& a,
-                              const CompressedBitmap& b);
-  static CompressedBitmap Or(const CompressedBitmap& a,
-                             const CompressedBitmap& b);
-  static CompressedBitmap AndNot(const CompressedBitmap& a,
-                                 const CompressedBitmap& b);
-
-  /// Semantic equality: same universe, same bits (representation-agnostic).
-  bool operator==(const CompressedBitmap& other) const;
 
  private:
   enum class Kind : uint8_t { kArray, kRuns, kDense };
@@ -134,9 +80,6 @@ class CompressedBitmap {
   // Builds the cheapest container for the chunk words (nwords <=
   // kChunkWords); card 0 means "empty, store nothing".
   static Container FromWords(const uint64_t* words, size_t nwords);
-  // Materializes a container into a zero-filled word buffer of
-  // >= kChunkWords entries.
-  static void ToWords(const Container& c, uint64_t* words);
 
   size_t size_ = 0;
   std::vector<uint32_t> keys_;       // ascending chunk indices, non-empty only

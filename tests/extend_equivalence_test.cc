@@ -23,6 +23,7 @@
 #include "index/condition_index.h"
 #include "rules/evaluator.h"
 #include "rules/simplify.h"
+#include "util/compressed_bitmap.h"
 #include "util/random.h"
 #include "workload/generator.h"
 #include "workload/initial_rules.h"
@@ -122,6 +123,50 @@ TEST(CategoricalAppend, MatchesFreshBuildWithLateNewValues) {
           << def.name << " <= " << def.ontology->NameOf(c);
     }
   }
+
+  // A column a few thousand rows past one 65,536-row chunk. Value `rare`
+  // is sparse in the build prefix, so its posting starts compressed; past
+  // the prefix it fills nine rows in ten, so its packed posting absorbs
+  // appends across the chunk boundary and overflows the array container of
+  // both chunks. Checked after every batch against a fresh build and a
+  // row scan.
+  const Ontology* ontology = nullptr;
+  for (size_t attr = 0; attr < schema.arity() && ontology == nullptr; ++attr) {
+    const AttributeDef& def = schema.attribute(attr);
+    if (def.kind == AttrKind::kCategorical && def.ontology->Leaves().size() >= 3) {
+      ontology = def.ontology.get();
+    }
+  }
+  ASSERT_NE(ontology, nullptr);
+  const std::vector<ConceptId> leaves = ontology->Leaves();
+  const ConceptId rare = leaves[0];
+  constexpr size_t kChunk = CompressedBitmap::kChunkBits;
+  const size_t start = kChunk - 6000;
+  std::vector<CellValue> column(kChunk + 6000);
+  for (size_t r = 0; r < column.size(); ++r) {
+    bool is_rare = r < start ? r % 1000 == 0 : r % 10 != 0;
+    column[r] = is_rare ? rare : leaves[1 + (r / 10) % 2];
+  }
+  size_t prefix = start;
+  CategoricalAttributeIndex index(column, prefix, ontology);
+  // Three dense postings alone would take 3 × DenseBytes(start).
+  ASSERT_LT(index.ApproxMemoryBytes(), 3 * CompressedBitmap::DenseBytes(start));
+  while (prefix < column.size()) {
+    prefix = std::min(prefix + static_cast<size_t>(rng.UniformInt(1, 2500)),
+                      column.size());
+    index.AppendRows(column, prefix);
+    CategoricalAttributeIndex fresh(column, prefix, ontology);
+    for (ConceptId c = 0; c < ontology->size(); ++c) {
+      Bitset scan(prefix);
+      for (size_t r = 0; r < prefix; ++r) {
+        if (ontology->Contains(c, static_cast<ConceptId>(column[r]))) scan.Set(r);
+      }
+      ASSERT_EQ(index.Extract(c), scan)
+          << "<= " << ontology->NameOf(c) << " at prefix " << prefix;
+      ASSERT_EQ(fresh.Extract(c), scan)
+          << "<= " << ontology->NameOf(c) << " at prefix " << prefix;
+    }
+  }
 }
 
 TEST(ConditionIndexExtend, KeepsCacheAndMatchesRebuild) {
@@ -152,7 +197,7 @@ TEST(ConditionIndexExtend, KeepsCacheAndMatchesRebuild) {
     auto extended = index.ConditionBitmap(i, rule.condition(i));
     auto rebuilt = fresh.ConditionBitmap(i, rule.condition(i));
     ASSERT_EQ(extended->size(), 5000u);
-    EXPECT_EQ(extended->ToBitset(), rebuilt->ToBitset()) << "attribute " << i;
+    EXPECT_EQ(*extended, *rebuilt) << "attribute " << i;
   }
   // The extension preserved the cache: the post-extend retrievals were hits,
   // not re-extractions.

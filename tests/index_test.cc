@@ -111,7 +111,7 @@ TEST(ConditionCache, HitsMissesAndLruEviction) {
   auto key = [](int64_t lo) {
     return ConditionKey::For(0, Condition::MakeNumeric({lo, lo + 10}));
   };
-  auto bitmap = [] { return CachedBitmap::Make(Bitset(8)); };
+  auto bitmap = [] { return std::make_shared<const Bitset>(8); };
 
   EXPECT_EQ(cache.Get(key(1)), nullptr);  // miss
   cache.Put(key(1), bitmap());
@@ -146,7 +146,7 @@ TEST(ConditionCacheLru, EvictionOrderSurvivesConcurrentHits) {
   auto key = [](int64_t i) {
     return ConditionKey::For(0, Condition::MakeNumeric({i, i}));
   };
-  auto bitmap = [] { return CachedBitmap::Make(Bitset(8)); };
+  auto bitmap = [] { return std::make_shared<const Bitset>(8); };
 
   for (size_t i = 0; i < kCapacity; ++i) {
     cache.Put(key(static_cast<int64_t>(i)), bitmap());
@@ -215,7 +215,7 @@ TEST(ConditionIndex, BitmapsMatchRuleSemantics) {
   const Schema& schema = *ex.schema;
   for (size_t i = 0; i < rule.arity(); ++i) {
     if (rule.condition(i).IsTrivial(schema.attribute(i))) continue;
-    index.ConditionBitmap(i, rule.condition(i))->AndInto(&captured);
+    captured &= *index.ConditionBitmap(i, rule.condition(i));
   }
   for (size_t row = 0; row < ex.relation->NumRows(); ++row) {
     EXPECT_EQ(captured.Test(row), rule.MatchesRow(*ex.relation, row)) << row;
@@ -282,7 +282,7 @@ TEST(ConditionIndex, ExtendToRejectsNonMonotonicPrefix) {
   Rule rule = ParseRule(schema, "risk_score >= 300").ValueOrDie();
   index.EnsureForRule(rule);
   size_t attr = schema.IndexOf("risk_score").ValueOrDie();
-  Bitset at_half = index.ConditionBitmap(attr, rule.condition(attr))->ToBitset();
+  Bitset at_half = *index.ConditionBitmap(attr, rule.condition(attr));
   ASSERT_EQ(at_half.size(), half);
 
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Default().Snapshot();
@@ -301,14 +301,13 @@ TEST(ConditionIndex, ExtendToRejectsNonMonotonicPrefix) {
   // The rejected calls must not have disturbed the binding: the cached
   // bitmap still answers for `half`, and a forward extension from here is
   // bit-identical to a fresh build over the full prefix.
-  EXPECT_EQ(index.ConditionBitmap(attr, rule.condition(attr))->ToBitset(),
-            at_half);
+  EXPECT_EQ(*index.ConditionBitmap(attr, rule.condition(attr)), at_half);
   index.ExtendTo(full);
   EXPECT_EQ(index.prefix_rows(), full);
   ConditionIndex fresh(*ds.relation, full);
   fresh.EnsureForRule(rule);
-  EXPECT_EQ(index.ConditionBitmap(attr, rule.condition(attr))->ToBitset(),
-            fresh.ConditionBitmap(attr, rule.condition(attr))->ToBitset());
+  EXPECT_EQ(*index.ConditionBitmap(attr, rule.condition(attr)),
+            *fresh.ConditionBitmap(attr, rule.condition(attr)));
 
   // And a backwards request after the extension is rejected the same way.
   index.ExtendTo(half);
@@ -346,7 +345,7 @@ TEST(ConditionIndex, MatchesEvaluatorOnGeneratedData) {
     got.Fill(true);
     for (size_t a = 0; a < rule.arity(); ++a) {
       if (rule.condition(a).IsTrivial(schema.attribute(a))) continue;
-      index.ConditionBitmap(a, rule.condition(a))->AndInto(&got);
+      got &= *index.ConditionBitmap(a, rule.condition(a));
     }
     ASSERT_EQ(got, expected) << rule.ToString(schema);
   }

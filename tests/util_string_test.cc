@@ -96,7 +96,7 @@ TEST(IntFromEnv, AcceptsOnlyWholeIntegersInRange) {
       {"0x10", 0, 100, std::nullopt, "in [0, 100]"},
       {"9223372036854775807", 1, kMax, kMax, nullptr},
       {"9223372036854775808", 1, kMax, std::nullopt, ">= 1"},  // overflows
-      // The 0/1 switches (RUDOLF_INDEX, RUDOLF_COMPRESS).
+      // The 0/1 switch (RUDOLF_INDEX).
       {"false", 0, 1, std::nullopt, "in [0, 1]"},
       {"00", 0, 1, 0, nullptr},
       {" 1 ", 0, 1, 1, nullptr},
