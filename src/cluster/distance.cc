@@ -5,47 +5,25 @@
 
 namespace rudolf {
 
-namespace {
-
-// Ontologies up to this many concepts get a dense pairwise distance table;
-// larger ones (quadratic space) fall back to per-call BFS.
-constexpr size_t kMaxConceptTableSize = 256;
-
-}  // namespace
-
 TupleDistance::TupleDistance(std::shared_ptr<const Schema> schema,
                              DistanceOptions options)
     : schema_(std::move(schema)), weights_(std::move(options.weights)) {
   if (weights_.empty()) weights_.assign(schema_->arity(), 1.0);
   assert(weights_.size() == schema_->arity());
-  concept_table_.resize(schema_->arity());
+  concept_table_.assign(schema_->arity(), nullptr);
   for (size_t i = 0; i < schema_->arity(); ++i) {
     const AttributeDef& def = schema_->attribute(i);
     if (def.kind != AttrKind::kCategorical) continue;
-    size_t n = def.ontology->size();
-    if (n > kMaxConceptTableSize) continue;
     def.ontology->WarmCaches();
-    std::vector<float>& table = concept_table_[i];
-    table.assign(n * n, 0.0f);
-    for (ConceptId a = 0; a < n; ++a) {
-      for (ConceptId b = a + 1; b < n; ++b) {
-        float d = static_cast<float>(def.ontology->UpwardDistance(a, b) +
-                                     def.ontology->UpwardDistance(b, a)) /
-                  2.0f;
-        table[a * n + b] = d;
-        table[b * n + a] = d;
-      }
-    }
+    concept_table_[i] = def.ontology->DistanceTable();
   }
 }
 
 double TupleDistance::ConceptDistance(size_t attr, ConceptId a, ConceptId b) const {
-  const std::vector<float>& table = concept_table_[attr];
-  if (!table.empty()) {
-    size_t n = schema_->attribute(attr).ontology->size();
-    return table[static_cast<size_t>(a) * n + b];
-  }
   const Ontology& ontology = *schema_->attribute(attr).ontology;
+  if (const float* table = concept_table_[attr]) {
+    return table[static_cast<size_t>(a) * ontology.size() + b];
+  }
   return (ontology.UpwardDistance(a, b) + ontology.UpwardDistance(b, a)) / 2.0;
 }
 
@@ -84,7 +62,10 @@ DistanceOptions ScaledDistanceOptions(const Relation& relation,
         lo = std::min(lo, v);
         hi = std::max(hi, v);
       }
-      out.weights[i] = 1.0 / (1.0 + static_cast<double>(hi - lo));
+      // hi - lo can overflow int64_t (CSV cells take any int64); as uint64_t
+      // the difference of hi >= lo is exact.
+      uint64_t range = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+      out.weights[i] = 1.0 / (1.0 + static_cast<double>(range));
     } else {
       int max_depth = 0;
       for (ConceptId c = 0; c < def.ontology->size(); ++c) {

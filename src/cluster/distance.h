@@ -27,12 +27,15 @@ struct DistanceOptions {
 ///   categorical attribute: weight · (up(a→b) + up(b→a)) / 2, where up is the
 ///                          ontological UpwardDistance — 0 iff a == b.
 ///
-/// For small ontologies the symmetric concept distances are precomputed
-/// into a dense per-attribute table at construction, so the clustering and
-/// representative-distance loops (thousands of pairs against the same few
-/// dozen concepts) reuse one BFS per concept pair instead of re-running it
-/// per tuple pair. The tables are immutable after construction, keeping
-/// operator() safe for the parallel clustering paths.
+/// The categorical term is read from the ontology's DistanceTable(), which
+/// the ontology builds once and keeps until it changes, so the clustering
+/// and representative-distance loops (thousands of pairs against the same
+/// few dozen concepts) reuse one BFS per concept pair, and constructing a
+/// TupleDistance costs O(arity) once the tables exist. Ontologies too large
+/// to tabulate fall back to UpwardDistance per pair. The constructor warms
+/// every categorical ontology it reads, table included, on the calling
+/// thread, keeping operator() read-only and safe for the parallel
+/// clustering paths.
 class TupleDistance {
  public:
   TupleDistance(std::shared_ptr<const Schema> schema, DistanceOptions options = {});
@@ -48,9 +51,9 @@ class TupleDistance {
 
   std::shared_ptr<const Schema> schema_;
   std::vector<double> weights_;
-  // concept_table_[attr][a * size + b]; empty vector = no table (numeric
-  // attribute or ontology too large to pretabulate).
-  std::vector<std::vector<float>> concept_table_;
+  // concept_table_[attr] is the attribute's Ontology::DistanceTable(), or
+  // null (numeric attribute or ontology too large to tabulate).
+  std::vector<const float*> concept_table_;
 };
 
 /// Derives per-attribute weights from the data: numeric attributes get

@@ -27,15 +27,6 @@ std::vector<std::vector<size_t>> ClusterRows(const Relation& relation,
                        ScaledDistanceOptions(relation, rows));
   int threads = ResolveNumThreads(options.num_threads);
   TaskScheduler* sched = threads > 1 ? TaskScheduler::Shared(threads) : nullptr;
-  if (sched != nullptr) {
-    // The metric queries ontologies whose ancestor/leaf-set caches build
-    // lazily; warm them before distances are taken from worker threads.
-    const Schema& schema = relation.schema();
-    for (size_t i = 0; i < schema.arity(); ++i) {
-      const AttributeDef& def = schema.attribute(i);
-      if (def.kind == AttrKind::kCategorical) def.ontology->WarmCaches();
-    }
-  }
   switch (options.strategy) {
     case ClusteringStrategy::kLeader:
       return LeaderCluster(relation, rows, metric, options.leader_threshold,

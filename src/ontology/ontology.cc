@@ -4,7 +4,17 @@
 #include <cassert>
 #include <deque>
 
+#include "obs/metrics.h"
+
 namespace rudolf {
+
+namespace {
+
+// Ontologies up to this many concepts get a dense pairwise distance table;
+// larger ones (quadratic space) leave callers to per-pair BFS.
+constexpr size_t kMaxDistanceTableSize = 256;
+
+}  // namespace
 
 Ontology::Ontology(std::string name, std::string top_name) : name_(std::move(name)) {
   names_.push_back(std::move(top_name));
@@ -47,6 +57,7 @@ Result<ConceptId> Ontology::AddConcept(const std::string& name,
   by_name_[name] = id;
   leaf_sets_fresh_ = false;
   ancestors_fresh_ = false;
+  distance_table_fresh_ = false;
   return id;
 }
 
@@ -162,6 +173,26 @@ std::pair<int, ConceptId> Ontology::UpwardSearch(ConceptId from,
   }
   assert(best != kInvalidConcept);  // ⊤ always contains target
   return {found_dist, best};
+}
+
+const float* Ontology::DistanceTable() const {
+  if (!distance_table_fresh_) {
+    size_t n = names_.size();
+    distance_table_.assign(n <= kMaxDistanceTableSize ? n * n : 0, 0.0f);
+    if (!distance_table_.empty()) {
+      RUDOLF_COUNTER_INC("ontology.distance_table.builds");
+      for (ConceptId a = 0; a < n; ++a) {
+        for (ConceptId b = a + 1; b < n; ++b) {
+          float d = static_cast<float>(UpwardDistance(a, b) + UpwardDistance(b, a)) /
+                    2.0f;
+          distance_table_[a * n + b] = d;
+          distance_table_[b * n + a] = d;
+        }
+      }
+    }
+    distance_table_fresh_ = true;
+  }
+  return distance_table_.empty() ? nullptr : distance_table_.data();
 }
 
 ConceptId Ontology::Join(ConceptId a, ConceptId b) const {

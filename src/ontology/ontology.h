@@ -129,6 +129,22 @@ class Ontology {
     EnsureLeafSets();
   }
 
+  /// \brief The symmetric ontological distance of every concept pair, or
+  /// nullptr for an ontology above 256 concepts (the table is quadratic in
+  /// size), where callers take UpwardDistance per pair instead.
+  ///
+  /// Entry `a * size() + b` holds (UpwardDistance(a, b) + UpwardDistance(b,
+  /// a)) / 2. The table is built on the first call and dropped by
+  /// AddConcept, like the ancestor and leaf-set caches; the pointer is valid
+  /// until the next AddConcept.
+  ///
+  /// Threading: the call that builds the table must not overlap any other
+  /// query of this ontology; later calls only read. TupleDistance makes the
+  /// first call on the thread that constructs it, before any parallel
+  /// clustering region. No caller clusters over one ontology from two
+  /// threads at once: every fleet tenant owns its schema and its ontologies.
+  const float* DistanceTable() const;
+
  private:
   // BFS over parent edges shared by UpwardDistance and NearestContainer:
   // returns {distance, chosen container}.
@@ -151,6 +167,10 @@ class Ontology {
   // Rebuilt lazily because adding a child can turn a leaf into an inner node.
   mutable std::vector<Bitset> leaf_sets_;
   mutable bool leaf_sets_fresh_ = false;
+  // Backs DistanceTable(); empty above its size limit. Rebuilt lazily
+  // because a new concept changes the table's shape.
+  mutable std::vector<float> distance_table_;
+  mutable bool distance_table_fresh_ = false;
   std::unordered_map<std::string, ConceptId> by_name_;
 };
 

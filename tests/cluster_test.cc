@@ -7,7 +7,10 @@
 #include "cluster/representative.h"
 #include "cluster/strategy.h"
 #include "cluster/streaming_kmeans.h"
+#include "obs/metrics.h"
+#include "ontology/builders.h"
 #include "rules/parser.h"
+#include "workload/intrusion.h"
 #include "workload/paper_example.h"
 
 namespace rudolf {
@@ -25,6 +28,24 @@ void ExpectPartition(const std::vector<std::vector<size_t>>& clusters,
   std::vector<size_t> sorted_rows = rows;
   std::sort(sorted_rows.begin(), sorted_rows.end());
   EXPECT_EQ(flattened, sorted_rows);
+}
+
+// Over a one-attribute schema, the tuple distance of two concepts must be
+// their symmetric upward distance, whether it comes from the ontology's
+// table or, above the table's size limit, from BFS.
+void ExpectSymmetricUpwardDistance(std::shared_ptr<const Ontology> ontology) {
+  SCOPED_TRACE(ontology->name());
+  auto schema = std::make_shared<Schema>();
+  ASSERT_TRUE(schema->AddCategorical("c", ontology).ok());
+  TupleDistance metric(schema);
+  for (ConceptId a = 0; a < ontology->size(); ++a) {
+    for (ConceptId b = 0; b < ontology->size(); ++b) {
+      double expected =
+          (ontology->UpwardDistance(a, b) + ontology->UpwardDistance(b, a)) / 2.0;
+      ASSERT_EQ(metric(Tuple{a}, Tuple{b}), expected)
+          << ontology->NameOf(a) << " / " << ontology->NameOf(b);
+    }
+  }
 }
 
 class ClusterTest : public ::testing::Test {
@@ -55,6 +76,52 @@ TEST_F(ClusterTest, TupleDistanceCombinesNumericAndOntological) {
   Tuple b = ex_.relation->GetRow(1);  // 18:03, 106, same type/location
   // 1 minute + 1 dollar, no categorical difference.
   EXPECT_DOUBLE_EQ(metric(a, b), 2.0);
+}
+
+TEST_F(ClusterTest, TupleDistanceIsSymmetricUpwardDistanceOnEveryOntology) {
+  GeoOntologyOptions wide;
+  wide.num_regions = 8;
+  wide.num_cities_per_region = 8;
+  wide.num_venues_per_city = 6;
+  std::shared_ptr<const Ontology> wide_geo = BuildGeoOntology(wide);
+  ASSERT_EQ(wide_geo->size(), 463u);
+  EXPECT_EQ(wide_geo->DistanceTable(), nullptr);  // takes the BFS fallback
+  for (std::shared_ptr<const Ontology> ontology :
+       {std::shared_ptr<const Ontology>(BuildGeoOntology()), wide_geo,
+        std::shared_ptr<const Ontology>(BuildTransactionTypeOntology()),
+        std::shared_ptr<const Ontology>(BuildClientTypeOntology()),
+        std::shared_ptr<const Ontology>(BuildProtocolOntology()),
+        std::shared_ptr<const Ontology>(BuildAddressOntology()),
+        ex_.location_ontology}) {
+    ExpectSymmetricUpwardDistance(ontology);
+  }
+}
+
+TEST_F(ClusterTest, TupleDistancesOverOneSchemaShareTheOntologyTable) {
+  std::shared_ptr<const Ontology> geo = BuildGeoOntology();
+  auto schema = std::make_shared<Schema>();
+  ASSERT_TRUE(schema->AddCategorical("location", geo).ok());
+  const obs::Counter* builds =
+      obs::MetricsRegistry::Default().GetCounter("ontology.distance_table.builds");
+  uint64_t before = builds->Value();
+  TupleDistance first(schema);
+  const float* table = geo->DistanceTable();
+  ASSERT_NE(table, nullptr);
+  TupleDistance second(schema);
+  EXPECT_EQ(geo->DistanceTable(), table);
+  EXPECT_EQ(builds->Value() - before, 1u);
+}
+
+TEST_F(ClusterTest, ScaledWeightOfFullInt64RangeIsPositive) {
+  // CSV cells take any int64, so max - min can exceed int64_t.
+  auto schema = std::make_shared<Schema>();
+  ASSERT_TRUE(schema->AddNumeric("wide").ok());
+  Relation relation(schema);
+  ASSERT_TRUE(relation.AppendRow(Tuple{-5'000'000'000'000'000'000}).ok());
+  ASSERT_TRUE(relation.AppendRow(Tuple{5'000'000'000'000'000'000}).ok());
+  DistanceOptions opt = ScaledDistanceOptions(relation, {0, 1});
+  EXPECT_GT(opt.weights[0], 0.0);
+  EXPECT_LT(opt.weights[0], 1e-18);
 }
 
 TEST_F(ClusterTest, ScaledWeightsNormalizeRanges) {

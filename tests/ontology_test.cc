@@ -260,6 +260,13 @@ TEST(Ontology, MutationInvalidatesCaches) {
   ConceptId b = o.AddConcept("B", o.top()).ValueOrDie();
   EXPECT_EQ(o.LeafCount(o.top()), 2u);
   EXPECT_FALSE(o.Contains(a, b));
+  // A1 climbs two edges to reach B's container ⊤ and B climbs one: 1.5. A
+  // new concept lengthens every row of the distance table, so a table kept
+  // across AddConcept would misread both pairs below.
+  EXPECT_EQ(o.DistanceTable()[a1 * o.size() + b], 1.5f);
+  ConceptId c = o.AddConcept("C", b).ValueOrDie();
+  EXPECT_EQ(o.DistanceTable()[a1 * o.size() + b], 1.5f);
+  EXPECT_EQ(o.DistanceTable()[a1 * o.size() + c], 2.0f);
 }
 
 }  // namespace
