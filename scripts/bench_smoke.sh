@@ -16,7 +16,7 @@ REPO_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 OUT_DIR="$(mktemp -d)"
 trap 'rm -rf "$OUT_DIR"' EXIT
 
-for bench in streaming_rounds incremental_eval serving_latency kernel_scan pipeline_throughput; do
+for bench in streaming_rounds serving_latency kernel_scan pipeline_throughput; do
   bin="$REPO_DIR/$BUILD_DIR/bench/$bench"
   if [ ! -x "$bin" ]; then
     echo "error: $bin not built (cmake --build $BUILD_DIR)" >&2

@@ -1,5 +1,6 @@
 #include "core/capture_tracker.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/metrics.h"
@@ -47,15 +48,15 @@ void CaptureTracker::SetLabel(size_t row, Label label) {
   }
 }
 
+size_t& CaptureTracker::LabelSlot(size_t row, LabelCounts* counts) const {
+  if (fraud_.Test(row)) return counts->fraud;
+  if (legit_.Test(row)) return counts->legitimate;
+  return counts->unlabeled;
+}
+
 void CaptureTracker::AdjustTotals(size_t row, int direction) {
-  size_t delta = static_cast<size_t>(direction);  // +1 or (wrapping) -1
-  if (fraud_.Test(row)) {
-    total_counts_.fraud += delta;
-  } else if (legit_.Test(row)) {
-    total_counts_.legitimate += delta;
-  } else {
-    total_counts_.unlabeled += delta;
-  }
+  // +1 or (wrapping) -1
+  LabelSlot(row, &total_counts_) += static_cast<size_t>(direction);
 }
 
 void CaptureTracker::RaiseCover(size_t row) {
@@ -158,24 +159,6 @@ Bitset CaptureTracker::Eval(const Rule& rule) const {
   return evaluator_.EvalRule(rule);
 }
 
-std::vector<Bitset> CaptureTracker::EvalMany(const std::vector<Rule>& rules) const {
-  std::vector<Bitset> captures;
-  captures.reserve(rules.size());
-  for (const Rule& rule : rules) captures.push_back(evaluator_.EvalRule(rule));
-  return captures;
-}
-
-LabelCounts CaptureTracker::CountsVisible(const Bitset& capture) const {
-  assert(capture.size() == prefix_);
-  simd::LabelRowCounts c = simd::CountByLabel(
-      capture.Words(), fraud_.Words(), legit_.Words(), capture.WordCount());
-  LabelCounts counts;
-  counts.fraud = static_cast<size_t>(c.fraud);
-  counts.legitimate = static_cast<size_t>(c.legit);
-  counts.unlabeled = static_cast<size_t>(c.unlabeled);
-  return counts;
-}
-
 BenefitDelta CaptureTracker::DeltaBetween(const Bitset& old_capture,
                                           const Bitset& new_capture) const {
   assert(old_capture.size() == prefix_ && new_capture.size() == prefix_);
@@ -205,16 +188,33 @@ BenefitDelta CaptureTracker::DeltaForAdd(const Bitset& capture) const {
   return DeltaBetween(empty, capture);
 }
 
-BenefitDelta CaptureTracker::DeltaForRemove(RuleId id) const {
-  Bitset empty(prefix_);
-  return DeltaBetween(RuleCapture(id), empty);
-}
-
-BenefitDelta CaptureTracker::DeltaForReplaceMany(
-    RuleId id, const std::vector<Bitset>& captures) const {
-  Bitset unioned(prefix_);
-  for (const Bitset& b : captures) unioned |= b;
-  return DeltaBetween(RuleCapture(id), unioned);
+BenefitDelta CaptureTracker::DeltaForSplit(
+    RuleId id, size_t attr, const std::vector<Condition>& sides,
+    std::vector<LabelCounts>* side_counts) const {
+  const AttributeDef& def = relation_.schema().attribute(attr);
+  assert(std::all_of(sides.begin(), sides.end(), [&](const Condition& side) {
+    return rules_.Get(id).condition(attr).ContainsCondition(def, side);
+  }));
+  const std::vector<CellValue>& column = relation_.Column(attr);
+  side_counts->assign(sides.size(), LabelCounts{});
+  LabelCounts lost;
+  RuleCapture(id).ForEach([&](size_t row) {
+    bool kept = false;
+    for (size_t s = 0; s < sides.size(); ++s) {
+      if (sides[s].Matches(def, column[row])) {
+        ++LabelSlot(row, &(*side_counts)[s]);
+        kept = true;
+      }
+    }
+    if (!kept && once_.Test(row)) ++LabelSlot(row, &lost);
+  });
+  // Every side keeps a subset of the rule's capture, so the split covers no
+  // new row: ΔF <= 0 and ΔL, ΔR >= 0.
+  BenefitDelta delta;
+  delta.fraud = -static_cast<int64_t>(lost.fraud);
+  delta.legit = static_cast<int64_t>(lost.legitimate);
+  delta.unlabeled = static_cast<int64_t>(lost.unlabeled);
+  return delta;
 }
 
 void CaptureTracker::SetCapture(RuleId id, Bitset capture) {

@@ -1,9 +1,11 @@
 // Incremental accounting of Φ(I): which rows each live rule captures, how
 // many rules capture each row, and what the benefit deltas of hypothetical
-// edits (replace / add / remove a rule) would be — without re-evaluating the
+// edits (replace / add / split a rule) would be — without re-evaluating the
 // whole rule set. This is what keeps Algorithm 1/2 proposal scoring under
-// the paper's "at most one second": a delta is a handful of masked
-// popcounts per 64 rows over the tracker's bit planes (see DeltaForReplace).
+// the paper's "at most one second": a replace or add delta is a handful of
+// masked popcounts per 64 rows over the tracker's bit planes (see
+// DeltaForReplace), and a split delta a walk over the split rule's own
+// capture (see DeltaForSplit).
 
 #ifndef RUDOLF_CORE_CAPTURE_TRACKER_H_
 #define RUDOLF_CORE_CAPTURE_TRACKER_H_
@@ -26,11 +28,11 @@ namespace rudolf {
 /// Sync. Every path keeps the rules, the bitmaps and the cover counts
 /// consistent.
 ///
-/// Four bit planes over the prefix feed the benefit deltas and
-/// CountsVisible: `covered` (cover count > 0) and `once` (cover count
-/// == 1) follow every cover-count change, and `fraud` / `legit` hold each
-/// row's visible label (an unlabeled row is in neither), kept current by
-/// ExtendPrefix and OnVisibleLabelChanged.
+/// Four bit planes over the prefix feed the benefit deltas: `covered`
+/// (cover count > 0) and `once` (cover count == 1) follow every
+/// cover-count change, and `fraud` / `legit` hold each row's visible label
+/// (an unlabeled row is in neither), kept current by ExtendPrefix and
+/// OnVisibleLabelChanged.
 class CaptureTracker {
  public:
   /// Copies `rules` and builds bitmaps for every live rule over the first
@@ -69,9 +71,9 @@ class CaptureTracker {
   /// Label fixup: must be called (with the row's previous and new visible
   /// label) whenever a row *inside* the prefix is relabeled while the
   /// tracker is live — covered or not — or the label planes go stale, and
-  /// with them every DeltaFor*, CountsVisible and TotalCounts(). Label
-  /// changes beyond the prefix need no notification — ExtendPrefix reads
-  /// them when the rows come into view.
+  /// with them every DeltaFor* and TotalCounts(). Label changes beyond the
+  /// prefix need no notification — ExtendPrefix reads them when the rows
+  /// come into view.
   void OnVisibleLabelChanged(size_t row, Label old_label, Label new_label);
 
   /// Capture bitmap of one live rule.
@@ -94,36 +96,29 @@ class CaptureTracker {
   /// Evaluates a rule over the prefix (convenience wrapper).
   Bitset Eval(const Rule& rule) const;
 
-  /// Evaluates a batch of candidate rules (e.g. the replacement sides of a
-  /// split) over the prefix. Goes through the evaluator's condition index,
-  /// so candidates sharing all but one condition with an already-evaluated
-  /// rule reuse the cached per-condition bitmaps and pay only the narrowed
-  /// attribute's extraction.
-  std::vector<Bitset> EvalMany(const std::vector<Rule>& rules) const;
-
-  /// Visible-label counts of the rows in `capture`, read from the label
-  /// planes (the labels the deltas see) by simd::CountByLabel. `capture`
-  /// must cover exactly the prefix, like an Eval/EvalMany result.
-  LabelCounts CountsVisible(const Bitset& capture) const;
-
   /// Benefit delta if rule `id`'s capture became `new_capture`. Computed
   /// one 64-row word at a time by simd::CountCoverDelta: the rows the edit
   /// newly covers are new & ~old & ~covered, the rows it leaves uncovered
   /// old & ~new & once, each split by the label planes. Every capture
   /// argument of the DeltaFor* family must cover exactly the prefix
-  /// (size() == prefix_rows(), like an Eval/EvalMany result).
+  /// (size() == prefix_rows(), like an Eval result).
   BenefitDelta DeltaForReplace(RuleId id, const Bitset& new_capture) const;
 
   /// Benefit delta if a rule with capture `capture` were added.
   BenefitDelta DeltaForAdd(const Bitset& capture) const;
 
-  /// Benefit delta if rule `id` were removed.
-  BenefitDelta DeltaForRemove(RuleId id) const;
-
-  /// Benefit delta if rule `id` were replaced by several rules whose
-  /// captures are `captures` (used for splits).
-  BenefitDelta DeltaForReplaceMany(RuleId id,
-                                   const std::vector<Bitset>& captures) const;
+  /// Benefit delta if rule `id` were split on attribute `attr`: replaced by
+  /// one copy of itself per entry of `sides`, each with that condition on
+  /// `attr` (no sides: the rule is removed). Every side must accept only
+  /// values the rule's own condition on `attr` accepts, so each copy
+  /// captures a subset of the rule's capture and the split gains no row.
+  /// One walk over the rule's capture tests each row's `attr` cell against
+  /// every side: `side_counts` receives each copy's visible-label counts,
+  /// and a row no side keeps is lost when the rule alone covers it. Rows
+  /// are labeled from the label planes, like every delta.
+  BenefitDelta DeltaForSplit(RuleId id, size_t attr,
+                             const std::vector<Condition>& sides,
+                             std::vector<LabelCounts>* side_counts) const;
 
   /// Edits of rules(): each evaluates the rule's capture and moves the
   /// cover and label counts along. Add returns the id rules() assigned. Add
@@ -152,6 +147,9 @@ class CaptureTracker {
 
   // Writes one row's visible label into the fraud and legit planes.
   void SetLabel(size_t row, Label label);
+
+  // The field of `counts` for one row's visible label, read from the planes.
+  size_t& LabelSlot(size_t row, LabelCounts* counts) const;
 
   // Adjusts total_counts_ for a row entering (+1) or leaving (-1) the union.
   void AdjustTotals(size_t row, int direction);

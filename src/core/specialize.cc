@@ -1,7 +1,6 @@
 #include "core/specialize.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -16,20 +15,26 @@ std::vector<SplitProposal> SpecializationEngine::RankSplits(
     const CaptureTracker& tracker, RuleId rule_id, size_t row) const {
   RUDOLF_TIMED_SCOPE("specialize.rank_splits");
   RUDOLF_COUNTER_INC("specialize.rankings");
+  std::vector<SplitProposal> proposals;
+  // The sides below narrow the rule around the row's values, which keeps
+  // them inside the rule (as DeltaForSplit requires) only when the rule
+  // captures the row.
+  if (!tracker.rules().IsLive(rule_id) || row >= tracker.prefix_rows() ||
+      !tracker.RuleCapture(rule_id).Test(row)) {
+    return proposals;
+  }
   const Schema& schema = relation_.schema();
   const Rule& rule = tracker.rules().Get(rule_id);
   Tuple l = relation_.GetRow(row);
-  std::vector<SplitProposal> proposals;
 
   for (size_t attr = 0; attr < schema.arity(); ++attr) {
     const AttributeDef& def = schema.attribute(attr);
     const Condition& cond = rule.condition(attr);
-    std::vector<Rule> replacements;
+    std::vector<Condition> sides;
 
     if (def.kind == AttrKind::kNumeric) {
       const Interval& iv = cond.interval();
       int64_t v = l[attr];
-      assert(iv.Contains(v));
       // prev(l.A) / succ(l.A) over the discrete int64 domain. kNegInf/kPosInf
       // (INT64_MIN/MAX) are open-end sentinels, not data values, so a side
       // whose finite bound would land *on* a sentinel (v-1 == kNegInf or
@@ -37,32 +42,23 @@ std::vector<SplitProposal> SpecializationEngine::RankSplits(
       // rather than emit an interval that reads as unbounded. The `&&`
       // short-circuit also keeps v±1 from overflowing at the domain extremes.
       if (iv.lo < v && v - 1 > kNegInf) {
-        Rule r1 = rule;
-        r1.set_condition(attr, Condition::MakeNumeric({iv.lo, v - 1}));
-        replacements.push_back(std::move(r1));
+        sides.push_back(Condition::MakeNumeric({iv.lo, v - 1}));
       }
       if (iv.hi > v && v + 1 < kPosInf) {
-        Rule r2 = rule;
-        r2.set_condition(attr, Condition::MakeNumeric({v + 1, iv.hi}));
-        replacements.push_back(std::move(r2));
+        sides.push_back(Condition::MakeNumeric({v + 1, iv.hi}));
       }
-      // Both sides empty (point condition) ⇒ replacements empty: the split
-      // removes the rule outright.
+      // Both sides empty (point condition) ⇒ no sides: the split removes
+      // the rule outright.
     } else {
       if (!options_.refine_categorical) continue;
       ConceptId within = cond.concept_id();
       ConceptId leaf = static_cast<ConceptId>(l[attr]);
-      assert(def.ontology->Contains(within, leaf));
       std::vector<ConceptId> cover = def.ontology->GreedyLeafCover(within, leaf);
       // cover empty while the condition has other leaves means they are
       // unreachable without including l.A — then splitting on this
       // attribute only works by removing the rule when l.A is the sole leaf.
       if (cover.empty() && def.ontology->LeafCount(within) > 1) continue;
-      for (ConceptId c : cover) {
-        Rule rc = rule;
-        rc.set_condition(attr, Condition::MakeCategorical(c));
-        replacements.push_back(std::move(rc));
-      }
+      for (ConceptId c : cover) sides.push_back(Condition::MakeCategorical(c));
     }
 
     SplitProposal p;
@@ -71,14 +67,15 @@ std::vector<SplitProposal> SpecializationEngine::RankSplits(
     p.attribute = attr;
     p.excluded = l;
     p.excluded_row = row;
-    std::vector<Bitset> captures = tracker.EvalMany(replacements);
-    p.delta = tracker.DeltaForReplaceMany(rule_id, captures);
+    p.delta =
+        tracker.DeltaForSplit(rule_id, attr, sides, &p.replacement_counts);
     p.benefit = options_.cost_model.Benefit(p.delta);
-    p.replacement_counts.reserve(captures.size());
-    for (const Bitset& capture : captures) {
-      p.replacement_counts.push_back(tracker.CountsVisible(capture));
+    p.replacements.reserve(sides.size());
+    for (const Condition& side : sides) {
+      Rule replacement = rule;
+      replacement.set_condition(attr, side);
+      p.replacements.push_back(std::move(replacement));
     }
-    p.replacements = std::move(replacements);
     proposals.push_back(std::move(p));
   }
 

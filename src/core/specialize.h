@@ -54,8 +54,9 @@ class SpecializationEngine {
  public:
   /// Like GeneralizationEngine, the visible prefix and the rules come from
   /// the tracker handed to Run(), so the engine (and its dismissed-tuple
-  /// memory) can persist across a session's rounds. Split scoring evaluates
-  /// through the tracker's evaluator, at its width.
+  /// memory) can persist across a session's rounds. Split scoring never
+  /// evaluates a rule: every side narrows the rule, so the tracker counts
+  /// it from the rule's own capture (CaptureTracker::DeltaForSplit).
   SpecializationEngine(const Relation& relation, SpecializeOptions options);
 
   /// One full pass over all captured legitimate tuples. The accepted splits
@@ -64,7 +65,9 @@ class SpecializationEngine {
 
   /// All viable splits of the tracker's rule `rule_id` that exclude row
   /// `row`, ranked by benefit (best first) — exposed for tests and the
-  /// interactive example.
+  /// interactive example. Empty unless `rule_id` is live, `row` is inside
+  /// the tracker's prefix and the rule captures it: a side narrowed around
+  /// a row outside the rule could widen the rule instead.
   std::vector<SplitProposal> RankSplits(const CaptureTracker& tracker,
                                         RuleId rule_id, size_t row) const;
 

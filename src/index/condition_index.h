@@ -2,8 +2,8 @@
 // ConditionCache for one (relation, prefix) snapshot. A RuleEvaluator owns
 // one; evaluating a rule becomes an intersection of cached per-condition
 // bitmaps, and a candidate rule differing from an evaluated one in a single
-// condition (split sides, minimal generalizations) costs one extraction
-// plus arity−1 cache hits.
+// condition (a minimal generalization) costs one extraction plus arity−1
+// cache hits.
 //
 // Threading contract (mirrors RuleEvaluator::EnsureMasks): EnsureForRule is
 // the only mutating entry point for the attribute indexes and must run on

@@ -20,10 +20,6 @@ constexpr size_t kRowBlockGrain = size_t{1} << 14;
 // Below this prefix size the fork-join overhead beats the scan itself.
 constexpr size_t kMinParallelRows = size_t{1} << 15;
 
-// Below this block size the per-row survivors loop beats the kernel path
-// (mask buffers + a full column pass per condition).
-constexpr size_t kMinVectorRows = 128;
-
 }  // namespace
 
 bool ResolveUseIndex(bool requested) {
@@ -145,60 +141,6 @@ inline bool InMask(const std::vector<uint8_t>& mask, CellValue v) {
 void RuleEvaluator::EvalRuleBlock(const Rule& rule,
                                   const std::vector<size_t>& conditions,
                                   size_t lo, size_t hi, Bitset* out) const {
-  if (hi - lo >= kMinVectorRows) {
-    EvalRuleBlockVectorized(rule, conditions, lo, hi, out);
-    return;
-  }
-  const Schema& schema = relation_.schema();
-  // Small blocks: evaluate the first non-trivial condition over the block's
-  // column slice, then filter the (usually short) surviving row list through
-  // the remaining conditions instead of paying a full column pass per
-  // condition.
-  std::vector<size_t> survivors;
-  {
-    size_t attr = conditions[0];
-    const Condition& cond = rule.condition(attr);
-    const std::vector<CellValue>& col = relation_.Column(attr);
-    if (cond.kind() == AttrKind::kCategorical) {
-      const std::vector<uint8_t>& mask =
-          ConceptMask(schema.attribute(attr).ontology.get(), cond.concept_id());
-      for (size_t r = lo; r < hi; ++r) {
-        if (InMask(mask, col[r])) survivors.push_back(r);
-      }
-    } else {
-      const Interval iv = cond.interval();
-      for (size_t r = lo; r < hi; ++r) {
-        if (iv.lo <= col[r] && col[r] <= iv.hi) survivors.push_back(r);
-      }
-    }
-  }
-  // Remaining conditions: filter the survivor list.
-  for (size_t c = 1; c < conditions.size() && !survivors.empty(); ++c) {
-    size_t attr = conditions[c];
-    const Condition& cond = rule.condition(attr);
-    const std::vector<CellValue>& col = relation_.Column(attr);
-    size_t kept = 0;
-    if (cond.kind() == AttrKind::kCategorical) {
-      const std::vector<uint8_t>& mask =
-          ConceptMask(schema.attribute(attr).ontology.get(), cond.concept_id());
-      for (size_t r : survivors) {
-        if (InMask(mask, col[r])) survivors[kept++] = r;
-      }
-    } else {
-      const Interval iv = cond.interval();
-      for (size_t r : survivors) {
-        if (iv.lo <= col[r] && col[r] <= iv.hi) survivors[kept++] = r;
-      }
-    }
-    survivors.resize(kept);
-  }
-  for (size_t r : survivors) out->Set(r);
-}
-
-void RuleEvaluator::EvalRuleBlockVectorized(const Rule& rule,
-                                            const std::vector<size_t>& conditions,
-                                            size_t lo, size_t hi,
-                                            Bitset* out) const {
   const Schema& schema = relation_.schema();
   RUDOLF_COUNTER_INC("eval.rule.vectorized");
   // Ragged head up to the first word boundary: per row. Parallel callers

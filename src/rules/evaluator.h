@@ -13,9 +13,9 @@
 // each non-trivial condition's capture bitmap is extracted once from a
 // per-attribute index and LRU-cached, and a rule is the intersection of its
 // conditions' bitmaps — so candidate rules differing from an evaluated rule
-// in one condition (split sides, minimal generalizations) cost one
-// extraction instead of a full scan. The indexed path is bit-identical to
-// the scan; see DESIGN.md "Condition index & cache".
+// in one condition (minimal generalizations) cost one extraction instead of
+// a full scan. The indexed path is bit-identical to the scan; see DESIGN.md
+// "Condition index & cache".
 
 #ifndef RUDOLF_RULES_EVALUATOR_H_
 #define RUDOLF_RULES_EVALUATOR_H_
@@ -166,19 +166,14 @@ class RuleEvaluator {
   std::vector<size_t> NonTrivialConditions(const Rule& rule) const;
 
   // The scan, restricted to rows [lo, hi): sets the bits of the rows
-  // matching every condition in `out`. Large blocks take the vectorized
-  // kernel path (EvalRuleBlockVectorized), small ones a per-row survivors
-  // loop; both produce identical bits. With word-aligned [lo, hi)
-  // partitions, concurrent calls write disjoint words of `out`.
+  // matching every condition in `out`. Rows before the first 64-row word
+  // boundary are matched one at a time; the rest stream each condition's
+  // column slice through the predicate kernels (src/simd/) into
+  // word-packed masks, AND the masks, and OR the conjunction into `out`'s
+  // words. With word-aligned [lo, hi) partitions, concurrent calls write
+  // disjoint words of `out`.
   void EvalRuleBlock(const Rule& rule, const std::vector<size_t>& conditions,
                      size_t lo, size_t hi, Bitset* out) const;
-
-  // Kernel path of EvalRuleBlock: streams each condition's column slice
-  // through the predicate kernels (src/simd/) into word-packed masks, ANDs
-  // the masks, and ORs the conjunction into `out`'s words.
-  void EvalRuleBlockVectorized(const Rule& rule,
-                               const std::vector<size_t>& conditions,
-                               size_t lo, size_t hi, Bitset* out) const;
 
   // The indexed path: intersection of the conditions' cached bitmaps.
   // Requires index_->ReadyForRule(rule).

@@ -85,8 +85,8 @@ void EqMaskScalar(const int64_t* data, size_t n, int64_t value,
   }
 }
 
-// The counting kernels' word bodies. Every body that uses them inlines
-// them, so their popcounts compile to that body's instruction: a libgcc call
+// The counting kernel's word bodies. Each kernel body inlines them, so
+// their popcounts compile to that body's instruction: a libgcc call
 // at the x86-64 baseline (the build has no -mpopcnt), POPCNT under
 // target("popcnt"), and CNT on aarch64.
 __attribute__((always_inline)) inline void AddByLabel(uint64_t mask,
@@ -109,26 +109,12 @@ __attribute__((always_inline)) inline void AddCoverDeltaWord(
   AddByLabel(lost, planes.fraud[w], planes.legit[w], &c->lost);
 }
 
-__attribute__((always_inline)) inline void AddByLabelWord(
-    const uint64_t* mask, const uint64_t* fraud, const uint64_t* legit,
-    size_t w, LabelRowCounts* c) {
-  if (mask[w] != 0) AddByLabel(mask[w], fraud[w], legit[w], c);
-}
-
 RUDOLF_NO_AUTOVEC
 CoverDeltaCounts CountCoverDeltaScalar(const uint64_t* prev,
                                        const uint64_t* next,
                                        const CoverPlanes& planes, size_t n) {
   CoverDeltaCounts c;
   for (size_t w = 0; w < n; ++w) AddCoverDeltaWord(prev, next, planes, w, &c);
-  return c;
-}
-
-RUDOLF_NO_AUTOVEC
-LabelRowCounts CountByLabelScalar(const uint64_t* mask, const uint64_t* fraud,
-                                  const uint64_t* legit, size_t n) {
-  LabelRowCounts c;
-  for (size_t w = 0; w < n; ++w) AddByLabelWord(mask, fraud, legit, w, &c);
   return c;
 }
 
@@ -230,21 +216,13 @@ void EqMaskSse2(const int64_t* data, size_t n, int64_t value,
 
 #if defined(RUDOLF_SIMD_HAVE_AVX2_TARGET)
 
-// The counting kernels of the AVX2 and AVX-512 tiers: the scalar word loops
+// The counting kernel of the AVX2 and AVX-512 tiers: the scalar word loop
 // with the hardware popcount (both tiers' DetectTier probes require POPCNT).
 __attribute__((target("popcnt"))) CoverDeltaCounts CountCoverDeltaPopcnt(
     const uint64_t* prev, const uint64_t* next, const CoverPlanes& planes,
     size_t n) {
   CoverDeltaCounts c;
   for (size_t w = 0; w < n; ++w) AddCoverDeltaWord(prev, next, planes, w, &c);
-  return c;
-}
-
-__attribute__((target("popcnt"))) LabelRowCounts CountByLabelPopcnt(
-    const uint64_t* mask, const uint64_t* fraud, const uint64_t* legit,
-    size_t n) {
-  LabelRowCounts c;
-  for (size_t w = 0; w < n; ++w) AddByLabelWord(mask, fraud, legit, w, &c);
   return c;
 }
 
@@ -566,7 +544,7 @@ void InSetMaskI64Tier(Tier tier, const int64_t* data, size_t n,
 }
 
 // SSE2 has no POPCNT, and aarch64's baseline popcount is already the CNT
-// instruction, so both share the scalar counting bodies.
+// instruction, so both run the scalar counting body.
 CoverDeltaCounts CountCoverDeltaTier(Tier tier, const uint64_t* prev,
                                      const uint64_t* next,
                                      const CoverPlanes& planes, size_t n) {
@@ -577,18 +555,6 @@ CoverDeltaCounts CountCoverDeltaTier(Tier tier, const uint64_t* prev,
 #endif
   (void)tier;
   return CountCoverDeltaScalar(prev, next, planes, n);
-}
-
-LabelRowCounts CountByLabelTier(Tier tier, const uint64_t* mask,
-                                const uint64_t* fraud, const uint64_t* legit,
-                                size_t n) {
-#if defined(RUDOLF_SIMD_HAVE_AVX2_TARGET)
-  if (tier == Tier::kAVX2 || tier == Tier::kAVX512) {
-    return CountByLabelPopcnt(mask, fraud, legit, n);
-  }
-#endif
-  (void)tier;
-  return CountByLabelScalar(mask, fraud, legit, n);
 }
 
 void RangeMaskI64(const int64_t* data, size_t n, int64_t lo, int64_t hi,
@@ -608,11 +574,6 @@ void InSetMaskI64(const int64_t* data, size_t n, const uint8_t* member,
 CoverDeltaCounts CountCoverDelta(const uint64_t* prev, const uint64_t* next,
                                  const CoverPlanes& planes, size_t n) {
   return CountCoverDeltaTier(ActiveTier(), prev, next, planes, n);
-}
-
-LabelRowCounts CountByLabel(const uint64_t* mask, const uint64_t* fraud,
-                            const uint64_t* legit, size_t n) {
-  return CountByLabelTier(ActiveTier(), mask, fraud, legit, n);
 }
 
 }  // namespace rudolf::simd

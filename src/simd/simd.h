@@ -5,8 +5,8 @@
 // of words[i/64] is 1 iff data[i] satisfies the predicate. Masks drop
 // straight into Bitset words (Bitset::OrWords), so a columnar
 // scan becomes a handful of cache-streaming kernel passes instead of a
-// per-row branchy loop. The counting kernels go the other way: they read
-// word-packed masks and return masked popcounts.
+// per-row branchy loop. The counting kernel goes the other way: it reads
+// word-packed masks and returns masked popcounts.
 //
 // Dispatch has two layers:
 //   * compile time — the translation unit builds every tier the
@@ -97,12 +97,6 @@ struct LabelRowCounts {
   bool operator==(const LabelRowCounts&) const = default;
 };
 
-/// The rows of `mask` over words [0, n), split by the `fraud` and `legit`
-/// planes (disjoint, word-packed like the masks) — CaptureTracker's
-/// CountsVisible. Zero words are skipped.
-LabelRowCounts CountByLabel(const uint64_t* mask, const uint64_t* fraud,
-                            const uint64_t* legit, size_t n);
-
 /// The four row planes CountCoverDelta reads, word-packed like the masks.
 struct CoverPlanes {
   const uint64_t* covered;  ///< rows some rule captures
@@ -124,8 +118,8 @@ struct CoverDeltaCounts {
 /// capture before (`prev`) and after (`next`) the edit:
 ///   gained = next & ~prev & ~covered   (rows the edit newly covers)
 ///   lost   = prev & ~next & once       (rows it leaves uncovered)
-/// each split by label as in CountByLabel. Words where neither set has a
-/// row are skipped.
+/// each split by the `fraud` and `legit` planes (disjoint, as labels are).
+/// Words where neither set has a row are skipped.
 CoverDeltaCounts CountCoverDelta(const uint64_t* prev, const uint64_t* next,
                                  const CoverPlanes& planes, size_t n);
 
@@ -137,9 +131,6 @@ void EqMaskI64Tier(Tier tier, const int64_t* data, size_t n, int64_t value,
                    uint64_t* words);
 void InSetMaskI64Tier(Tier tier, const int64_t* data, size_t n,
                       const uint8_t* member, size_t domain, uint64_t* words);
-LabelRowCounts CountByLabelTier(Tier tier, const uint64_t* mask,
-                                const uint64_t* fraud, const uint64_t* legit,
-                                size_t n);
 CoverDeltaCounts CountCoverDeltaTier(Tier tier, const uint64_t* prev,
                                      const uint64_t* next,
                                      const CoverPlanes& planes, size_t n);

@@ -67,13 +67,15 @@ TEST_F(CaptureTrackerTest, DeltaForAddDoesNotDoubleCountCovered) {
   EXPECT_EQ(d, BenefitDelta{});
 }
 
-TEST_F(CaptureTrackerTest, DeltaForRemove) {
+TEST_F(CaptureTrackerTest, DeltaForSplitWithNoSidesRemovesTheRule) {
   CaptureTracker tracker(*ex_.relation, ex_.rules);
   RuleId first = ex_.rules.LiveIds()[0];  // captures row 2 (legitimate)
-  BenefitDelta d = tracker.DeltaForRemove(first);
+  std::vector<LabelCounts> side_counts(1);  // replaced by the call
+  BenefitDelta d = tracker.DeltaForSplit(first, 1, {}, &side_counts);
   EXPECT_EQ(d.fraud, 0);
   EXPECT_EQ(d.legit, 1);  // one fewer captured legitimate
   EXPECT_EQ(d.unlabeled, 0);
+  EXPECT_TRUE(side_counts.empty());
 }
 
 TEST_F(CaptureTrackerTest, DeltaForReplace) {
@@ -86,19 +88,38 @@ TEST_F(CaptureTrackerTest, DeltaForReplace) {
   EXPECT_EQ(d.legit, 0);
 }
 
-TEST_F(CaptureTrackerTest, DeltaForReplaceMany) {
+TEST_F(CaptureTrackerTest, DeltaForSplitAroundRow) {
   RuleSet rules;
   RuleId id = rules.AddRule(Parse("time in [18:00,18:05] && amount >= 100"));
   CaptureTracker tracker(*ex_.relation, rules);
   // Split around row 2's time (18:04): keeps frauds 0,1; drops legit row 2.
-  std::vector<Bitset> captures = {
-      tracker.Eval(Parse("time in [18:00,18:03] && amount >= 100")),
-      tracker.Eval(Parse("time = 18:05 && amount >= 100")),
+  const std::vector<Condition> sides = {
+      Parse("time in [18:00,18:03]").condition(0),
+      Parse("time = 18:05").condition(0),
   };
-  BenefitDelta d = tracker.DeltaForReplaceMany(id, captures);
+  std::vector<LabelCounts> side_counts;
+  BenefitDelta d = tracker.DeltaForSplit(id, 0, sides, &side_counts);
   EXPECT_EQ(d.fraud, 0);
   EXPECT_EQ(d.legit, 1);
   EXPECT_EQ(d.unlabeled, 0);
+  ASSERT_EQ(side_counts.size(), 2u);
+  EXPECT_EQ(side_counts[0], (LabelCounts{2, 0, 0}));  // rows 0, 1
+  EXPECT_EQ(side_counts[1], LabelCounts{});
+}
+
+TEST_F(CaptureTrackerTest, DeltaForSplitLosesOnlyRowsNoOtherRuleCovers) {
+  RuleSet rules;
+  RuleId id = rules.AddRule(Parse("time in [18:00,18:05] && amount >= 100"));
+  rules.AddRule(Parse("amount = 107"));  // row 0 is covered twice
+  CaptureTracker tracker(*ex_.relation, rules);
+  // Keep only 18:04 (row 2): rows 0 and 1 leave the rule, and only row 1
+  // leaves the union.
+  std::vector<LabelCounts> side_counts;
+  BenefitDelta d = tracker.DeltaForSplit(
+      id, 0, {Parse("time = 18:04").condition(0)}, &side_counts);
+  EXPECT_EQ(d, (BenefitDelta{-1, 0, 0}));
+  ASSERT_EQ(side_counts.size(), 1u);
+  EXPECT_EQ(side_counts[0], (LabelCounts{0, 1, 0}));  // row 2
 }
 
 TEST_F(CaptureTrackerTest, ApplyReplaceKeepsStateConsistent) {

@@ -326,12 +326,62 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
     std::vector<BenefitDelta> want_add;
     for (const Bitset& c : draws) want_add.push_back(brute(all | c));
     std::vector<RuleId> live = rules.LiveIds();
-    std::vector<BenefitDelta> want_remove, want_replace, want_split;
+    std::vector<BenefitDelta> want_remove, want_replace, want_two;
     for (RuleId id : live) {
       Bitset others = union_without(id);
       want_remove.push_back(brute(others));
       want_replace.push_back(brute(others | draws[1]));
-      want_split.push_back(brute(others | draws[1] | draws[2]));
+      want_two.push_back(brute(others | draws[1] | draws[2]));
+    }
+    // One split per live rule that captures a row: around a random captured
+    // row, on a random attribute, with sides that narrow the rule's
+    // condition there as RankSplits' do (numeric [lo, v-1] and [v+1, hi],
+    // categorical the leaf cover that excludes the cell).
+    struct Split {
+      RuleId id;
+      size_t attr;
+      std::vector<Condition> sides;
+      BenefitDelta want;
+      std::vector<LabelCounts> want_counts;
+    };
+    std::vector<Split> splits;
+    for (RuleId id : live) {
+      std::vector<size_t> captured = fresh.RuleCapture(id).ToIndices();
+      if (captured.empty()) continue;
+      size_t row = captured[static_cast<size_t>(capture_rng.UniformInt(
+          0, static_cast<int64_t>(captured.size()) - 1))];
+      Split split{id,
+                  static_cast<size_t>(capture_rng.UniformInt(
+                      0, static_cast<int64_t>(schema.arity()) - 1)),
+                  {}, {}, {}};
+      const Rule& rule = rules.Get(id);
+      const AttributeDef& def = schema.attribute(split.attr);
+      const Condition& cond = rule.condition(split.attr);
+      CellValue v = rel.Get(row, split.attr);
+      if (def.kind == AttrKind::kNumeric) {
+        const Interval& iv = cond.interval();
+        if (iv.lo < v) {
+          split.sides.push_back(Condition::MakeNumeric({iv.lo, v - 1}));
+        }
+        if (v < iv.hi) {
+          split.sides.push_back(Condition::MakeNumeric({v + 1, iv.hi}));
+        }
+      } else {
+        for (ConceptId c : def.ontology->GreedyLeafCover(
+                 cond.concept_id(), static_cast<ConceptId>(v))) {
+          split.sides.push_back(Condition::MakeCategorical(c));
+        }
+      }
+      Bitset after = union_without(id);
+      for (const Condition& side : split.sides) {
+        Rule narrowed = rule;
+        narrowed.set_condition(split.attr, side);
+        Bitset capture = fresh.Eval(narrowed);
+        split.want_counts.push_back(fresh.evaluator().CountsVisible(capture));
+        after |= capture;
+      }
+      split.want = brute(after);
+      splits.push_back(std::move(split));
     }
     for (size_t t = 0; t < trackers.size(); ++t) {
       const CaptureTracker& got = *trackers[t];
@@ -353,13 +403,21 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
             << op << " cfg " << t << " add draw " << d;
       }
       for (size_t k = 0; k < live.size(); ++k) {
-        ASSERT_EQ(got.DeltaForRemove(live[k]), want_remove[k])
+        ASSERT_EQ(got.DeltaForReplace(live[k], Bitset(prefix)), want_remove[k])
             << op << " cfg " << t << " remove rule " << live[k];
         ASSERT_EQ(got.DeltaForReplace(live[k], draws[1]), want_replace[k])
             << op << " cfg " << t << " replace rule " << live[k];
-        ASSERT_EQ(got.DeltaForReplaceMany(live[k], {draws[1], draws[2]}),
-                  want_split[k])
-            << op << " cfg " << t << " split rule " << live[k];
+        ASSERT_EQ(got.DeltaForReplace(live[k], draws[1] | draws[2]),
+                  want_two[k])
+            << op << " cfg " << t << " replace-by-two rule " << live[k];
+      }
+      for (const Split& split : splits) {
+        std::vector<LabelCounts> counts;
+        ASSERT_EQ(got.DeltaForSplit(split.id, split.attr, split.sides, &counts),
+                  split.want)
+            << op << " cfg " << t << " split rule " << split.id;
+        ASSERT_EQ(counts, split.want_counts)
+            << op << " cfg " << t << " split rule " << split.id;
       }
     }
   };

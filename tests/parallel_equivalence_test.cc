@@ -223,13 +223,15 @@ TEST_P(ParallelEquivalence, RefineOutcomeMatchesSerial) {
   const Dataset& ds = SessionDataset();
   const size_t prefix = ds.relation->NumRows();
 
-  // One full refinement session per thread count, each from an identical
-  // starting rule set and an identically seeded expert. Everything the
-  // session produces — the final rules, the edit log, the interaction
-  // counters — must be independent of the thread count.
-  auto run = [&](int threads) {
+  // One full refinement session per thread count, and one on the scan
+  // path, each from an identical starting rule set and an identically
+  // seeded expert. Everything the session produces — the final rules, the
+  // edit log, the interaction counters — must be independent of the thread
+  // count and of the condition index.
+  auto run = [&](int threads, bool use_index = true) {
     SessionOptions options;
     options.eval.num_threads = threads;
+    options.eval.use_index = use_index;
     RuleSet rules = SynthesizeInitialRules(ds);
     std::unique_ptr<OracleExpert> expert = MakeDomainExpert(ds, GetParam());
     EditLog log;
@@ -252,6 +254,7 @@ TEST_P(ParallelEquivalence, RefineOutcomeMatchesSerial) {
   for (int threads : kThreadCounts) {
     EXPECT_EQ(run(threads), expected) << threads << " threads";
   }
+  EXPECT_EQ(run(1, false), expected) << "scan";
 }
 
 }  // namespace

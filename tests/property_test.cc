@@ -251,27 +251,156 @@ TEST_P(SeededProperty, TrackerDeltasMatchBruteForce) {
   modified.Replace(target, replacement);
   EXPECT_EQ(fast, brute(modified));
 
-  // Add, remove, and a two-way split of the target.
+  // Add, remove (an empty capture), and a replacement by two rules that
+  // need not lie inside the target (the union of their captures).
   Rule extra = RandomRule(ds, &rng);
   RuleSet added = rules;
   added.AddRule(extra);
   EXPECT_EQ(tracker.DeltaForAdd(tracker.Eval(extra)), brute(added));
   RuleSet removed = rules;
   removed.RemoveRule(target);
-  EXPECT_EQ(tracker.DeltaForRemove(target), brute(removed));
+  EXPECT_EQ(tracker.DeltaForReplace(target, Bitset(tracker.prefix_rows())),
+            brute(removed));
   Rule side = RandomRule(ds, &rng);
-  RuleSet split = removed;
-  split.AddRule(replacement);
-  split.AddRule(side);
-  EXPECT_EQ(tracker.DeltaForReplaceMany(
-                target, tracker.EvalMany({replacement, side})),
-            brute(split));
+  RuleSet two = removed;
+  two.AddRule(replacement);
+  two.AddRule(side);
+  EXPECT_EQ(tracker.DeltaForReplace(
+                target, tracker.Eval(replacement) | tracker.Eval(side)),
+            brute(two));
+}
+
+// RankSplits scores each split from one walk over the split rule's capture
+// (CaptureTracker::DeltaForSplit). Its oracle is the scan: every proposal's
+// delta must equal DeltaFromCounts of the rule-set union's visible counts
+// before and after the split, and each side's counts those of the side
+// rule's scanned capture. Rows appended to a copy of the shared relation
+// hold non-leaf concepts in their type and location cells and amounts next
+// to the kNegInf / kPosInf sentinels. The rule set holds two overlapping
+// open-ended amount rules (some rows are covered twice), a point condition
+// (a split with no sides removes the rule, and the first appended row,
+// whose risk score is above every other, is covered by it alone) and
+// random rules; a type condition of ⊤ splits into a multi-concept cover of
+// the transaction-type DAG.
+TEST_P(SeededProperty, SplitScoresMatchScanOracle) {
+  const Dataset& ds = SharedDataset();
+  const Schema& schema = *ds.cc.schema;
+  const CreditCardSchemaLayout& at = ds.cc.layout;
+  const Ontology& types = *ds.cc.type_ontology;
+  const Ontology& places = *ds.cc.location_ontology;
+  Rng rng(GetParam() ^ 0x5B117);
+  Relation rel = *ds.relation;
+  auto any_inner = [&](const Ontology& o) {
+    std::vector<ConceptId> inner;
+    for (ConceptId c = 0; c < o.size(); ++c) {
+      if (!o.IsLeaf(c) && c != o.top()) inner.push_back(c);
+    }
+    return inner[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(inner.size()) - 1))];
+  };
+  const size_t first_appended = rel.NumRows();
+  for (int i = 0; i < 16; ++i) {
+    Tuple t = rel.GetRow(static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(first_appended) - 1)));
+    if (i % 2 == 0) t[at.type] = any_inner(types);
+    if (i % 3 == 0) t[at.location] = any_inner(places);
+    if (i % 4 == 1) t[at.amount] = kNegInf + 1;
+    if (i % 4 == 3) t[at.amount] = kPosInf - 1;
+    if (i == 0) t[at.risk_score] = 1001;
+    auto label = static_cast<Label>(rng.UniformInt(0, 2));
+    ASSERT_TRUE(rel.AppendRow(t, label, label).ok());
+  }
+
+  RuleSet rules;
+  int64_t lo = rng.UniformInt(50, 400);
+  Rule at_least = Rule::Trivial(schema);
+  at_least.set_condition(at.amount,
+                         Condition::MakeNumeric(Interval::AtLeast(lo)));
+  at_least.set_condition(at.risk_score,
+                         Condition::MakeNumeric(Interval::AtMost(1000)));
+  rules.AddRule(at_least);
+  Rule at_most = at_least;
+  at_most.set_condition(
+      at.amount,
+      Condition::MakeNumeric(Interval::AtMost(lo + rng.UniformInt(0, 300))));
+  rules.AddRule(at_most);
+  Rule point = Rule::Trivial(schema);
+  point.set_condition(at.amount, Condition::MakeNumeric(Interval::Point(
+                                     rel.Get(first_appended, at.amount))));
+  rules.AddRule(point);
+  for (int i = 0; i < 2; ++i) rules.AddRule(RandomRule(ds, &rng));
+
+  SpecializationEngine engine(rel, SpecializeOptions{});
+  CaptureTracker tracker(rel, rules);
+  RuleEvaluator scan(rel, rel.NumRows(), EvalOptions{1, false});
+  const LabelCounts before = scan.CountsVisible(scan.EvalRuleSet(rules));
+  bool removal = false, sentinel = false, inner_cell = false,
+       multi_cover = false, twice = false;
+  for (RuleId id : rules.LiveIds()) {
+    const Rule& rule = rules.Get(id);
+    const Bitset& capture = tracker.RuleCapture(id);
+    // The split rows: every captured appended row, and a few others.
+    std::vector<size_t> rows;
+    capture.ForEachInRange(first_appended, rel.NumRows(),
+                           [&](size_t r) { rows.push_back(r); });
+    std::vector<size_t> old_rows;
+    capture.ForEachInRange(0, first_appended,
+                           [&](size_t r) { old_rows.push_back(r); });
+    for (int k = 0; k < 3 && !old_rows.empty(); ++k) {
+      rows.push_back(old_rows[static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(old_rows.size()) - 1))]);
+    }
+    capture.ForEach(
+        [&](size_t r) { twice = twice || tracker.CoverCount(r) > 1; });
+    for (size_t row : rows) {
+      std::vector<SplitProposal> proposals =
+          engine.RankSplits(tracker, id, row);
+      ASSERT_FALSE(proposals.empty()) << "rule " << id << " row " << row;
+      for (const SplitProposal& p : proposals) {
+        RuleSet split = rules;
+        split.RemoveRule(id);
+        ASSERT_EQ(p.replacement_counts.size(), p.replacements.size());
+        for (size_t s = 0; s < p.replacements.size(); ++s) {
+          split.AddRule(p.replacements[s]);
+          EXPECT_EQ(p.replacement_counts[s],
+                    scan.CountsVisible(scan.EvalRule(p.replacements[s])))
+              << "rule " << id << " row " << row << " attr " << p.attribute
+              << " side " << s;
+        }
+        LabelCounts after = scan.CountsVisible(scan.EvalRuleSet(split));
+        EXPECT_EQ(p.delta, DeltaFromCounts(before, after))
+            << "rule " << id << " row " << row << " attr " << p.attribute;
+
+        const AttributeDef& def = schema.attribute(p.attribute);
+        CellValue v = rel.Get(row, p.attribute);
+        removal = removal ||
+                  (p.replacements.empty() && !(p.delta == BenefitDelta{}));
+        if (def.kind == AttrKind::kNumeric) {
+          const Interval& iv = rule.condition(p.attribute).interval();
+          sentinel = sentinel || (v == kNegInf + 1 && iv.lo == kNegInf) ||
+                     (v == kPosInf - 1 && iv.hi == kPosInf);
+        } else {
+          capture.ForEach([&](size_t r) {
+            auto cell = static_cast<ConceptId>(rel.Get(r, p.attribute));
+            inner_cell = inner_cell || !def.ontology->IsLeaf(cell);
+          });
+          multi_cover = multi_cover ||
+                        (p.attribute == at.type && p.replacements.size() > 1);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(removal);
+  EXPECT_TRUE(sentinel);
+  EXPECT_TRUE(inner_cell);
+  EXPECT_TRUE(multi_cover);
+  EXPECT_TRUE(twice);
 }
 
 // EvaluateOnRange scans each rule over its window only; its counts must
-// equal a row-by-row match over the same window. The window is longer than
-// the vectorized-block minimum (128 rows) and starts off a 64-row word
-// boundary, so both the per-row head and the kernel body run.
+// equal a row-by-row match over the same window. The window spans more than
+// two 64-row words and starts off a word boundary, so both the per-row head
+// and the kernel body run.
 TEST_P(SeededProperty, EvaluateOnRangeMatchesRowByRow) {
   const Dataset& ds = SharedDataset();
   const Relation& rel = *ds.relation;

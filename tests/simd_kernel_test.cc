@@ -247,7 +247,6 @@ std::vector<uint64_t> MakeWords(size_t n, Rng* rng) {
 // The inputs of one CountCoverDelta call: two captures that agree on some
 // words (the skipped path) and differ in one bit or arbitrarily on others,
 // and planes whose fraud and legit words are disjoint, as labels are.
-// CountByLabel counts `next` against the same label planes.
 struct CoverDeltaInput {
   std::vector<uint64_t> prev, next, covered, once, fraud, legit;
 
@@ -303,24 +302,6 @@ CoverDeltaCounts NaiveCoverDelta(const std::vector<uint64_t>& prev,
   return c;
 }
 
-// CountByLabel's definition, one bit at a time.
-LabelRowCounts NaiveByLabel(const CoverDeltaInput& in, size_t n) {
-  LabelRowCounts c;
-  for (size_t i = 0; i < n * 64; ++i) {
-    uint64_t bit = uint64_t{1} << (i % 64);
-    size_t w = i / 64;
-    if ((in.next[w] & bit) == 0) continue;
-    if ((in.fraud[w] & bit) != 0) {
-      ++c.fraud;
-    } else if ((in.legit[w] & bit) != 0) {
-      ++c.legit;
-    } else {
-      ++c.unlabeled;
-    }
-  }
-  return c;
-}
-
 TEST(SimdKernelTest, CountCoverDeltaAllTiersAllLengths) {
   const std::vector<Tier> tiers = HostTiers();
   const CoverDeltaInput in(41, 6);
@@ -331,21 +312,6 @@ TEST(SimdKernelTest, CountCoverDeltaAllTiersAllLengths) {
     for (Tier t : tiers) {
       CoverDeltaCounts got = CountCoverDeltaTier(
           t, in.prev.data(), in.next.data(), in.planes(), n);
-      ASSERT_EQ(got, ref) << TierName(t) << " n=" << n;
-    }
-  }
-}
-
-TEST(SimdKernelTest, CountByLabelAllTiersAllLengths) {
-  const std::vector<Tier> tiers = HostTiers();
-  const CoverDeltaInput in(41, 9);
-  for (size_t n = 0; n <= in.next.size(); ++n) {
-    LabelRowCounts ref = CountByLabelTier(Tier::kScalar, in.next.data(),
-                                          in.fraud.data(), in.legit.data(), n);
-    ASSERT_EQ(ref, NaiveByLabel(in, n)) << "n=" << n;
-    for (Tier t : tiers) {
-      LabelRowCounts got = CountByLabelTier(t, in.next.data(), in.fraud.data(),
-                                            in.legit.data(), n);
       ASSERT_EQ(got, ref) << TierName(t) << " n=" << n;
     }
   }
@@ -389,10 +355,6 @@ TEST(SimdKernelTest, DispatchingEntryPointsMatchScalar) {
                             in.prev.size()),
             CountCoverDeltaTier(Tier::kScalar, in.prev.data(), in.next.data(),
                                 in.planes(), in.prev.size()));
-  EXPECT_EQ(CountByLabel(in.next.data(), in.fraud.data(), in.legit.data(),
-                         in.next.size()),
-            CountByLabelTier(Tier::kScalar, in.next.data(), in.fraud.data(),
-                             in.legit.data(), in.next.size()));
 }
 
 }  // namespace

@@ -127,6 +127,24 @@ TEST_F(SpecializeTest, PointConditionSplitsToRuleRemoval) {
   EXPECT_GE(stats.accepted, 1u);
 }
 
+// The sides narrow the rule around the row's values, so for a row the rule
+// does not capture they could widen it instead: row 3 (19:08) would give
+// `time in [18:00,19:07] && amount >= 100`. Such a row gets no ranking, and
+// neither does a row beyond the tracker's prefix or a rule that is not live.
+TEST_F(SpecializeTest, RowOutsideTheRuleGetsNoSplits) {
+  RuleSet rules;
+  RuleId id = rules.AddRule(Parse("time in [18:00,18:05] && amount >= 100"));
+  SpecializationEngine engine(*ex_.relation, SpecializeOptions{});
+  CaptureTracker tracker(*ex_.relation, rules);
+  for (size_t row = 3; row < ex_.relation->NumRows(); ++row) {
+    EXPECT_TRUE(engine.RankSplits(tracker, id, row).empty()) << "row " << row;
+  }
+  EXPECT_FALSE(engine.RankSplits(tracker, id, 2).empty());
+  CaptureTracker two_rows(*ex_.relation, rules, 2);  // row 2 is not visible
+  EXPECT_TRUE(engine.RankSplits(two_rows, id, 2).empty());
+  EXPECT_TRUE(engine.RankSplits(tracker, id + 1, 2).empty());
+}
+
 TEST_F(SpecializeTest, CategoricalSplitUsesLeafCover) {
   RuleSet rules;
   rules.AddRule(Parse("time in [20:45,21:30] && location <= 'Gas Station'"));
