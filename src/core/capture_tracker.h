@@ -53,12 +53,12 @@ class CaptureTracker {
   /// range (parallel across rules when the tracker was built with
   /// num_threads > 1) and its bitmap, the cover counts, and the maintained
   /// label counts are extended in place; the evaluator's condition index
-  /// absorbs the new rows too. The rule scans are O(batch × rules); the
-  /// index extension adds a copy of every cached condition bitmap,
-  /// O(cached entries × prefix / 64) words (ConditionIndex::ExtendTo,
-  /// ROADMAP item 2). Bit-identical to building a fresh tracker over the
-  /// new prefix. The relation must have grown by pure appends since the
-  /// last build/extension.
+  /// absorbs the new rows too. The rule scans are O(batch × rules), and the
+  /// index extension is O(batch) per built attribute index: cached
+  /// condition bitmaps are completed on their next hit
+  /// (ConditionIndex::ExtendTo). Bit-identical to building a fresh tracker
+  /// over the new prefix. The relation must have grown by pure appends
+  /// since the last build/extension.
   void ExtendPrefix(size_t new_prefix);
 
   /// Brings the tracker in line with `rules` after edits made outside it

@@ -1,8 +1,10 @@
 #include "index/attribute_index.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -23,8 +25,50 @@ size_t ChunkFor(size_t n) {
   return std::max(kMinChunk, by_count);
 }
 
-bool EntryLess(CellValue av, uint32_t ar, CellValue bv, uint32_t br) {
-  return av < bv || (av == bv && ar < br);
+// Orders `entries` by value, keeping entries of equal value in their
+// current order: a stable LSD radix sort over the bytes of the value with
+// its sign bit flipped, so negative values come first. Byte positions that
+// every key shares are skipped, so a column of small non-negative values
+// takes one or two passes. Entries arrive in ascending row order, so the
+// result is ascending by (value, row).
+template <typename Entry>
+void StableSortByValue(std::vector<Entry>* entries) {
+  const size_t n = entries->size();
+  if (n < 2) return;
+  auto key = [](const Entry& e) {
+    return static_cast<uint64_t>(e.value) ^ (uint64_t{1} << 63);
+  };
+  std::array<std::array<size_t, 256>, 8> counts{};
+  for (const Entry& e : *entries) {
+    uint64_t k = key(e);
+    for (size_t b = 0; b < 8; ++b) ++counts[b][(k >> (8 * b)) & 0xFF];
+  }
+  const uint64_t first = key(entries->front());
+  std::vector<Entry> scratch;
+  for (size_t b = 0; b < 8; ++b) {
+    std::array<size_t, 256>& count = counts[b];
+    if (count[(first >> (8 * b)) & 0xFF] == n) continue;
+    size_t offset = 0;
+    for (size_t& c : count) offset += std::exchange(c, offset);
+    scratch.resize(n);
+    for (const Entry& e : *entries) {
+      scratch[count[(key(e) >> (8 * b)) & 0xFF]++] = e;
+    }
+    entries->swap(scratch);
+  }
+}
+
+// Merges two value-ordered runs whose rows are all older in `older` than
+// in `newer`: a stable merge on the value alone, which takes ties from
+// `older` first, so the result is ascending by (value, row).
+template <typename Entry>
+std::vector<Entry> MergeByValue(const std::vector<Entry>& older,
+                                const std::vector<Entry>& newer) {
+  std::vector<Entry> out(older.size() + newer.size());
+  std::merge(older.begin(), older.end(), newer.begin(), newer.end(),
+             out.begin(),
+             [](const Entry& a, const Entry& b) { return a.value < b.value; });
+  return out;
 }
 
 }  // namespace
@@ -40,9 +84,7 @@ NumericAttributeIndex::NumericAttributeIndex(const std::vector<CellValue>& colum
   for (size_t r = 0; r < prefix_; ++r) {
     sorted_.push_back(Entry{column[r], static_cast<uint32_t>(r)});
   }
-  std::sort(sorted_.begin(), sorted_.end(), [](const Entry& a, const Entry& b) {
-    return EntryLess(a.value, a.row, b.value, b.row);
-  });
+  StableSortByValue(&sorted_);
   RebuildCumulative();
 }
 
@@ -79,27 +121,18 @@ void NumericAttributeIndex::AppendRows(const std::vector<CellValue>& column,
   RUDOLF_SPAN("index.numeric.append");
   RUDOLF_COUNTER_INC("index.numeric.appends");
   RUDOLF_COUNTER_ADD("index.numeric.appended_rows", new_prefix - prefix_);
-  size_t old_delta = delta_.size();
-  delta_.reserve(old_delta + (new_prefix - prefix_));
+  std::vector<Entry> batch;
+  batch.reserve(new_prefix - prefix_);
   for (size_t r = prefix_; r < new_prefix; ++r) {
-    delta_.push_back(Entry{column[r], static_cast<uint32_t>(r)});
+    batch.push_back(Entry{column[r], static_cast<uint32_t>(r)});
   }
-  auto less = [](const Entry& a, const Entry& b) {
-    return EntryLess(a.value, a.row, b.value, b.row);
-  };
-  std::sort(delta_.begin() + static_cast<ptrdiff_t>(old_delta), delta_.end(), less);
-  std::inplace_merge(delta_.begin(),
-                     delta_.begin() + static_cast<ptrdiff_t>(old_delta),
-                     delta_.end(), less);
+  StableSortByValue(&batch);
+  delta_ = MergeByValue(delta_, batch);
   prefix_ = new_prefix;
   if (delta_.size() > DeltaCompactionThreshold()) {
     RUDOLF_TIMED_SCOPE("index.numeric.compact");
     RUDOLF_COUNTER_INC("index.numeric.compactions");
-    size_t old_main = sorted_.size();
-    sorted_.insert(sorted_.end(), delta_.begin(), delta_.end());
-    std::inplace_merge(sorted_.begin(),
-                       sorted_.begin() + static_cast<ptrdiff_t>(old_main),
-                       sorted_.end(), less);
+    sorted_ = MergeByValue(sorted_, delta_);
     delta_.clear();
     delta_.shrink_to_fit();
     main_rows_ = prefix_;

@@ -32,24 +32,34 @@ namespace rudolf {
 /// \brief Sorted projection of one numeric column prefix with chunked
 /// cumulative bitmaps for O(rows/64) range extraction.
 ///
+/// Both segments are ordered by (value, row) without a comparison sort.
+/// Entries arrive in ascending row order (the build prefix, then each
+/// appended batch), so a stable LSD radix sort on the value alone orders a
+/// run, and a stable linear merge on the value joins an older run with a
+/// newer one, ties going to the older rows.
+///
 /// Streaming rows land in a small sorted *delta segment* instead of forcing
-/// a rebuild: AppendRows is O(batch log batch), Extract merges main + delta
-/// (the delta contributes two binary searches and |delta ∩ iv| bit sets),
-/// and the delta compacts into the main segment once it outgrows
-/// DeltaCompactionThreshold(). Extraction stays bit-identical to a fresh
-/// build at every point of the append schedule.
+/// a rebuild: AppendRows radix-sorts the batch and merges it into the delta
+/// (O(batch + delta)), Extract merges main + delta (the delta contributes
+/// two binary searches and |delta ∩ iv| bit sets), and the delta merges
+/// into the main segment once it outgrows DeltaCompactionThreshold().
+/// Extraction stays bit-identical to a fresh build at every point of the
+/// append schedule.
 class NumericAttributeIndex {
  public:
   /// Indexes the first `prefix_rows` entries of `column` (which must be at
-  /// least that long). Build is O(n log n); memory is ~13 bytes per row.
+  /// least that long). Build is one radix pass per byte position in which
+  /// the values differ; memory is one 16-byte entry per row plus the
+  /// cumulative bitmaps (at most 64, one bit per row each).
   NumericAttributeIndex(const std::vector<CellValue>& column, size_t prefix_rows);
 
   size_t prefix_rows() const { return prefix_; }
 
   /// Extends the index over rows [prefix_rows(), new_prefix) of `column`.
-  /// The new entries join the sorted delta segment; when the delta exceeds
-  /// DeltaCompactionThreshold() it is merged into the main segment and the
-  /// cumulative bitmaps are rebuilt (amortized O(1) per appended row).
+  /// The new entries are radix-sorted and merged into the delta segment;
+  /// when the delta exceeds DeltaCompactionThreshold() it is merged into
+  /// the main segment and the cumulative bitmaps are rebuilt (amortized
+  /// O(1) per appended row).
   void AppendRows(const std::vector<CellValue>& column, size_t new_prefix);
 
   /// Rows r < prefix_rows() with column[r] ∈ iv — the same bits the

@@ -28,7 +28,8 @@ void ConditionCache::Put(const ConditionKey& key,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it != map_.end()) {
-    // Concurrent extraction of the same key: keep one, refresh recency.
+    // A concurrent extraction of the same key, or a completed stale entry:
+    // keep the new bitmap, refresh recency.
     it->second->second = std::move(bitmap);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
@@ -40,15 +41,6 @@ void ConditionCache::Put(const ConditionKey& key,
     lru_.pop_back();
     ++stats_.evictions;
     RUDOLF_COUNTER_INC("index.cache.evictions");
-  }
-}
-
-void ConditionCache::ExtendEntries(
-    const std::function<std::shared_ptr<const Bitset>(
-        const ConditionKey&, const Bitset&)>& extend) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, bitmap] : lru_) {
-    bitmap = extend(key, *bitmap);
   }
 }
 

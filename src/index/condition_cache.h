@@ -3,17 +3,19 @@
 // bitmaps, and neighbouring rules in a refinement session (split candidates,
 // minimal generalizations) share all but one condition with an existing
 // rule — so the cache turns a candidate evaluation into one extraction plus
-// arity−1 hits. Entries are dense Bitsets over the index's prefix, so an
-// intersection is a straight word-wise AND. Thread-safe: a single mutex
-// guards the map and recency list; entries are shared_ptr so a concurrent
-// eviction never invalidates a bitmap another thread is intersecting.
+// arity−1 hits. Entries are dense Bitsets over the prefix the index had
+// when they were stored, so an intersection is a straight word-wise AND.
+// The cache itself never rewrites an entry: when the index's prefix grows,
+// ConditionIndex completes a shorter entry on its next hit and Puts the
+// completed copy back. Thread-safe: a single mutex guards the map and
+// recency list; entries are shared_ptr so a concurrent eviction or
+// replacement never invalidates a bitmap another thread is intersecting.
 
 #ifndef RUDOLF_INDEX_CONDITION_CACHE_H_
 #define RUDOLF_INDEX_CONDITION_CACHE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -78,16 +80,6 @@ class ConditionCache {
   /// Inserts (or refreshes) an entry, evicting least-recently-used entries
   /// beyond capacity.
   void Put(const ConditionKey& key, std::shared_ptr<const Bitset> bitmap);
-
-  /// Rewrites every cached bitmap via `extend(key, old)` without touching
-  /// recency order or counters — the append path of ConditionIndex, which
-  /// replaces each entry with a copy extended over the new row range instead
-  /// of dropping the cache. Entries are swapped, never mutated, so readers
-  /// holding the old shared_ptr are unaffected. Runs under the cache lock;
-  /// serial coordinating-thread use only.
-  void ExtendEntries(
-      const std::function<std::shared_ptr<const Bitset>(
-          const ConditionKey&, const Bitset&)>& extend);
 
   /// Drops every entry (stats are reset too).
   void Clear();

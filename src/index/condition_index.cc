@@ -56,7 +56,19 @@ bool ConditionIndex::ReadyForRule(const Rule& rule) const {
 std::shared_ptr<const Bitset> ConditionIndex::ConditionBitmap(
     size_t attr, const Condition& cond) {
   ConditionKey key = ConditionKey::For(attr, cond);
-  if (std::shared_ptr<const Bitset> hit = cache_.Get(key)) return hit;
+  if (std::shared_ptr<const Bitset> hit = cache_.Get(key)) {
+    assert(hit->size() <= prefix_);
+    if (hit->size() == prefix_) return hit;
+    // Stale: cached before an ExtendTo. Complete a copy over the rows it is
+    // missing, with the exact scan semantics of the condition, and put it
+    // back. A concurrent completion of the same key produces the identical
+    // bitmap and Put keeps one; the copy leaves readers of the old entry
+    // their snapshot.
+    RUDOLF_COUNTER_INC("index.cache.stale_extends");
+    auto completed = std::make_shared<const Bitset>(Complete(attr, cond, *hit));
+    cache_.Put(key, completed);
+    return completed;
+  }
   // Extraction happens outside the cache lock; a concurrent extraction of
   // the same key produces the identical bitmap and Put keeps one.
   RUDOLF_SPAN("index.extract");
@@ -74,6 +86,31 @@ std::shared_ptr<const Bitset> ConditionIndex::ConditionBitmap(
   return bitmap;
 }
 
+Bitset ConditionIndex::Complete(size_t attr, const Condition& cond,
+                                const Bitset& stale) const {
+  // Allocated at its final size: a copy grown by Resize could keep spare
+  // vector capacity alive in the cache.
+  Bitset out(prefix_);
+  out.OrZeroExtended(stale);
+  const std::vector<CellValue>& col = relation_.Column(attr);
+  if (cond.kind() == AttrKind::kNumeric) {
+    simd::OrRangeMatches(col.data(), stale.size(), prefix_, cond.interval().lo,
+                         cond.interval().hi, &out);
+  } else {
+    // Byte membership table over the concept domain; the kernel's bounds
+    // check is exactly IsValid.
+    const Ontology* ontology =
+        relation_.schema().attribute(attr).ontology.get();
+    std::vector<uint8_t> member(ontology->size());
+    for (ConceptId v = 0; v < member.size(); ++v) {
+      member[v] = ontology->Contains(cond.concept_id(), v) ? 1 : 0;
+    }
+    simd::OrMemberMatches(col.data(), stale.size(), prefix_, member.data(),
+                          member.size(), &out);
+  }
+  return out;
+}
+
 void ConditionIndex::ExtendTo(size_t new_prefix) {
   new_prefix = std::min(new_prefix, relation_.NumRows());
   // A stale or racing caller (an epoch pinned between its prefix read and
@@ -86,50 +123,18 @@ void ConditionIndex::ExtendTo(size_t new_prefix) {
     RUDOLF_COUNTER_INC("index.extend_to.rejected");
     return;
   }
-  size_t old_prefix = prefix_;
-  if (new_prefix != old_prefix) {
-    RUDOLF_TIMED_SCOPE("index.extend_to");
-    for (size_t i = 0; i < numeric_.size(); ++i) {
-      if (numeric_[i] != nullptr) {
-        numeric_[i]->AppendRows(relation_.Column(i), new_prefix);
-      }
-      if (categorical_[i] != nullptr) {
-        categorical_[i]->AppendRows(relation_.Column(i), new_prefix);
-      }
+  if (new_prefix == prefix_) return;
+  RUDOLF_TIMED_SCOPE("index.extend_to");
+  for (size_t i = 0; i < numeric_.size(); ++i) {
+    if (numeric_[i] != nullptr) {
+      numeric_[i]->AppendRows(relation_.Column(i), new_prefix);
     }
-    // Cached bitmaps: copy, grow, and set the matches of the new row range
-    // by a vectorized column scan — the exact bits a fresh extraction over
-    // the extended prefix would produce. The scan is O(batch) per entry, but
-    // the copy is O(prefix / 64) words per entry: ROADMAP item 2 makes the
-    // extension lazy. Entries are replaced (not mutated) so outstanding
-    // readers keep their snapshot.
-    const Schema& schema = relation_.schema();
-    cache_.ExtendEntries(
-        [&](const ConditionKey& key, const Bitset& old_bitmap)
-            -> std::shared_ptr<const Bitset> {
-          Bitset extended = old_bitmap;
-          extended.Resize(new_prefix);
-          const std::vector<CellValue>& col = relation_.Column(key.attribute);
-          if (key.kind == AttrKind::kNumeric) {
-            simd::OrRangeMatches(col.data(), old_prefix, new_prefix, key.a,
-                                 key.b, &extended);
-          } else {
-            const Ontology* ontology =
-                schema.attribute(key.attribute).ontology.get();
-            ConceptId concept_id = static_cast<ConceptId>(key.a);
-            // Byte membership table over the concept domain; the kernel's
-            // bounds check is exactly IsValid.
-            std::vector<uint8_t> member(ontology->size());
-            for (ConceptId v = 0; v < member.size(); ++v) {
-              member[v] = ontology->Contains(concept_id, v) ? 1 : 0;
-            }
-            simd::OrMemberMatches(col.data(), old_prefix, new_prefix,
-                                  member.data(), member.size(), &extended);
-          }
-          return std::make_shared<const Bitset>(std::move(extended));
-        });
-    prefix_ = new_prefix;
+    if (categorical_[i] != nullptr) {
+      categorical_[i]->AppendRows(relation_.Column(i), new_prefix);
+    }
   }
+  // Cached bitmaps stay as they are: each is completed on its next hit.
+  prefix_ = new_prefix;
 }
 
 size_t ConditionIndex::ApproxMemoryBytes() const {

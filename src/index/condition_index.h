@@ -5,25 +5,31 @@
 // condition (a minimal generalization) costs one extraction plus arity−1
 // cache hits.
 //
-// Threading contract (mirrors RuleEvaluator::EnsureMasks): EnsureForRule is
-// the only mutating entry point for the attribute indexes and must run on
-// the coordinating thread before any parallel evaluation touching the rule;
-// ConditionBitmap and ReadyForRule are safe from worker threads afterwards
-// (the LRU cache is internally locked).
+// Threading contract (mirrors RuleEvaluator::EnsureMasks): EnsureForRule and
+// ExtendTo are the only mutating entry points for the attribute indexes and
+// the prefix, and must run on the coordinating thread, never during a
+// parallel evaluation. ConditionBitmap and ReadyForRule are safe from worker
+// threads afterwards (the LRU cache is internally locked). A worker's
+// ConditionBitmap may complete a stale entry (below): it reads the
+// relation's columns below the prefix, as the scan path does (the ingest
+// pipeline defers column regrowth while an epoch is pinned), and reads the
+// ontology only through Contains, which is safe once EnsureForRule or the
+// categorical index's constructor has warmed its caches.
 //
-// Append/delta contract: indexes and cached bitmaps describe the first
-// prefix_rows() rows as of the last build or extension. A RuleEvaluator
-// bound to a fixed prefix never goes stale. A long-lived index over an
-// advancing stream follows it through ExtendTo(new_prefix), the delta path
-// for pure appends: attribute indexes absorb only the new rows (numeric via
-// a sorted delta segment, categorical by extending postings in place) and
-// every cached condition bitmap is copied and completed by scanning just
-// the new row range. The scans are O(batch), but the copies are
-// O(cached entries × prefix / 64) words under the cache mutex (ROADMAP
-// item 2 makes the extension lazy). Results are bit-identical to a
-// rebuild. Rows must not be rewritten once an index covers them: the one
-// in-place rewrite, Relation::SetCell, is called only by GenerateDataset's
-// risk-score back-fill, which runs before any evaluator exists.
+// Append/delta contract: attribute indexes describe the first prefix_rows()
+// rows as of the last build or extension. A RuleEvaluator bound to a fixed
+// prefix never goes stale. A long-lived index over an advancing stream
+// follows it through ExtendTo(new_prefix), the delta path for pure appends:
+// attribute indexes absorb only the new rows (numeric via a sorted delta
+// segment, categorical by extending postings in place) and the cache is
+// left alone. A cached bitmap may therefore be shorter than the prefix; the
+// hit that finds it so completes it by scanning only the rows it is
+// missing, and puts the completed copy back. So an extension costs the
+// batch, and an entry that is never read again costs nothing. Results are
+// bit-identical to a rebuild. Rows must not be rewritten once an index
+// covers them: the one in-place rewrite, Relation::SetCell, is called only
+// by GenerateDataset's risk-score back-fill, which runs before any
+// evaluator exists.
 
 #ifndef RUDOLF_INDEX_CONDITION_INDEX_H_
 #define RUDOLF_INDEX_CONDITION_INDEX_H_
@@ -61,21 +67,22 @@ class ConditionIndex {
   bool ReadyForRule(const Rule& rule) const;
 
   /// Capture bitmap of one condition over the prefix: LRU-cached, extracted
-  /// from the attribute index on miss. Requires the attribute's index
+  /// from the attribute index on miss. A hit on an entry cached before an
+  /// ExtendTo completes it over the missing rows (a scan of at most the rows
+  /// appended since) and puts it back; that counts as a hit and as
+  /// `index.cache.stale_extends`. Requires the attribute's index
   /// (EnsureForRule / ReadyForRule). Thread-safe.
   std::shared_ptr<const Bitset> ConditionBitmap(size_t attr,
                                                 const Condition& cond);
 
   /// Delta-maintains the binding out to `new_prefix` rows (clamped to the
   /// relation's current rows; must not shrink the prefix): every built
-  /// attribute index absorbs the rows of [prefix_rows(), new_prefix) and
-  /// every cached condition bitmap is replaced by a copy completed by
-  /// scanning only that row range. The scans cost O(batch × (built indexes
-  /// + cached conditions)); the copies cost O(cached conditions × prefix /
-  /// 64) words, under the cache mutex (ROADMAP item 2). Bit-identical to
-  /// dropping and rebuilding. Serial-only, like EnsureForRule. Only
-  /// valid when the relation grew by pure appends since the last build or
-  /// extension (see the append/delta contract above).
+  /// attribute index absorbs the rows of [prefix_rows(), new_prefix) (see
+  /// their AppendRows). Cached condition bitmaps are not touched; each is
+  /// completed on its next hit (ConditionBitmap). Bit-identical to dropping
+  /// and rebuilding. Serial-only, like EnsureForRule. Only valid when the
+  /// relation grew by pure appends since the last build or extension (see
+  /// the append/delta contract above).
   /// A `new_prefix` at or below prefix_rows() is a checked no-op (counted
   /// as `index.extend_to.rejected` when strictly below): the binding
   /// already covers those rows, and shrinking would corrupt every cached
@@ -94,6 +101,11 @@ class ConditionIndex {
   void ReleaseCachedBitmaps() { cache_.Clear(); }
 
  private:
+  // `stale` (a cached bitmap of `cond` over a shorter prefix) completed
+  // over [stale.size(), prefix_) by the condition's column scan.
+  Bitset Complete(size_t attr, const Condition& cond,
+                  const Bitset& stale) const;
+
   const Relation& relation_;
   size_t prefix_;
   std::vector<std::unique_ptr<NumericAttributeIndex>> numeric_;

@@ -89,11 +89,10 @@ class RuleEvaluator {
 
   /// Re-binds to the first `new_prefix` rows (clamped to the relation's
   /// current rows; must not shrink) after the relation grew by appends: the
-  /// condition index absorbs only the new rows via ConditionIndex::ExtendTo.
-  /// O(batch) for the attribute indexes, plus a copy of every cached
-  /// condition bitmap: O(cached entries × prefix / 64) words (ROADMAP
-  /// item 2). Bit-identical to constructing a fresh evaluator over the new
-  /// prefix. Serial-only (coordinating thread).
+  /// condition index absorbs only the new rows via ConditionIndex::ExtendTo,
+  /// O(batch); its cached condition bitmaps are completed over the new rows
+  /// on their next hit. Bit-identical to constructing a fresh evaluator
+  /// over the new prefix. Serial-only (coordinating thread).
   void ExtendPrefix(size_t new_prefix);
 
   /// Sets in `out` (sized num_rows()) the bits of the rows in [lo, hi)

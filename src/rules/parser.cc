@@ -120,6 +120,10 @@ Result<int64_t> ValueOf(const AttributeDef& def, const Token& tok) {
                             "', got '" + tok.text + "'");
 }
 
+Status EmptyInterval(const AttributeDef& def) {
+  return Status::ParseError("empty interval for attribute '" + def.name + "'");
+}
+
 }  // namespace
 
 Result<Rule> ParseRule(const Schema& schema, const std::string& text) {
@@ -154,9 +158,7 @@ Result<Rule> ParseRule(const Schema& schema, const std::string& text) {
       RUDOLF_ASSIGN_OR_RETURN(int64_t hi, ValueOf(def, hi_tok));
       RUDOLF_ASSIGN_OR_RETURN(Token rb, lex.Next());
       if (rb.kind != Token::kRBracket) return Status::ParseError("expected ']'");
-      if (lo > hi) {
-        return Status::ParseError("empty interval for attribute '" + def.name + "'");
-      }
+      if (lo > hi) return EmptyInterval(def);
       cond = Condition::MakeNumeric({lo, hi});
     } else if (op_tok.kind == Token::kOp) {
       RUDOLF_ASSIGN_OR_RETURN(Token val_tok, lex.Next());
@@ -177,8 +179,12 @@ Result<Rule> ParseRule(const Schema& schema, const std::string& text) {
         } else if (op == ">=") {
           iv = Interval::AtLeast(v);
         } else if (op == "<") {
+          // Strict comparisons desugar over the discrete domain; past the
+          // int64 ends no value satisfies them.
+          if (v == kNegInf) return EmptyInterval(def);
           iv = Interval::AtMost(v - 1);
         } else if (op == ">") {
+          if (v == kPosInf) return EmptyInterval(def);
           iv = Interval::AtLeast(v + 1);
         } else {
           return Status::ParseError("unknown operator '" + op + "'");

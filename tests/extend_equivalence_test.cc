@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/capture_tracker.h"
@@ -21,6 +22,7 @@
 #include "experiments/runner.h"
 #include "index/attribute_index.h"
 #include "index/condition_index.h"
+#include "obs/metrics.h"
 #include "rules/evaluator.h"
 #include "rules/simplify.h"
 #include "util/compressed_bitmap.h"
@@ -63,39 +65,75 @@ Rule RandomRule(const Schema& schema, Rng* rng) {
   return rule;
 }
 
+// Three columns, each appended in random batches across at least one
+// compaction: random values of both signs; the int64 edges and their
+// neighbours in long duplicate runs (the radix key must flip the sign bit
+// and keep ties in row order); and a constant column, where every byte
+// position is shared and no radix pass runs. After every batch, intervals
+// with sentinel ends are checked against the scan and a fresh build.
 TEST(NumericAppend, MatchesFreshBuildAcrossCompactions) {
   Rng rng(31);
-  std::vector<CellValue> column;
-  for (int i = 0; i < 30000; ++i) column.push_back(rng.UniformInt(-50, 1300));
-
-  size_t prefix = 5000;
-  NumericAttributeIndex index(column, prefix);
-  bool compacted = false;
-  while (prefix < column.size()) {
-    size_t batch = static_cast<size_t>(rng.UniformInt(1, 1500));
-    size_t delta_before = index.delta_size();
-    prefix = std::min(prefix + batch, column.size());
-    index.AppendRows(column, prefix);
-    if (index.delta_size() < delta_before) compacted = true;
-
-    NumericAttributeIndex fresh(column, prefix);
-    for (int i = 0; i < 6; ++i) {
-      int64_t a = rng.UniformInt(-60, 1310);
-      int64_t b = rng.UniformInt(-60, 1310);
-      Interval iv{std::min(a, b), std::max(a, b)};
-      Bitset expected = ScanInterval(column, prefix, iv);
-      ASSERT_EQ(index.Extract(iv), expected)
-          << "extended diverges at prefix " << prefix;
-      ASSERT_EQ(fresh.Extract(iv), expected)
-          << "fresh diverges at prefix " << prefix;
-    }
-    ASSERT_EQ(index.Extract(Interval::All()),
-              ScanInterval(column, prefix, Interval::All()));
+  const std::vector<int64_t> edges = {kNegInf, kNegInf + 1, -1, 0,
+                                      1,       kPosInf - 1, kPosInf};
+  std::vector<std::vector<CellValue>> columns(3);
+  for (int i = 0; i < 30000; ++i) {
+    columns[0].push_back(rng.UniformInt(-50, 1300));
   }
-  // The schedule must have crossed the compaction threshold at least once,
-  // or the test would only cover the pure-delta regime.
-  EXPECT_TRUE(compacted);
-  EXPECT_GT(index.DeltaCompactionThreshold(), 1000u);
+  while (columns[1].size() < 30000) {
+    int64_t v = edges[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(edges.size()) - 1))];
+    columns[1].insert(columns[1].end(),
+                      static_cast<size_t>(rng.UniformInt(1, 3000)), v);
+  }
+  columns[1].resize(30000);
+  columns[2].assign(30000, 7);
+
+  // Interval ends: the edges, their neighbours and random values.
+  std::vector<int64_t> ends = edges;
+  ends.insert(ends.end(), {-2, 2, 6, 7, 8});
+  auto draw_end = [&]() {
+    if (rng.Bernoulli(0.5)) return rng.UniformInt(-60, 1310);
+    return ends[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(ends.size()) - 1))];
+  };
+
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const std::vector<CellValue>& column = columns[c];
+    size_t prefix = 5000;
+    NumericAttributeIndex index(column, prefix);
+    bool compacted = false;
+    while (prefix < column.size()) {
+      size_t batch = static_cast<size_t>(rng.UniformInt(1, 1500));
+      size_t delta_before = index.delta_size();
+      prefix = std::min(prefix + batch, column.size());
+      index.AppendRows(column, prefix);
+      if (index.delta_size() < delta_before) compacted = true;
+
+      NumericAttributeIndex fresh(column, prefix);
+      std::vector<Interval> intervals = {
+          Interval::All(),           Interval::Point(kNegInf),
+          Interval::Point(kPosInf),  {kNegInf + 1, kPosInf - 1},
+          Interval::AtMost(-1),      Interval::AtLeast(0)};
+      for (int i = 0; i < 6; ++i) {
+        int64_t a = draw_end();
+        int64_t b = draw_end();
+        intervals.push_back({std::min(a, b), std::max(a, b)});
+      }
+      for (const Interval& iv : intervals) {
+        Bitset expected = ScanInterval(column, prefix, iv);
+        ASSERT_EQ(index.Extract(iv), expected)
+            << "column " << c << ": extended diverges at prefix " << prefix
+            << " on [" << iv.lo << ", " << iv.hi << "]";
+        ASSERT_EQ(fresh.Extract(iv), expected)
+            << "column " << c << ": fresh diverges at prefix " << prefix
+            << " on [" << iv.lo << ", " << iv.hi << "]";
+      }
+    }
+    // The schedule must have crossed the compaction threshold at least
+    // once, or the test would only cover the pure-delta regime.
+    EXPECT_TRUE(compacted) << "column " << c;
+    EXPECT_GT(index.DeltaCompactionThreshold(), 1000u);
+  }
 }
 
 TEST(CategoricalAppend, MatchesFreshBuildWithLateNewValues) {
@@ -199,11 +237,91 @@ TEST(ConditionIndexExtend, KeepsCacheAndMatchesRebuild) {
     ASSERT_EQ(extended->size(), 5000u);
     EXPECT_EQ(*extended, *rebuilt) << "attribute " << i;
   }
-  // The extension preserved the cache: the post-extend retrievals were hits,
-  // not re-extractions.
+  // The extension kept the cache: each post-extend retrieval was a hit that
+  // completed the stale entry over the new rows, not a re-extraction.
   ConditionCacheStats after = index.cache_stats();
   EXPECT_EQ(after.misses, before.misses);
   EXPECT_GT(after.hits, before.hits);
+}
+
+// Lazy completion under concurrency: every condition of several random
+// rules is cached at one prefix, the prefix is extended twice (with some
+// entries completed in between, so entries are one or two extensions
+// stale), and the rules are then evaluated through EvalRules with one rule
+// repeated, so several workers complete the same key at once. Every capture
+// must equal a fresh build's and the scan's, no completion may count as a
+// miss, and the completions must show in `index.cache.stale_extends`.
+TEST(ConditionIndexExtend, StaleEntriesCompleteOnConcurrentHits) {
+  Scenario s = TinyScenario();
+  s.options.num_transactions = 6000;
+  Dataset ds = GenerateDataset(s.options);
+  const Relation& rel = *ds.relation;
+  const Schema& schema = rel.schema();
+  Rng rng(34);
+
+  // Random rules plus one single-condition rule per condition they use, so
+  // a wrong condition bitmap cannot hide behind a conjunction.
+  RuleSet rules;
+  std::unordered_set<ConditionKey, ConditionKeyHash> keys;
+  for (int k = 0; k < 6; ++k) {
+    Rule rule = RandomRule(schema, &rng);
+    rules.AddRule(rule);
+    for (size_t i = 0; i < schema.arity(); ++i) {
+      if (rule.condition(i).IsTrivial(schema.attribute(i))) continue;
+      Rule single = Rule::Trivial(schema);
+      single.set_condition(i, rule.condition(i));
+      rules.AddRule(single);
+      keys.insert(ConditionKey::For(i, rule.condition(i)));
+    }
+  }
+  const std::vector<RuleId> ids = rules.LiveIds();
+  ASSERT_GE(ids.size(), 8u);
+  ASSERT_GT(rules.Get(ids[0]).NumNonTrivial(schema), 1u);
+  std::vector<RuleId> repeated = ids;
+  repeated.insert(repeated.end(), 6, ids[0]);
+  const size_t final_prefix = 5500;
+
+  RuleEvaluator scan(rel, final_prefix, EvalOptions{1, false});
+  RuleEvaluator fresh(rel, final_prefix, EvalOptions{1, true});
+  const std::vector<Bitset> expected = scan.EvalRules(rules, repeated);
+  ASSERT_EQ(fresh.EvalRules(rules, repeated), expected);
+
+  for (int threads : {1, 4, 8}) {
+    RuleEvaluator eval(rel, 3000, EvalOptions{threads, true});
+    eval.EvalRules(rules, ids);
+    const ConditionCacheStats warm = eval.condition_index()->cache_stats();
+    // Two workers may both miss a key that two rules share.
+    ASSERT_GE(warm.misses, keys.size()) << threads << " threads";
+    eval.ExtendPrefix(4200);
+    // Complete the first half of the rules' entries at 4200 only.
+    eval.EvalRules(rules, std::vector<RuleId>(ids.begin(),
+                                              ids.begin() + ids.size() / 2));
+    eval.ExtendPrefix(final_prefix);
+
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::Default().Snapshot();
+    const std::vector<Bitset> got = eval.EvalRules(rules, repeated);
+    const obs::MetricsSnapshot delta =
+        obs::MetricsRegistry::Default().Snapshot().DeltaSince(before);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t k = 0; k < got.size(); ++k) {
+      ASSERT_EQ(got[k], expected[k]) << threads << " threads, rule "
+                                     << rules.Get(repeated[k]).ToString(schema);
+    }
+    const ConditionCacheStats after = eval.condition_index()->cache_stats();
+    EXPECT_EQ(after.misses, warm.misses) << threads << " threads";
+    EXPECT_EQ(after.evictions, 0u) << threads << " threads";
+    const obs::CounterSample* stale =
+        delta.FindCounter("index.cache.stale_extends");
+    ASSERT_NE(stale, nullptr) << threads << " threads";
+    // Every key was stale once; concurrent workers may complete one twice.
+    // (RUDOLF_THREADS overrides the requested count, so ask the evaluator.)
+    if (eval.num_threads() == 1) {
+      EXPECT_EQ(stale->value, keys.size());
+    } else {
+      EXPECT_GE(stale->value, keys.size()) << threads << " threads";
+    }
+  }
 }
 
 // Range-boundary coverage for the delta pass: EvalRulesRange at lo = 0 and

@@ -104,6 +104,29 @@ TEST_F(ParserTest, RejectsEmptyInterval) {
   EXPECT_FALSE(ParseRule(schema(), "amount in [10, 5]").ok());
 }
 
+// No value lies past the int64 ends, so these comparisons are empty
+// intervals; desugaring them by v + 1 / v - 1 would overflow.
+TEST_F(ParserTest, RejectsComparisonsPastTheInt64Range) {
+  for (const char* text : {"amount > T", "amount > 9223372036854775807",
+                           "amount < -9223372036854775808"}) {
+    auto r = ParseRule(schema(), text);
+    ASSERT_FALSE(r.ok()) << text << " parsed as " << r->ToString(schema());
+    const std::string message = r.status().message();
+    EXPECT_NE(message.find("empty interval for attribute 'amount'"),
+              std::string::npos)
+        << message;
+  }
+  // The comparisons one step inside the range still hold for one value.
+  EXPECT_EQ(ParseRule(schema(), "amount > 9223372036854775806")
+                ->condition(1)
+                .interval(),
+            Interval::Point(kPosInf));
+  EXPECT_EQ(ParseRule(schema(), "amount < -9223372036854775807")
+                ->condition(1)
+                .interval(),
+            Interval::Point(kNegInf));
+}
+
 TEST_F(ParserTest, RejectsMalformedInterval) {
   EXPECT_FALSE(ParseRule(schema(), "amount in [5").ok());
   EXPECT_FALSE(ParseRule(schema(), "amount in 5,6]").ok());
