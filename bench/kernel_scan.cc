@@ -1,18 +1,16 @@
-// Microbench for the vectorized predicate kernels (src/simd/) and the
-// compressed bitmaps (util/compressed_bitmap.h) — the two halves of the
-// 10M-row scaling direction behind Figure 3c. Three measurements:
+// Microbench for the vectorized predicate kernels (src/simd/) — the raw
+// speed behind the 10M-row scaling direction of Figure 3c. Two
+// measurements:
 //
 //   1. Range scan throughput: the pre-kernel per-row branchy loop vs the
 //      word-packing scalar kernel vs every SIMD tier the host can run, over
 //      a sweep of row counts. Shape check: the best SIMD tier beats the
 //      per-row loop by >= 4x at the full stream size.
-//   2. Equality / membership kernel throughput at the full stream size.
-//   3. Compressed-bitmap footprint on sparse (0.1%) and clustered capture
-//      bitmaps vs their dense Bitset. Shape check: >= 5x reduction on the
-//      sparse one.
+//   2. Membership kernel throughput at the full stream size: the scan that
+//      extracts a categorical condition on a condition-cache miss.
 //
 // Every timed kernel pass is preceded by bit-identity assertions against
-// the scalar reference — a divergence aborts the bench.
+// the scalar reference or the per-row loop — a divergence aborts the bench.
 
 #include <cassert>
 #include <chrono>
@@ -23,7 +21,6 @@
 #include "bench/bench_common.h"
 #include "simd/simd.h"
 #include "util/bitset.h"
-#include "util/compressed_bitmap.h"
 #include "util/random.h"
 
 namespace rudolf {
@@ -205,68 +202,30 @@ int Run() {
   }
   std::printf("\n\n");
 
-  // --- 2. equality + membership kernels ------------------------------------
+  // --- 2. membership kernel ------------------------------------------------
   {
-    simd::EqMaskI64Tier(simd::Tier::kScalar, col.data(), rows, 500,
-                        reference.data());
-    simd::EqMaskI64(col.data(), rows, 500, words.data());
-    if (words != reference) {
-      std::fprintf(stderr, "FATAL: eq kernel diverges from scalar\n");
+    std::vector<uint8_t> member(1000, 0);
+    for (size_t v = 0; v < member.size(); v += 7) member[v] = 1;
+    simd::InSetMaskI64(col.data(), rows, member.data(), member.size(),
+                       words.data());
+    Bitset rowloop_bits(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      if (member[static_cast<size_t>(col[r])] != 0) rowloop_bits.Set(r);
+    }
+    Bitset kernel_bits(rows);
+    kernel_bits.OrWords(words.data(), 0, nwords);
+    if (!(rowloop_bits == kernel_bits)) {
+      std::fprintf(stderr, "FATAL: membership kernel diverges from row loop\n");
       return 1;
     }
     double s = BestSeconds(reps, [&] {
-      simd::EqMaskI64(col.data(), rows, 500, words.data());
-      if (ChecksumWords(words) == 0) std::abort();
-    });
-    json.Metric("eq.simd_mrows_s", static_cast<double>(rows) / s / 1e6);
-    std::printf("eq scan (= 500):      %8.1f Mrows/s\n",
-                static_cast<double>(rows) / s / 1e6);
-
-    std::vector<uint8_t> member(1000, 0);
-    for (size_t v = 0; v < member.size(); v += 7) member[v] = 1;
-    double s2 = BestSeconds(reps, [&] {
       simd::InSetMaskI64(col.data(), rows, member.data(), member.size(),
                          words.data());
       if (ChecksumWords(words) == 0) std::abort();
     });
-    json.Metric("inset.mrows_s", static_cast<double>(rows) / s2 / 1e6);
+    json.Metric("inset.mrows_s", static_cast<double>(rows) / s / 1e6);
     std::printf("membership scan:      %8.1f Mrows/s\n\n",
-                static_cast<double>(rows) / s2 / 1e6);
-  }
-
-  // --- 3. compressed-bitmap footprint --------------------------------------
-  {
-    Bitset sparse(rows);           // ~0.1% random rows: array containers
-    for (size_t i = 0; i < rows / 1000; ++i) {
-      sparse.Set(static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(rows) - 1)));
-    }
-    Bitset clustered(rows);        // 1% of rows in a few runs: run containers
-    for (int b = 0; b < 8; ++b) {
-      size_t start = (rows / 8) * static_cast<size_t>(b);
-      clustered.SetRange(start, start + rows / 800);
-    }
-    double dense_bytes = static_cast<double>(CompressedBitmap::DenseBytes(rows));
-    CompressedBitmap packed_sparse(sparse);
-    CompressedBitmap packed_clustered(clustered);
-    // Exactness first: compression must be a pure representation change.
-    if (!(packed_sparse.ToBitset() == sparse) ||
-        !(packed_clustered.ToBitset() == clustered)) {
-      std::fprintf(stderr, "FATAL: compressed bitmap round-trip diverges\n");
-      return 1;
-    }
-    double sparse_red = dense_bytes / static_cast<double>(packed_sparse.MemoryBytes());
-    double clustered_red =
-        dense_bytes / static_cast<double>(packed_clustered.MemoryBytes());
-    std::printf("bitmap footprint (dense %.0f KB):\n", dense_bytes / 1024);
-    std::printf("  sparse 0.1%%:    %8zu B  (%.1fx smaller)\n",
-                packed_sparse.MemoryBytes(), sparse_red);
-    std::printf("  clustered 1%%:   %8zu B  (%.1fx smaller)\n\n",
-                packed_clustered.MemoryBytes(), clustered_red);
-    json.Metric("bitmap.sparse.reduction", sparse_red);
-    json.Metric("bitmap.clustered.reduction", clustered_red);
-    bench::ShapeCheck("compressed sparse bitmap >= 5x smaller than dense",
-                      sparse_red >= 5.0);
+                static_cast<double>(rows) / s / 1e6);
   }
 
   json.Write();

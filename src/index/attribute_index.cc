@@ -8,14 +8,14 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "simd/column_scan.h"
 
 namespace rudolf {
 
 namespace {
 
-// Chunk sizing: few enough cumulative snapshots that the index stays within
-// ~1 byte/row of bitmap memory, large enough that partial-chunk fixups are
+// Chunk sizing: at most 64 cumulative snapshots (plus the empty one) of one
+// bit per row, so the bitmaps take about 8 bytes per row from 65,536 rows
+// up and less below, with chunks large enough that partial-chunk fixups are
 // cheap relative to the word-wise difference.
 constexpr size_t kMaxChunks = 64;
 constexpr size_t kMinChunk = 1024;
@@ -177,124 +177,6 @@ Bitset NumericAttributeIndex::Extract(const Interval& iv) const {
         std::upper_bound(delta_.begin(), delta_.end(), iv.hi, less_value) -
         delta_.begin());
     for (size_t i = dlo; i < dhi; ++i) out.Set(delta_[i].row);
-  }
-  return out;
-}
-
-namespace {
-
-// Posting-build strategy cut-offs: up to this many distinct values, one
-// vectorized equality pass per value beats the per-row hash-and-set loop —
-// and only once the prefix is long enough for the passes to amortize.
-constexpr size_t kEqPassMaxPostings = 16;
-constexpr size_t kEqPassMinRows = 4096;
-
-}  // namespace
-
-CategoricalAttributeIndex::CategoricalAttributeIndex(
-    const std::vector<CellValue>& column, size_t prefix_rows,
-    const Ontology* ontology)
-    : prefix_(prefix_rows), ontology_(ontology) {
-  RUDOLF_TIMED_SCOPE("index.categorical.build");
-  RUDOLF_COUNTER_INC("index.categorical.builds");
-  assert(column.size() >= prefix_rows);
-  ontology_->WarmCaches();
-  // Pass 1: distinct stored values, in first-seen order.
-  for (size_t r = 0; r < prefix_; ++r) {
-    ConceptId value = static_cast<ConceptId>(column[r]);
-    auto [it, inserted] = slot_.emplace(value, postings_.size());
-    if (inserted) {
-      postings_.emplace_back();
-      postings_.back().value = value;
-    }
-  }
-  // Pass 2: posting bitmaps. Small cardinalities stream the column through
-  // the equality kernel once per value (every row belongs to exactly one
-  // posting, so the union of passes is exactly the row loop's bits); the
-  // rest take the per-row loop.
-  if (postings_.size() <= kEqPassMaxPostings && prefix_ >= kEqPassMinRows) {
-    for (Posting& p : postings_) {
-      p.dense = Bitset(prefix_);
-      simd::OrEqMatches(column.data(), 0, prefix_,
-                        static_cast<CellValue>(p.value), &p.dense);
-    }
-  } else {
-    for (Posting& p : postings_) p.dense = Bitset(prefix_);
-    for (size_t r = 0; r < prefix_; ++r) {
-      ConceptId value = static_cast<ConceptId>(column[r]);
-      postings_[slot_.find(value)->second].dense.Set(r);
-    }
-  }
-  CompactPostings();
-}
-
-void CategoricalAttributeIndex::CompactPostings() {
-  for (Posting& p : postings_) {
-    if (p.packed) continue;
-    CompressedBitmap packed(p.dense);
-    size_t dense_bytes = CompressedBitmap::DenseBytes(p.dense.size());
-    size_t packed_bytes = packed.MemoryBytes();
-    if (packed_bytes * 2 < dense_bytes) {
-      RUDOLF_COUNTER_ADD("bitmap.compressed.chunks",
-                         static_cast<uint64_t>(packed.NumChunks()));
-      RUDOLF_COUNTER_ADD("bitmap.compressed.bytes_saved",
-                         static_cast<uint64_t>(dense_bytes - packed_bytes));
-      p.bits = std::move(packed);
-      p.packed = true;
-      p.dense = Bitset();
-    }
-  }
-}
-
-size_t CategoricalAttributeIndex::ApproxMemoryBytes() const {
-  size_t bytes = slot_.size() * (sizeof(ConceptId) + 2 * sizeof(size_t));
-  for (const Posting& p : postings_) {
-    bytes += sizeof(Posting);
-    bytes += p.packed ? p.bits.MemoryBytes()
-                      : p.dense.WordCount() * sizeof(uint64_t);
-  }
-  return bytes;
-}
-
-void CategoricalAttributeIndex::AppendRows(const std::vector<CellValue>& column,
-                                           size_t new_prefix) {
-  assert(new_prefix >= prefix_);
-  assert(column.size() >= new_prefix);
-  if (new_prefix == prefix_) return;
-  RUDOLF_SPAN("index.categorical.append");
-  RUDOLF_COUNTER_INC("index.categorical.appends");
-  RUDOLF_COUNTER_ADD("index.categorical.appended_rows", new_prefix - prefix_);
-  for (size_t r = prefix_; r < new_prefix; ++r) {
-    ConceptId value = static_cast<ConceptId>(column[r]);
-    auto [it, inserted] = slot_.emplace(value, postings_.size());
-    if (inserted) {
-      postings_.emplace_back();
-      postings_.back().value = value;
-      postings_.back().dense = Bitset(new_prefix);
-    }
-    Posting& p = postings_[it->second];
-    if (p.packed) {
-      // Batch rows arrive in ascending order and beyond the posting's old
-      // universe, so the compressed form absorbs them as appends.
-      p.bits.Append(r);
-    } else {
-      if (p.dense.size() < new_prefix) p.dense.Resize(new_prefix);
-      p.dense.Set(r);
-    }
-  }
-  prefix_ = new_prefix;
-}
-
-Bitset CategoricalAttributeIndex::Extract(ConceptId concept_id) const {
-  Bitset out(prefix_);
-  for (const Posting& p : postings_) {
-    if (ontology_->IsValid(p.value) && ontology_->Contains(concept_id, p.value)) {
-      if (p.packed) {
-        p.bits.OrInto(&out);
-      } else {
-        out.OrZeroExtended(p.dense);
-      }
-    }
   }
   return out;
 }

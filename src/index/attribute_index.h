@@ -1,31 +1,22 @@
-// Per-attribute columnar indexes over a prefix of the transaction relation —
+// Per-attribute columnar index over a prefix of the transaction relation —
 // the extraction layer of the incremental condition-indexed evaluation path
-// (see DESIGN.md "Condition index & cache"):
-//   * numeric attributes: a value-sorted projection of the column plus
-//     chunked cumulative bitmaps, so an interval condition becomes two
-//     binary searches, one word-wise bitmap difference, and at most two
-//     partial-chunk fixups;
-//   * categorical attributes: one posting bitmap per distinct stored value,
-//     so a containment condition A ≤ c becomes a union of the postings
-//     whose value the ontology places under c.
-// Extraction is exact: the produced bitmaps are bit-identical to the
-// columnar scan over the same prefix, whatever the stored values (postings
-// are keyed by raw cell value, not by ontology leaves, so even malformed
-// non-leaf cells behave exactly as the scan treats them).
+// (see DESIGN.md "Condition index & cache"). Numeric attributes get a
+// value-sorted projection of the column plus chunked cumulative bitmaps, so
+// an interval condition becomes two binary searches, one word-wise bitmap
+// difference, and at most two partial-chunk fixups. Extraction is exact:
+// the produced bitmaps are bit-identical to the columnar scan over the same
+// prefix. Categorical attributes have no index: ConditionIndex scans a
+// containment condition's column on a cache miss.
 
 #ifndef RUDOLF_INDEX_ATTRIBUTE_INDEX_H_
 #define RUDOLF_INDEX_ATTRIBUTE_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "ontology/ontology.h"
 #include "relation/value.h"
 #include "rules/condition.h"
 #include "util/bitset.h"
-#include "util/compressed_bitmap.h"
 
 namespace rudolf {
 
@@ -92,64 +83,6 @@ class NumericAttributeIndex {
   // Nested sets, so the rows of any aligned slice are cum_[b] & ~cum_[a];
   // Extract zero-extends them out to prefix_.
   std::vector<Bitset> cum_;
-};
-
-/// \brief Posting bitmaps per distinct stored value of one categorical
-/// column prefix.
-///
-/// Small-cardinality columns build through the vectorized equality kernel —
-/// one word-packed column pass per distinct value — instead of a per-row
-/// hash-and-set loop; wider cardinalities keep the row loop. After the
-/// build, sparse postings move to compressed (roaring-style) storage, which
-/// at 10M rows keeps a high-cardinality column's postings near the
-/// cardinality of the column rather than values × 1.25MB.
-///
-/// Streaming rows extend postings in place: AppendRows resizes only the
-/// postings whose value occurs in the batch (compressed postings absorb the
-/// ascending rows via O(1) appends); untouched postings stay bound to their
-/// older, shorter universe and Extract zero-extends them.
-class CategoricalAttributeIndex {
- public:
-  /// Indexes the first `prefix_rows` entries of `column`. The ontology must
-  /// outlive the index; its caches are warmed so Extract is read-only.
-  CategoricalAttributeIndex(const std::vector<CellValue>& column,
-                            size_t prefix_rows, const Ontology* ontology);
-
-  size_t prefix_rows() const { return prefix_; }
-
-  /// Extends the index over rows [prefix_rows(), new_prefix) of `column` —
-  /// O(batch) posting-bit sets plus one resize per distinct value touched.
-  void AppendRows(const std::vector<CellValue>& column, size_t new_prefix);
-
-  /// Rows whose stored value the ontology places under `concept_id`
-  /// (reflexive containment), exactly as the scan's concept mask would.
-  Bitset Extract(ConceptId concept_id) const;
-
-  /// Approximate heap bytes of the postings (dense or compressed) and the
-  /// value→slot map.
-  size_t ApproxMemoryBytes() const;
-
- private:
-  // One distinct stored value's rows. Dense coming out of the build or when
-  // compression would not pay; CompactPostings moves sparse ones into
-  // compressed form (exactly one of dense/bits is meaningful per `packed`).
-  struct Posting {
-    ConceptId value = 0;
-    bool packed = false;
-    Bitset dense;
-    CompressedBitmap bits;
-  };
-
-  // Moves every dense posting whose compressed form at most halves its
-  // footprint into compressed storage.
-  void CompactPostings();
-
-  size_t prefix_;
-  const Ontology* ontology_;
-  // One posting per distinct stored value, in first-seen order. A posting's
-  // bitmap is sized to the prefix as of the last batch that touched it.
-  std::vector<Posting> postings_;
-  std::unordered_map<ConceptId, size_t> slot_;  // value -> postings_ index
 };
 
 }  // namespace rudolf

@@ -14,7 +14,6 @@ ConditionIndex::ConditionIndex(const Relation& relation, size_t prefix_rows,
     : relation_(relation),
       prefix_(std::min(prefix_rows, relation.NumRows())),
       numeric_(relation.schema().arity()),
-      categorical_(relation.schema().arity()),
       cache_(cache_capacity) {}
 
 void ConditionIndex::EnsureForRule(const Rule& rule) {
@@ -29,12 +28,7 @@ void ConditionIndex::EnsureForRule(const Rule& rule) {
             relation_.Column(i), prefix_);
       }
     } else {
-      if (categorical_[i] == nullptr) {
-        categorical_[i] = std::make_unique<CategoricalAttributeIndex>(
-            relation_.Column(i), prefix_, def.ontology.get());
-      } else {
-        def.ontology->WarmCaches();
-      }
+      def.ontology->WarmCaches();
     }
   }
 }
@@ -44,11 +38,7 @@ bool ConditionIndex::ReadyForRule(const Rule& rule) const {
   for (size_t i = 0; i < rule.arity(); ++i) {
     const AttributeDef& def = schema.attribute(i);
     if (rule.condition(i).IsTrivial(def)) continue;
-    if (def.kind == AttrKind::kNumeric) {
-      if (numeric_[i] == nullptr) return false;
-    } else {
-      if (categorical_[i] == nullptr) return false;
-    }
+    if (def.kind == AttrKind::kNumeric && numeric_[i] == nullptr) return false;
   }
   return true;
 }
@@ -70,7 +60,9 @@ std::shared_ptr<const Bitset> ConditionIndex::ConditionBitmap(
     return completed;
   }
   // Extraction happens outside the cache lock; a concurrent extraction of
-  // the same key produces the identical bitmap and Put keeps one.
+  // the same key produces the identical bitmap and Put keeps one. A
+  // categorical condition has no attribute index: its miss is the column
+  // scan that completes a stale entry, over the whole prefix.
   RUDOLF_SPAN("index.extract");
   RUDOLF_COUNTER_INC("index.extractions");
   Bitset extracted;
@@ -78,8 +70,7 @@ std::shared_ptr<const Bitset> ConditionIndex::ConditionBitmap(
     assert(numeric_[attr] != nullptr);
     extracted = numeric_[attr]->Extract(cond.interval());
   } else {
-    assert(categorical_[attr] != nullptr);
-    extracted = categorical_[attr]->Extract(cond.concept_id());
+    extracted = Complete(attr, cond, Bitset());
   }
   auto bitmap = std::make_shared<const Bitset>(std::move(extracted));
   cache_.Put(key, bitmap);
@@ -129,9 +120,6 @@ void ConditionIndex::ExtendTo(size_t new_prefix) {
     if (numeric_[i] != nullptr) {
       numeric_[i]->AppendRows(relation_.Column(i), new_prefix);
     }
-    if (categorical_[i] != nullptr) {
-      categorical_[i]->AppendRows(relation_.Column(i), new_prefix);
-    }
   }
   // Cached bitmaps stay as they are: each is completed on its next hit.
   prefix_ = new_prefix;
@@ -140,9 +128,6 @@ void ConditionIndex::ExtendTo(size_t new_prefix) {
 size_t ConditionIndex::ApproxMemoryBytes() const {
   size_t bytes = cache_.ApproxMemoryBytes();
   for (const auto& idx : numeric_) {
-    if (idx != nullptr) bytes += idx->ApproxMemoryBytes();
-  }
-  for (const auto& idx : categorical_) {
     if (idx != nullptr) bytes += idx->ApproxMemoryBytes();
   }
   return bytes;

@@ -1,35 +1,38 @@
-// The condition-index facade: per-attribute indexes plus the shared
+// The condition-index facade: numeric attribute indexes plus the shared
 // ConditionCache for one (relation, prefix) snapshot. A RuleEvaluator owns
 // one; evaluating a rule becomes an intersection of cached per-condition
 // bitmaps, and a candidate rule differing from an evaluated one in a single
 // condition (a minimal generalization) costs one extraction plus arity−1
 // cache hits.
 //
+// Only numeric attributes have an index (a sorted projection with
+// cumulative bitmaps). A categorical condition's miss is the column scan of
+// its containment mask, the same scan that completes a stale entry (below).
+//
 // Threading contract (mirrors RuleEvaluator::EnsureMasks): EnsureForRule and
 // ExtendTo are the only mutating entry points for the attribute indexes and
 // the prefix, and must run on the coordinating thread, never during a
 // parallel evaluation. ConditionBitmap and ReadyForRule are safe from worker
 // threads afterwards (the LRU cache is internally locked). A worker's
-// ConditionBitmap may complete a stale entry (below): it reads the
-// relation's columns below the prefix, as the scan path does (the ingest
-// pipeline defers column regrowth while an epoch is pinned), and reads the
-// ontology only through Contains, which is safe once EnsureForRule or the
-// categorical index's constructor has warmed its caches.
+// ConditionBitmap may complete a stale entry (below) or scan a categorical
+// condition's column on a miss. Both read the relation's columns below the
+// prefix, as the scan path does (the ingest pipeline defers column regrowth
+// while an epoch is pinned), and read the ontology only through Contains,
+// which is safe once EnsureForRule has warmed its caches.
 //
-// Append/delta contract: attribute indexes describe the first prefix_rows()
-// rows as of the last build or extension. A RuleEvaluator bound to a fixed
-// prefix never goes stale. A long-lived index over an advancing stream
-// follows it through ExtendTo(new_prefix), the delta path for pure appends:
-// attribute indexes absorb only the new rows (numeric via a sorted delta
-// segment, categorical by extending postings in place) and the cache is
-// left alone. A cached bitmap may therefore be shorter than the prefix; the
-// hit that finds it so completes it by scanning only the rows it is
-// missing, and puts the completed copy back. So an extension costs the
-// batch, and an entry that is never read again costs nothing. Results are
-// bit-identical to a rebuild. Rows must not be rewritten once an index
-// covers them: the one in-place rewrite, Relation::SetCell, is called only
-// by GenerateDataset's risk-score back-fill, which runs before any
-// evaluator exists.
+// Append/delta contract: numeric attribute indexes describe the first
+// prefix_rows() rows as of the last build or extension. A RuleEvaluator
+// bound to a fixed prefix never goes stale. A long-lived index over an
+// advancing stream follows it through ExtendTo(new_prefix), the delta path
+// for pure appends: numeric indexes absorb only the new rows (via a sorted
+// delta segment) and the cache is left alone. A cached bitmap may therefore
+// be shorter than the prefix; the hit that finds it so completes it by
+// scanning only the rows it is missing, and puts the completed copy back.
+// So an extension costs the batch, and an entry that is never read again
+// costs nothing. Results are bit-identical to a rebuild. Rows must not be
+// rewritten once an index or a cached bitmap covers them: the one in-place
+// rewrite, Relation::SetCell, is called only by GenerateDataset's
+// risk-score back-fill, which runs before any evaluator exists.
 
 #ifndef RUDOLF_INDEX_CONDITION_INDEX_H_
 #define RUDOLF_INDEX_CONDITION_INDEX_H_
@@ -57,28 +60,30 @@ class ConditionIndex {
 
   size_t prefix_rows() const { return prefix_; }
 
-  /// Builds the missing attribute indexes behind the rule's non-trivial
-  /// conditions and warms the ontology caches they read. Serial-only (see
-  /// the threading contract above).
+  /// Builds the missing numeric indexes behind the rule's non-trivial
+  /// conditions and warms the ontology caches of its non-trivial
+  /// categorical ones. Serial-only (see the threading contract above).
   void EnsureForRule(const Rule& rule);
 
-  /// True if every non-trivial condition of the rule has its attribute
-  /// index built — the read-only fast path worker threads may take.
+  /// True if every non-trivial numeric condition of the rule has its
+  /// attribute index built — the read-only fast path worker threads may
+  /// take.
   bool ReadyForRule(const Rule& rule) const;
 
-  /// Capture bitmap of one condition over the prefix: LRU-cached, extracted
-  /// from the attribute index on miss. A hit on an entry cached before an
+  /// Capture bitmap of one condition over the prefix: LRU-cached. A miss
+  /// extracts a numeric condition from its attribute index and scans a
+  /// categorical condition's column. A hit on an entry cached before an
   /// ExtendTo completes it over the missing rows (a scan of at most the rows
   /// appended since) and puts it back; that counts as a hit and as
-  /// `index.cache.stale_extends`. Requires the attribute's index
-  /// (EnsureForRule / ReadyForRule). Thread-safe.
+  /// `index.cache.stale_extends`. Requires EnsureForRule (or ReadyForRule)
+  /// for the condition's rule. Thread-safe.
   std::shared_ptr<const Bitset> ConditionBitmap(size_t attr,
                                                 const Condition& cond);
 
   /// Delta-maintains the binding out to `new_prefix` rows (clamped to the
   /// relation's current rows; must not shrink the prefix): every built
-  /// attribute index absorbs the rows of [prefix_rows(), new_prefix) (see
-  /// their AppendRows). Cached condition bitmaps are not touched; each is
+  /// numeric index absorbs the rows of [prefix_rows(), new_prefix) (see
+  /// NumericAttributeIndex::AppendRows). Cached condition bitmaps are not touched; each is
   /// completed on its next hit (ConditionBitmap). Bit-identical to dropping
   /// and rebuilding. Serial-only, like EnsureForRule. Only valid when the
   /// relation grew by pure appends since the last build or extension (see
@@ -91,7 +96,7 @@ class ConditionIndex {
 
   ConditionCacheStats cache_stats() const { return cache_.stats(); }
 
-  /// Approximate heap bytes held: built attribute indexes plus the
+  /// Approximate heap bytes held: built numeric indexes plus the
   /// condition-bitmap cache. The fleet's per-tenant accounting reads this.
   size_t ApproxMemoryBytes() const;
 
@@ -101,15 +106,15 @@ class ConditionIndex {
   void ReleaseCachedBitmaps() { cache_.Clear(); }
 
  private:
-  // `stale` (a cached bitmap of `cond` over a shorter prefix) completed
-  // over [stale.size(), prefix_) by the condition's column scan.
+  // `stale` (a bitmap of `cond` over a shorter prefix: a cached entry, or
+  // an empty one on a categorical miss) completed over
+  // [stale.size(), prefix_) by the condition's column scan.
   Bitset Complete(size_t attr, const Condition& cond,
                   const Bitset& stale) const;
 
   const Relation& relation_;
   size_t prefix_;
   std::vector<std::unique_ptr<NumericAttributeIndex>> numeric_;
-  std::vector<std::unique_ptr<CategoricalAttributeIndex>> categorical_;
   ConditionCache cache_;
 };
 

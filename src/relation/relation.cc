@@ -4,6 +4,17 @@
 
 namespace rudolf {
 
+namespace {
+
+// True iff categorical cell `v` names a concept of `ontology`. The int64 is
+// compared before any cast: a cast to ConceptId would wrap 2^32 + c onto
+// the valid id c.
+bool IsConceptCell(const Ontology& ontology, CellValue v) {
+  return v >= 0 && static_cast<uint64_t>(v) < ontology.size();
+}
+
+}  // namespace
+
 Relation::Relation(std::shared_ptr<const Schema> schema)
     : schema_(std::move(schema)), columns_(schema_->arity()) {
   assert(schema_ != nullptr);
@@ -26,7 +37,7 @@ Status Relation::AppendRow(const Tuple& row, Label true_label, Label visible_lab
   for (size_t i = 0; i < row.size(); ++i) {
     const AttributeDef& def = schema_->attribute(i);
     if (def.kind == AttrKind::kCategorical &&
-        !def.ontology->IsValid(static_cast<ConceptId>(row[i]))) {
+        !IsConceptCell(*def.ontology, row[i])) {
       return Status::InvalidArgument("invalid concept id for attribute '" +
                                      def.name + "'");
     }
@@ -64,7 +75,7 @@ Status Relation::ValidateBatch(
     const AttributeDef& def = schema_->attribute(c);
     if (def.kind != AttrKind::kCategorical) continue;
     for (CellValue v : columns[c]) {
-      if (!def.ontology->IsValid(static_cast<ConceptId>(v))) {
+      if (!IsConceptCell(*def.ontology, v)) {
         return Status::InvalidArgument("invalid concept id for attribute '" +
                                        def.name + "'");
       }

@@ -61,13 +61,4 @@ void OrMemberMatches(const int64_t* col, size_t lo, size_t hi,
       });
 }
 
-void OrEqMatches(const int64_t* col, size_t lo, size_t hi, int64_t value,
-                 Bitset* out) {
-  OrMatches(
-      lo, hi, out, [&](size_t r) { return col[r] == value; },
-      [&](size_t base, size_t n, uint64_t* words) {
-        EqMaskI64(col + base, n, value, words);
-      });
-}
-
 }  // namespace rudolf::simd

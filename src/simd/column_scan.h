@@ -5,7 +5,8 @@
 // callers holding a Bitset bound to a relation prefix can vectorize a scan
 // of rows [lo, hi) without caring about alignment. The produced bits are
 // exactly the bits the per-row loop would set (the kernels are
-// bit-identical to scalar at every tier).
+// bit-identical to scalar at every tier). ConditionIndex scans with them
+// to complete stale cache entries and to extract categorical conditions.
 
 #ifndef RUDOLF_SIMD_COLUMN_SCAN_H_
 #define RUDOLF_SIMD_COLUMN_SCAN_H_
@@ -27,10 +28,6 @@ void OrRangeMatches(const int64_t* col, size_t lo, size_t hi, int64_t lo_v,
 /// the byte table: 0 <= col[r] < domain && member[col[r]] != 0.
 void OrMemberMatches(const int64_t* col, size_t lo, size_t hi,
                      const uint8_t* member, size_t domain, Bitset* out);
-
-/// out gains the bits of every row r in [lo, hi) with col[r] == value.
-void OrEqMatches(const int64_t* col, size_t lo, size_t hi, int64_t value,
-                 Bitset* out);
 
 }  // namespace rudolf::simd
 

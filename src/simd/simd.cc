@@ -62,29 +62,6 @@ void RangeMaskScalar(const int64_t* data, size_t n, int64_t lo, int64_t hi,
   }
 }
 
-RUDOLF_NO_AUTOVEC
-void EqMaskScalar(const int64_t* data, size_t n, int64_t value,
-                  uint64_t* words) {
-  size_t nw = n / 64;
-  for (size_t w = 0; w < nw; ++w) {
-    const int64_t* p = data + w * 64;
-    uint64_t m = 0;
-    for (int b = 0; b < 64; ++b) {
-      m |= static_cast<uint64_t>(p[b] == value) << b;
-    }
-    words[w] = m;
-  }
-  size_t tail = n - nw * 64;
-  if (tail != 0) {
-    const int64_t* p = data + nw * 64;
-    uint64_t m = 0;
-    for (size_t b = 0; b < tail; ++b) {
-      m |= static_cast<uint64_t>(p[b] == value) << b;
-    }
-    words[nw] = m;
-  }
-}
-
 // The counting kernel's word bodies. Each kernel body inlines them, so
 // their popcounts compile to that body's instruction: a libgcc call
 // at the x86-64 baseline (the build has no -mpopcnt), POPCNT under
@@ -166,12 +143,6 @@ inline __m128i CmpGtI64Sse2(__m128i a, __m128i b) {
   return _mm_shuffle_epi32(r, _MM_SHUFFLE(3, 3, 1, 1));
 }
 
-// a == b per 64-bit lane: both dwords equal.
-inline __m128i CmpEqI64Sse2(__m128i a, __m128i b) {
-  __m128i e = _mm_cmpeq_epi32(a, b);
-  return _mm_and_si128(e, _mm_shuffle_epi32(e, _MM_SHUFFLE(2, 3, 0, 1)));
-}
-
 void RangeMaskSse2(const int64_t* data, size_t n, int64_t lo, int64_t hi,
                    uint64_t* words) {
   const __m128i vlo = _mm_set1_epi64x(lo);
@@ -191,25 +162,6 @@ void RangeMaskSse2(const int64_t* data, size_t n, int64_t lo, int64_t hi,
   }
   size_t tail = n - nw * 64;
   if (tail != 0) RangeMaskScalar(data + nw * 64, tail, lo, hi, words + nw);
-}
-
-void EqMaskSse2(const int64_t* data, size_t n, int64_t value,
-                uint64_t* words) {
-  const __m128i vv = _mm_set1_epi64x(value);
-  size_t nw = n / 64;
-  for (size_t w = 0; w < nw; ++w) {
-    const int64_t* p = data + w * 64;
-    uint64_t m = 0;
-    for (int g = 0; g < 64; g += 2) {
-      __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + g));
-      unsigned bits = static_cast<unsigned>(
-          _mm_movemask_pd(_mm_castsi128_pd(CmpEqI64Sse2(x, vv))));
-      m |= static_cast<uint64_t>(bits & 0x3u) << g;
-    }
-    words[w] = m;
-  }
-  size_t tail = n - nw * 64;
-  if (tail != 0) EqMaskScalar(data + nw * 64, tail, value, words + nw);
 }
 
 #endif  // RUDOLF_SIMD_X86
@@ -264,27 +216,6 @@ __attribute__((target("avx2"))) void RangeMaskAvx2(const int64_t* data,
   if (tail != 0) RangeMaskScalar(data + nw * 64, tail, lo, hi, words + nw);
 }
 
-__attribute__((target("avx2"))) void EqMaskAvx2(const int64_t* data, size_t n,
-                                                int64_t value,
-                                                uint64_t* words) {
-  const __m256i vv = _mm256_set1_epi64x(value);
-  size_t nw = n / 64;
-  for (size_t w = 0; w < nw; ++w) {
-    const int64_t* p = data + w * 64;
-    uint64_t m = 0;
-    for (int g = 0; g < 64; g += 4) {
-      __m256i x =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + g));
-      unsigned bits = static_cast<unsigned>(_mm256_movemask_pd(
-          _mm256_castsi256_pd(_mm256_cmpeq_epi64(x, vv))));
-      m |= static_cast<uint64_t>(bits & 0xFu) << g;
-    }
-    words[w] = m;
-  }
-  size_t tail = n - nw * 64;
-  if (tail != 0) EqMaskScalar(data + nw * 64, tail, value, words + nw);
-}
-
 #endif  // RUDOLF_SIMD_HAVE_AVX2_TARGET
 
 // ---------------------------------------------------------------------------
@@ -332,24 +263,6 @@ __attribute__((target("avx512f,avx512dq,avx512bw"))) void RangeMaskAvx512(
   if (tail != 0) RangeMaskScalar(data + nw * 64, tail, lo, hi, words + nw);
 }
 
-__attribute__((target("avx512f,avx512dq,avx512bw"))) void EqMaskAvx512(
-    const int64_t* data, size_t n, int64_t value, uint64_t* words) {
-  const __m512i vv = _mm512_set1_epi64(value);
-  size_t nw = n / 64;
-  for (size_t w = 0; w < nw; ++w) {
-    const int64_t* p = data + w * 64;
-    uint64_t m = 0;
-    for (int g = 0; g < 64; g += 8) {
-      __m512i x =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(p + g));
-      m |= static_cast<uint64_t>(_mm512_cmpeq_epi64_mask(x, vv)) << g;
-    }
-    words[w] = m;
-  }
-  size_t tail = n - nw * 64;
-  if (tail != 0) EqMaskScalar(data + nw * 64, tail, value, words + nw);
-}
-
 #endif  // RUDOLF_SIMD_HAVE_AVX512_TARGET
 
 #if defined(RUDOLF_SIMD_NEON)
@@ -372,24 +285,6 @@ void RangeMaskNeon(const int64_t* data, size_t n, int64_t lo, int64_t hi,
   }
   size_t tail = n - nw * 64;
   if (tail != 0) RangeMaskScalar(data + nw * 64, tail, lo, hi, words + nw);
-}
-
-void EqMaskNeon(const int64_t* data, size_t n, int64_t value,
-                uint64_t* words) {
-  const int64x2_t vv = vdupq_n_s64(value);
-  size_t nw = n / 64;
-  for (size_t w = 0; w < nw; ++w) {
-    const int64_t* p = data + w * 64;
-    uint64_t m = 0;
-    for (int g = 0; g < 64; g += 2) {
-      uint64x2_t ok = vceqq_s64(vld1q_s64(p + g), vv);
-      m |= (vgetq_lane_u64(ok, 0) & 1) << g;
-      m |= (vgetq_lane_u64(ok, 1) & 1) << (g + 1);
-    }
-    words[w] = m;
-  }
-  size_t tail = n - nw * 64;
-  if (tail != 0) EqMaskScalar(data + nw * 64, tail, value, words + nw);
 }
 
 #endif  // RUDOLF_SIMD_NEON
@@ -508,35 +403,6 @@ void RangeMaskI64Tier(Tier tier, const int64_t* data, size_t n, int64_t lo,
   }
 }
 
-void EqMaskI64Tier(Tier tier, const int64_t* data, size_t n, int64_t value,
-                   uint64_t* words) {
-  switch (tier) {
-#if defined(RUDOLF_SIMD_HAVE_AVX512_TARGET)
-    case Tier::kAVX512:
-      EqMaskAvx512(data, n, value, words);
-      return;
-#endif
-#if defined(RUDOLF_SIMD_HAVE_AVX2_TARGET)
-    case Tier::kAVX2:
-      EqMaskAvx2(data, n, value, words);
-      return;
-#endif
-#if defined(RUDOLF_SIMD_X86)
-    case Tier::kSSE2:
-      EqMaskSse2(data, n, value, words);
-      return;
-#endif
-#if defined(RUDOLF_SIMD_NEON)
-    case Tier::kNEON:
-      EqMaskNeon(data, n, value, words);
-      return;
-#endif
-    default:
-      EqMaskScalar(data, n, value, words);
-      return;
-  }
-}
-
 void InSetMaskI64Tier(Tier tier, const int64_t* data, size_t n,
                       const uint8_t* member, size_t domain, uint64_t* words) {
   (void)tier;  // lookup-bound: every tier shares the packed loop
@@ -560,10 +426,6 @@ CoverDeltaCounts CountCoverDeltaTier(Tier tier, const uint64_t* prev,
 void RangeMaskI64(const int64_t* data, size_t n, int64_t lo, int64_t hi,
                   uint64_t* words) {
   RangeMaskI64Tier(ActiveTier(), data, n, lo, hi, words);
-}
-
-void EqMaskI64(const int64_t* data, size_t n, int64_t value, uint64_t* words) {
-  EqMaskI64Tier(ActiveTier(), data, n, value, words);
 }
 
 void InSetMaskI64(const int64_t* data, size_t n, const uint8_t* member,

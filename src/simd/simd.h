@@ -1,12 +1,14 @@
 // Portable vectorized kernels — the raw-speed layer of the 10M-row scan path
 // and of the capture tracker's benefit accounting (DESIGN.md "Vectorized
-// predicate kernels"). The predicate kernels evaluate one predicate over
-// a contiguous int64 column data[0, n) and write a *word-packed mask*: bit i
-// of words[i/64] is 1 iff data[i] satisfies the predicate. Masks drop
-// straight into Bitset words (Bitset::OrWords), so a columnar
-// scan becomes a handful of cache-streaming kernel passes instead of a
-// per-row branchy loop. The counting kernel goes the other way: it reads
-// word-packed masks and returns masked popcounts.
+// predicate kernels"). Two predicate kernels cover every condition form: an
+// interval (numeric conditions) and a byte-table membership (categorical
+// containment). Each evaluates its predicate over a contiguous int64 column
+// data[0, n) and writes a *word-packed mask*: bit i of words[i/64] is 1 iff
+// data[i] satisfies the predicate. Masks drop straight into Bitset words
+// (Bitset::OrWords), so a columnar scan becomes a handful of
+// cache-streaming kernel passes instead of a per-row branchy loop. The
+// counting kernel goes the other way: it reads word-packed masks and
+// returns masked popcounts.
 //
 // Dispatch has two layers:
 //   * compile time — the translation unit builds every tier the
@@ -76,9 +78,6 @@ Tier ActiveTier();
 void RangeMaskI64(const int64_t* data, size_t n, int64_t lo, int64_t hi,
                   uint64_t* words);
 
-/// words ← mask of (data[i] == value).
-void EqMaskI64(const int64_t* data, size_t n, int64_t value, uint64_t* words);
-
 /// Small-domain membership for dictionary-coded categorical columns:
 /// words ← mask of (0 <= data[i] < domain && member[data[i]] != 0).
 /// `member` is a byte-per-value table (e.g. an ontology containment mask).
@@ -127,8 +126,6 @@ CoverDeltaCounts CountCoverDelta(const uint64_t* prev, const uint64_t* next,
 // `tier` must be compiled in and host-supported (≤ DetectTier()).
 void RangeMaskI64Tier(Tier tier, const int64_t* data, size_t n, int64_t lo,
                       int64_t hi, uint64_t* words);
-void EqMaskI64Tier(Tier tier, const int64_t* data, size_t n, int64_t value,
-                   uint64_t* words);
 void InSetMaskI64Tier(Tier tier, const int64_t* data, size_t n,
                       const uint8_t* member, size_t domain, uint64_t* words);
 CoverDeltaCounts CountCoverDeltaTier(Tier tier, const uint64_t* prev,

@@ -84,8 +84,8 @@ class Bitset {
   /// |this & ~other| without materializing the difference.
   size_t DifferenceCount(const Bitset& other) const;
 
-  /// Word-level access for the vectorized scan kernels (src/simd/) and the
-  /// compressed-bitmap converters: bit i of word i/64 is row i. Writers must
+  /// Word-level access for the vectorized kernels (src/simd/) and memory
+  /// accounting: bit i of word i/64 is row i. Writers must
   /// preserve the padding invariant (bits ≥ size() stay clear); OrWords
   /// re-clears the padding whenever it touches the last word, so masks
   /// produced by the kernels can be ORed in directly.

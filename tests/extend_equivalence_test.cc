@@ -25,10 +25,10 @@
 #include "obs/metrics.h"
 #include "rules/evaluator.h"
 #include "rules/simplify.h"
-#include "util/compressed_bitmap.h"
 #include "util/random.h"
 #include "workload/generator.h"
 #include "workload/initial_rules.h"
+#include "workload/paper_example.h"
 #include "workload/scenarios.h"
 
 namespace rudolf {
@@ -136,75 +136,172 @@ TEST(NumericAppend, MatchesFreshBuildAcrossCompactions) {
   }
 }
 
+// Rows appended through Relation::AppendRow after the index is built carry
+// categorical values the build prefix never held: every concept below the
+// top that the paper example's column does not use, inner concepts among
+// them. Every concept's bitmap is cached before each batch and completed on
+// its next hit; it must equal a fresh build's over the grown relation and
+// the concept-mask scan, and no completion may count as a miss.
 TEST(CategoricalAppend, MatchesFreshBuildWithLateNewValues) {
-  Scenario s = TinyScenario();
-  s.options.num_transactions = 8000;
-  Dataset ds = GenerateDataset(s.options);
-  const Schema& schema = ds.relation->schema();
-  Rng rng(32);
+  PaperExample ex = MakePaperExample();
+  Relation& rel = *ex.relation;
+  const Schema& schema = rel.schema();
+  const size_t base_rows = rel.NumRows();
 
+  std::vector<size_t> attrs;
+  std::vector<std::vector<ConceptId>> late(schema.arity());
+  size_t late_rows = 0;
   for (size_t attr = 0; attr < schema.arity(); ++attr) {
     const AttributeDef& def = schema.attribute(attr);
     if (def.kind != AttrKind::kCategorical) continue;
-    const std::vector<CellValue>& column = ds.relation->Column(attr);
-
-    size_t prefix = 500;  // small start so later batches introduce values
-    CategoricalAttributeIndex index(column, prefix, def.ontology.get());
-    while (prefix < column.size()) {
-      prefix = std::min(prefix + static_cast<size_t>(rng.UniformInt(1, 900)),
-                        column.size());
-      index.AppendRows(column, prefix);
+    attrs.push_back(attr);
+    const std::vector<CellValue>& column = rel.Column(attr);
+    bool inner = false;
+    for (ConceptId c = 1; c < def.ontology->size(); ++c) {
+      if (std::find(column.begin(), column.end(), c) != column.end()) continue;
+      late[attr].push_back(c);
+      inner = inner || !def.ontology->IsLeaf(c);
     }
-    CategoricalAttributeIndex fresh(column, prefix, def.ontology.get());
-    for (ConceptId c = 0; c < def.ontology->size(); ++c) {
-      ASSERT_EQ(index.Extract(c), fresh.Extract(c))
-          << def.name << " <= " << def.ontology->NameOf(c);
-    }
+    ASSERT_TRUE(inner) << def.name;
+    late_rows = std::max(late_rows, late[attr].size());
   }
 
-  // A column a few thousand rows past one 65,536-row chunk. Value `rare`
-  // is sparse in the build prefix, so its posting starts compressed; past
-  // the prefix it fills nine rows in ten, so its packed posting absorbs
-  // appends across the chunk boundary and overflows the array container of
-  // both chunks. Checked after every batch against a fresh build and a
-  // row scan.
-  const Ontology* ontology = nullptr;
-  for (size_t attr = 0; attr < schema.arity() && ontology == nullptr; ++attr) {
-    const AttributeDef& def = schema.attribute(attr);
-    if (def.kind == AttrKind::kCategorical && def.ontology->Leaves().size() >= 3) {
-      ontology = def.ontology.get();
+  ConditionIndex index(rel);
+  auto for_each_concept = [&](const std::function<void(size_t, ConceptId)>& fn) {
+    for (size_t attr : attrs) {
+      for (ConceptId c = 0; c < schema.attribute(attr).ontology->size(); ++c) {
+        fn(attr, c);
+      }
     }
-  }
-  ASSERT_NE(ontology, nullptr);
-  const std::vector<ConceptId> leaves = ontology->Leaves();
-  const ConceptId rare = leaves[0];
-  constexpr size_t kChunk = CompressedBitmap::kChunkBits;
-  const size_t start = kChunk - 6000;
-  std::vector<CellValue> column(kChunk + 6000);
-  for (size_t r = 0; r < column.size(); ++r) {
-    bool is_rare = r < start ? r % 1000 == 0 : r % 10 != 0;
-    column[r] = is_rare ? rare : leaves[1 + (r / 10) % 2];
-  }
-  size_t prefix = start;
-  CategoricalAttributeIndex index(column, prefix, ontology);
-  // Three dense postings alone would take 3 × DenseBytes(start).
-  ASSERT_LT(index.ApproxMemoryBytes(), 3 * CompressedBitmap::DenseBytes(start));
-  while (prefix < column.size()) {
-    prefix = std::min(prefix + static_cast<size_t>(rng.UniformInt(1, 2500)),
-                      column.size());
-    index.AppendRows(column, prefix);
-    CategoricalAttributeIndex fresh(column, prefix, ontology);
-    for (ConceptId c = 0; c < ontology->size(); ++c) {
+  };
+  for_each_concept([&](size_t attr, ConceptId c) {
+    index.ConditionBitmap(attr, Condition::MakeCategorical(c));
+  });
+  const uint64_t misses = index.cache_stats().misses;
+
+  for (size_t batch = 0; batch < 3; ++batch) {
+    for (size_t k = 0; k < late_rows; ++k) {
+      Tuple row = rel.GetRow(k % base_rows);
+      for (size_t attr : attrs) {
+        row[attr] = late[attr][(k + batch) % late[attr].size()];
+      }
+      ASSERT_TRUE(rel.AppendRow(row).ok());
+    }
+    index.ExtendTo(rel.NumRows());
+    ConditionIndex fresh(rel);
+    const size_t prefix = rel.NumRows();
+    for_each_concept([&](size_t attr, ConceptId c) {
+      const Ontology& ontology = *schema.attribute(attr).ontology;
+      const Condition cond = Condition::MakeCategorical(c);
       Bitset scan(prefix);
       for (size_t r = 0; r < prefix; ++r) {
-        if (ontology->Contains(c, static_cast<ConceptId>(column[r]))) scan.Set(r);
+        if (ontology.Contains(c, static_cast<ConceptId>(rel.Get(r, attr)))) {
+          scan.Set(r);
+        }
       }
-      ASSERT_EQ(index.Extract(c), scan)
-          << "<= " << ontology->NameOf(c) << " at prefix " << prefix;
-      ASSERT_EQ(fresh.Extract(c), scan)
-          << "<= " << ontology->NameOf(c) << " at prefix " << prefix;
+      std::shared_ptr<const Bitset> extended = index.ConditionBitmap(attr, cond);
+      EXPECT_EQ(*extended, *fresh.ConditionBitmap(attr, cond))
+          << "<= " << ontology.NameOf(c) << " at prefix " << prefix;
+      EXPECT_EQ(*extended, scan)
+          << "<= " << ontology.NameOf(c) << " at prefix " << prefix;
+    });
+  }
+  EXPECT_EQ(index.cache_stats().misses, misses);
+}
+
+// Categorical conditions have no attribute index: a miss scans the column
+// and a stale hit completes the entry by the same scan. For every concept of
+// every categorical attribute, ConditionBitmap must equal the concept-mask
+// scan at a 500-row build prefix and after every batch of a random ExtendTo
+// schedule; the cache is dropped before some batches, so later misses scan
+// longer prefixes. Each column also holds an inner (non-leaf) concept id,
+// and a leaf first seen after the build prefix.
+TEST(ConditionIndexExtend, CategoricalBitmapsMatchConceptMaskScan) {
+  Scenario s = TinyScenario();
+  s.options.num_transactions = 8000;
+  Dataset ds = GenerateDataset(s.options);
+  Relation& rel = *ds.relation;
+  const Schema& schema = rel.schema();
+  Rng rng(32);
+  const size_t build_prefix = 500;
+
+  // Cells are rewritten before any index exists, as the append contract
+  // requires.
+  std::vector<size_t> attrs;
+  for (size_t attr = 0; attr < schema.arity(); ++attr) {
+    const AttributeDef& def = schema.attribute(attr);
+    if (def.kind != AttrKind::kCategorical) continue;
+    attrs.push_back(attr);
+    const Ontology& ontology = *def.ontology;
+    const std::vector<ConceptId> leaves = ontology.Leaves();
+    ASSERT_GE(leaves.size(), 2u) << def.name;
+    ConceptId inner = ontology.top();
+    for (ConceptId c = 1; c < ontology.size(); ++c) {
+      if (!ontology.IsLeaf(c)) {
+        inner = c;
+        break;
+      }
+    }
+    const ConceptId late = leaves[0];
+    for (size_t r = 0; r < build_prefix; ++r) {
+      if (rel.Get(r, attr) == late) rel.SetCell(r, attr, leaves[1]);
+    }
+    rel.SetCell(build_prefix / 2, attr, inner);
+    rel.SetCell(build_prefix + 700, attr, late);
+    rel.SetCell(4000, attr, inner);
+  }
+  ASSERT_FALSE(attrs.empty());
+
+  auto check_all = [&](ConditionIndex* index) {
+    const size_t prefix = index->prefix_rows();
+    for (size_t attr : attrs) {
+      const AttributeDef& def = schema.attribute(attr);
+      const Ontology& ontology = *def.ontology;
+      for (ConceptId c = 0; c < ontology.size(); ++c) {
+        Bitset scan(prefix);
+        for (size_t r = 0; r < prefix; ++r) {
+          if (ontology.Contains(c, static_cast<ConceptId>(rel.Get(r, attr)))) {
+            scan.Set(r);
+          }
+        }
+        const Condition cond = Condition::MakeCategorical(c);
+        ASSERT_EQ(*index->ConditionBitmap(attr, cond), scan)
+            << def.name << " <= " << ontology.NameOf(c) << " at prefix "
+            << prefix;
+      }
+    }
+  };
+
+  ConditionIndex index(rel, build_prefix);
+  uint64_t concepts = 0;
+  for (size_t attr : attrs) {
+    const Ontology& ontology = *schema.attribute(attr).ontology;
+    for (ConceptId c = 0; c < ontology.size(); ++c, ++concepts) {
+      Rule rule = Rule::Trivial(schema);
+      rule.set_condition(attr, Condition::MakeCategorical(c));
+      index.EnsureForRule(rule);
+      EXPECT_TRUE(index.ReadyForRule(rule));
     }
   }
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Default().Snapshot();
+  check_all(&index);
+  while (index.prefix_rows() < rel.NumRows()) {
+    if (rng.Bernoulli(0.3)) index.ReleaseCachedBitmaps();
+    index.ExtendTo(index.prefix_rows() +
+                   static_cast<size_t>(rng.UniformInt(1, 900)));
+    check_all(&index);
+  }
+  EXPECT_EQ(index.prefix_rows(), rel.NumRows());
+  // Both paths ran: misses after an extension scanned whole prefixes, and
+  // stale hits completed entries.
+  const obs::MetricsSnapshot delta =
+      obs::MetricsRegistry::Default().Snapshot().DeltaSince(before);
+  const obs::CounterSample* extractions = delta.FindCounter("index.extractions");
+  const obs::CounterSample* stale = delta.FindCounter("index.cache.stale_extends");
+  ASSERT_NE(extractions, nullptr);
+  ASSERT_NE(stale, nullptr);
+  EXPECT_GT(extractions->value, concepts);
+  EXPECT_GT(stale->value, 0u);
 }
 
 TEST(ConditionIndexExtend, KeepsCacheAndMatchesRebuild) {

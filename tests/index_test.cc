@@ -1,6 +1,7 @@
-// The condition-index subsystem: attribute-index extraction must be
-// bit-identical to a naive scan for every interval / concept (including
-// sentinel-bounded, point, empty and chunk-straddling cases), the LRU cache
+// The condition-index subsystem: numeric-index extraction must be
+// bit-identical to a naive scan for every interval (including
+// sentinel-bounded, point, empty and chunk-straddling cases), a categorical
+// miss must equal the concept-mask scan for every concept, the LRU cache
 // must evict and count correctly, and the facade must honour the
 // invalidation contract.
 
@@ -84,24 +85,31 @@ TEST(NumericAttributeIndex, RespectsPrefix) {
   EXPECT_EQ(got.ToIndices(), (std::vector<size_t>{1, 2, 3}));
 }
 
+// A categorical attribute has no postings of its own: the facade answers a
+// miss on `A <= c` by scanning the column through the containment mask.
+// Checked for every concept of every categorical attribute at every prefix
+// of the paper example, the empty one included.
 TEST(CategoricalAttributeIndex, MatchesConceptMaskScan) {
   PaperExample ex = MakePaperExample();
   const Schema& schema = *ex.schema;
-  for (size_t attr = 0; attr < schema.arity(); ++attr) {
-    const AttributeDef& def = schema.attribute(attr);
-    if (def.kind != AttrKind::kCategorical) continue;
-    const std::vector<CellValue>& column = ex.relation->Column(attr);
-    size_t prefix = ex.relation->NumRows();
-    CategoricalAttributeIndex index(column, prefix, def.ontology.get());
-    for (ConceptId c = 0; c < def.ontology->size(); ++c) {
-      Bitset expected(prefix);
-      for (size_t r = 0; r < prefix; ++r) {
-        if (def.ontology->Contains(c, static_cast<ConceptId>(column[r]))) {
-          expected.Set(r);
+  for (size_t prefix = 0; prefix <= ex.relation->NumRows(); ++prefix) {
+    ConditionIndex index(*ex.relation, prefix);
+    for (size_t attr = 0; attr < schema.arity(); ++attr) {
+      const AttributeDef& def = schema.attribute(attr);
+      if (def.kind != AttrKind::kCategorical) continue;
+      const std::vector<CellValue>& column = ex.relation->Column(attr);
+      for (ConceptId c = 0; c < def.ontology->size(); ++c) {
+        Bitset expected(prefix);
+        for (size_t r = 0; r < prefix; ++r) {
+          if (def.ontology->Contains(c, static_cast<ConceptId>(column[r]))) {
+            expected.Set(r);
+          }
         }
+        EXPECT_EQ(*index.ConditionBitmap(attr, Condition::MakeCategorical(c)),
+                  expected)
+            << def.name << " <= " << def.ontology->NameOf(c) << " at prefix "
+            << prefix;
       }
-      EXPECT_EQ(index.Extract(c), expected)
-          << def.name << " <= " << def.ontology->NameOf(c);
     }
   }
 }

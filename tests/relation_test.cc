@@ -73,8 +73,23 @@ TEST(Relation, AppendRejectsWrongArity) {
 }
 
 TEST(Relation, AppendRejectsInvalidConcept) {
-  Relation rel(SmallSchema());
-  EXPECT_FALSE(rel.AppendRow({1, 2, 999999}).ok());
+  auto schema = SmallSchema();
+  Relation rel(schema);
+  ConceptId leaf = schema->attribute(2).ontology->Leaves()[0];
+  ASSERT_TRUE(rel.AppendRow({1, 2, leaf}).ok());
+  // 2^32 + c and -2^32 + c wrap onto the valid id c if the cell is cast to
+  // ConceptId before it is checked.
+  const CellValue kTwo32 = CellValue{1} << 32;
+  for (CellValue bad : {CellValue{999999}, kTwo32 + leaf, -kTwo32 + leaf,
+                        CellValue{-1}}) {
+    EXPECT_FALSE(rel.AppendRow({1, 2, bad}).ok()) << bad;
+    EXPECT_FALSE(
+        rel.AppendBatch({{1}, {2}, {bad}}, {Label::kUnlabeled},
+                        {Label::kUnlabeled}, {0})
+            .ok())
+        << bad;
+    EXPECT_EQ(rel.NumRows(), 1u) << bad;
+  }
 }
 
 TEST(Relation, LabelQueriesAndMutation) {
