@@ -2,7 +2,7 @@
 // institutes and 8 experts. Earlier revisions played those institutes
 // through the protocol one at a time; this bench promotes the fleet to what
 // a production deployment actually is — N institutes refined *concurrently*
-// in one process, sharing the work-stealing scheduler and a global memory
+// in one process, sharing the task scheduler and a global memory
 // budget (src/fleet/) — and measures what the serial loop could not:
 //
 //   1. serialized baseline: tenants refined one after another (one session

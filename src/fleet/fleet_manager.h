@@ -1,11 +1,12 @@
 // Multi-tenant fleet service: one process hosting N persistent refinement
 // sessions (an "institute" of analysts, each with their own rule set and
-// transaction stream) over a single shared work-stealing scheduler, under a
-// global memory budget.
+// transaction stream) over a single shared task scheduler, under a global
+// memory budget.
 //
-// The scheduler gives the fleet its concurrency model: every tenant's round
-// is one scheduler episode tagged with the tenant id, so rounds interleave
-// at chunk granularity and the registry's round-robin keeps a large tenant
+// The scheduler gives the fleet its concurrency model: a wave is one
+// episode with one unit per tenant, and the episodes a round issues carry
+// its tenant id, so rounds interleave at chunk granularity and idle
+// workers join tenants' episodes round-robin, which keeps a large tenant
 // from starving small ones. The budget gives it a memory model: each
 // tenant's held bytes (persistent tracker: capture bitmaps + condition
 // index + bitmap cache) are accounted after every round, and when the total
@@ -19,8 +20,12 @@
 // Lock ordering (see DESIGN.md §15): a tenant's round holds its tenant
 // mutex and may briefly take the fleet mutex for accounting; the evictor
 // holds the fleet mutex and only try-locks tenant mutexes — a busy tenant
-// is simply skipped (it is hot, not LRU). The fleet never holds either lock
-// while inside a scheduler episode's body.
+// is simply skipped (it is hot, not LRU). A round runs as the body of a
+// wave's episode and holds its tenant mutex across Refine, which submits
+// nested episodes and waits for them. That cannot deadlock: the helpers of
+// a nested episode run only that episode's chunks, which take no fleet or
+// tenant lock, and the scheduler's own mutex is a leaf lock, never held
+// while a body runs or while anyone waits on an episode.
 
 #ifndef RUDOLF_FLEET_FLEET_MANAGER_H_
 #define RUDOLF_FLEET_FLEET_MANAGER_H_

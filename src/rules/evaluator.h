@@ -2,7 +2,7 @@
 // capture bitmaps (one bit per row) and label-partitioned counts — the raw
 // material of the benefit term α·ΔF + β·ΔL + γ·ΔR.
 //
-// Evaluation optionally runs on the shared work-stealing TaskScheduler (see
+// Evaluation optionally runs on the shared TaskScheduler (see
 // EvalOptions): rule sets parallelize across rules, single rules across
 // word-aligned row blocks of the columnar scan. Both decompositions produce
 // bit-identical bitmaps to the serial path — see DESIGN.md "Parallel
@@ -182,7 +182,7 @@ class RuleEvaluator {
   const Relation& relation_;
   size_t num_rows_;
   int num_threads_;
-  // Shared work-stealing scheduler; null iff num_threads_ <= 1. Episodes
+  // Shared task scheduler; null iff num_threads_ <= 1. Episodes
   // are tagged with `this`, so InRegionTagged(this) distinguishes "inside
   // one of *my* parallel regions" (read-only fan-out work) from a fresh
   // coordinating call — even when this whole evaluator runs nested inside

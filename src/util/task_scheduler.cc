@@ -1,7 +1,7 @@
 #include "util/task_scheduler.h"
 
 #include <algorithm>
-#include <array>
+#include <atomic>
 #include <exception>
 
 #include "obs/metrics.h"
@@ -32,11 +32,12 @@ struct RegionFrame {
   const RegionFrame* parent;
 };
 
-// One ParallelFor invocation, stack-allocated on the submitter. Helpers
-// reach it only through a validated slot-table ticket, and the submitter
-// destroys it only after the slot is closed (no new joins) and every joined
-// helper has checked out (participants == 0) — so the stack lifetime is
-// safe despite stale tickets floating in deques.
+// One ParallelFor invocation, stack-allocated on the submitter. A helper
+// joins it (participants + 1) only under the scheduler's mu_ while it is
+// listed in open_, and the submitter unlists it under mu_ before it waits
+// for participants == 0 — so no helper joins after that wait begins, the
+// wait covers every helper that joined before, and the Episode outlives
+// them all.
 struct Episode {
   size_t begin = 0;
   size_t end = 0;
@@ -45,6 +46,9 @@ struct Episode {
   const std::function<void(size_t, size_t)>* body = nullptr;
   const void* tag = nullptr;
   TenantId tenant = 0;
+  // Submitted from a thread that is not one of this scheduler's workers;
+  // idle workers serve these before any nested episode.
+  bool external = false;
   // The submitter's region chain: every chunk runs nested in it, on
   // whichever thread. The frames outlive the episode (the submitter blocks
   // inside them until every helper has left).
@@ -58,75 +62,6 @@ struct Episode {
   std::mutex error_mu;
   std::exception_ptr error;
 };
-
-WorkStealingDeque::Buffer::Buffer(size_t capacity)
-    : mask(capacity - 1), cells(new std::atomic<uint64_t>[capacity]) {}
-
-WorkStealingDeque::WorkStealingDeque() {
-  auto buf = std::make_unique<Buffer>(64);
-  buffer_.store(buf.get(), std::memory_order_relaxed);
-  retired_.push_back(std::move(buf));
-}
-
-void WorkStealingDeque::Grow(int64_t bottom, int64_t top) {
-  Buffer* old = buffer_.load(std::memory_order_relaxed);
-  auto grown = std::make_unique<Buffer>((old->mask + 1) * 2);
-  for (int64_t i = top; i < bottom; ++i) {
-    grown->cells[i & grown->mask].store(
-        old->cells[i & old->mask].load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-  }
-  buffer_.store(grown.get(), std::memory_order_release);
-  retired_.push_back(std::move(grown));
-}
-
-void WorkStealingDeque::PushBottom(uint64_t ticket) {
-  int64_t b = bottom_.load(std::memory_order_relaxed);
-  int64_t t = top_.load(std::memory_order_acquire);
-  Buffer* buf = buffer_.load(std::memory_order_relaxed);
-  if (b - t > static_cast<int64_t>(buf->mask)) {
-    Grow(b, t);
-    buf = buffer_.load(std::memory_order_relaxed);
-  }
-  buf->cells[b & buf->mask].store(ticket, std::memory_order_relaxed);
-  // seq_cst rather than the textbook release fence: TSan models atomic
-  // operations fully but standalone fences only partially, and episodes are
-  // coarse enough that the stronger order costs nothing measurable.
-  bottom_.store(b + 1, std::memory_order_seq_cst);
-}
-
-uint64_t WorkStealingDeque::PopBottom() {
-  int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-  Buffer* buf = buffer_.load(std::memory_order_relaxed);
-  bottom_.store(b, std::memory_order_seq_cst);
-  int64_t t = top_.load(std::memory_order_seq_cst);
-  if (t > b) {  // empty: undo the decrement
-    bottom_.store(b + 1, std::memory_order_relaxed);
-    return 0;
-  }
-  uint64_t ticket = buf->cells[b & buf->mask].load(std::memory_order_relaxed);
-  if (t != b) return ticket;  // still >1 elements: no race possible
-  // Final element: race the thieves for it through top.
-  if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                    std::memory_order_relaxed)) {
-    ticket = 0;  // a thief got there first
-  }
-  bottom_.store(b + 1, std::memory_order_relaxed);
-  return ticket;
-}
-
-uint64_t WorkStealingDeque::StealTop() {
-  int64_t t = top_.load(std::memory_order_seq_cst);
-  int64_t b = bottom_.load(std::memory_order_seq_cst);
-  if (t >= b) return 0;
-  Buffer* buf = buffer_.load(std::memory_order_acquire);
-  uint64_t ticket = buf->cells[t & buf->mask].load(std::memory_order_relaxed);
-  if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                    std::memory_order_relaxed)) {
-    return 0;  // lost the race to the owner or another thief
-  }
-  return ticket;
-}
 
 }  // namespace sched_internal
 
@@ -144,43 +79,16 @@ thread_local const RegionFrame* tls_region = nullptr;
 // Tenant set by TenantScope outside any running chunk.
 thread_local TenantId tls_scope_tenant = 0;
 // Set for the lifetime of a WorkerLoop so workers recognise their own
-// scheduler (and their deque) when submitting nested episodes.
+// scheduler when submitting nested episodes.
 thread_local TaskScheduler* tls_worker_scheduler = nullptr;
-thread_local int tls_worker_index = -1;
 
 }  // namespace
 
-// Fixed table mapping tickets to live episodes. A ticket embeds the slot's
-// generation; once the submitter bumps the generation the ticket validates
-// to nothing, which is what makes stale deque entries harmless.
-struct TaskScheduler::SlotTable {
-  struct Slot {
-    std::mutex mu;
-    uint64_t gen = 1;  // starts >0 so a valid ticket is never the 0 sentinel
-    Episode* episode = nullptr;
-  };
-  std::array<Slot, kSlots> slots;
-  std::mutex free_mu;
-  std::vector<uint32_t> free_list;
-
-  SlotTable() {
-    free_list.reserve(kSlots);
-    for (size_t i = 0; i < kSlots; ++i) {
-      free_list.push_back(static_cast<uint32_t>(kSlots - 1 - i));
-    }
-  }
-};
-
-TaskScheduler::TaskScheduler(int num_threads)
-    : slots_(std::make_unique<SlotTable>()) {
+TaskScheduler::TaskScheduler(int num_threads) {
   int spawn = std::max(num_threads, 1) - 1;
-  deques_.reserve(static_cast<size_t>(spawn));
-  for (int i = 0; i < spawn; ++i) {
-    deques_.push_back(std::make_unique<sched_internal::WorkStealingDeque>());
-  }
   workers_.reserve(static_cast<size_t>(spawn));
   for (int i = 0; i < spawn; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
   // Effective width (submitter + workers) — /healthz reports this so a
   // scrape can tell a narrow container from a misconfigured pool.
@@ -191,50 +99,11 @@ TaskScheduler::TaskScheduler(int num_threads)
 
 TaskScheduler::~TaskScheduler() {
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
-    ++wake_epoch_;
   }
-  wake_cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-}
-
-uint64_t TaskScheduler::OpenSlot(Episode* episode) {
-  uint32_t index;
-  {
-    std::lock_guard<std::mutex> lock(slots_->free_mu);
-    if (slots_->free_list.empty()) return 0;  // submitter runs solo
-    index = slots_->free_list.back();
-    slots_->free_list.pop_back();
-  }
-  SlotTable::Slot& slot = slots_->slots[index];
-  std::lock_guard<std::mutex> lock(slot.mu);
-  slot.episode = episode;
-  return (slot.gen << 16) | index;
-}
-
-void TaskScheduler::CloseSlot(uint64_t ticket) {
-  uint32_t index = static_cast<uint32_t>(ticket & 0xFFFF);
-  SlotTable::Slot& slot = slots_->slots[index];
-  {
-    std::lock_guard<std::mutex> lock(slot.mu);
-    ++slot.gen;  // every outstanding copy of the ticket is now stale
-    slot.episode = nullptr;
-  }
-  std::lock_guard<std::mutex> lock(slots_->free_mu);
-  slots_->free_list.push_back(index);
-}
-
-Episode* TaskScheduler::JoinTicket(uint64_t ticket) {
-  uint32_t index = static_cast<uint32_t>(ticket & 0xFFFF);
-  if (index >= kSlots) return nullptr;
-  SlotTable::Slot& slot = slots_->slots[index];
-  std::lock_guard<std::mutex> lock(slot.mu);
-  if (slot.gen != (ticket >> 16) || slot.episode == nullptr) return nullptr;
-  // Registered under the slot lock, so CloseSlot's caller can rely on
-  // `participants` covering every helper that ever validated this ticket.
-  slot.episode->participants.fetch_add(1, std::memory_order_acq_rel);
-  return slot.episode;
 }
 
 void TaskScheduler::RunChunks(Episode* episode) {
@@ -271,85 +140,53 @@ void TaskScheduler::Leave(Episode* episode) {
   episode->done_cv.notify_all();
 }
 
-void TaskScheduler::WakeWorkers() {
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    ++wake_epoch_;
-  }
-  wake_cv_.notify_all();
-}
-
-void TaskScheduler::Publish(uint64_t ticket, TenantId tenant,
-                            bool to_registry) {
-  if (!to_registry && tls_worker_scheduler == this && tls_worker_index >= 0) {
-    deques_[static_cast<size_t>(tls_worker_index)]->PushBottom(ticket);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  registry_[tenant].push_back(ticket);
-}
-
-uint64_t TaskScheduler::TakeFromRegistry() {
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  if (registry_.empty()) return 0;
-  // Round-robin across tenants: serve the first tenant strictly after the
-  // last one served, wrapping — a huge tenant's backlog cannot shadow the
-  // others' queued episodes.
-  auto it = registry_.upper_bound(registry_rr_after_);
-  if (it == registry_.end()) it = registry_.begin();
-  uint64_t ticket = it->second.front();
-  it->second.pop_front();
-  registry_rr_after_ = it->first;
-  if (it->second.empty()) registry_.erase(it);
-  return ticket;
-}
-
-void TaskScheduler::WorkerLoop(int worker_index) {
-  tls_worker_scheduler = this;
-  tls_worker_index = worker_index;
-  const size_t self = static_cast<size_t>(worker_index);
-  for (;;) {
-    uint64_t epoch;
-    {
-      std::lock_guard<std::mutex> lock(wake_mu_);
-      if (shutdown_) return;
-      epoch = wake_epoch_;
+Episode* TaskScheduler::PickLocked() {
+  // External episodes first, round-robin across tenants: the oldest episode
+  // of the first tenant strictly after the last one served, wrapping — a
+  // huge tenant's backlog cannot shadow the others' rounds. Otherwise the
+  // oldest nested episode. open_ is oldest first, so the strict `<` keeps
+  // the oldest of a tenant's episodes.
+  Episode* after = nullptr;  // lowest tenant > rr_after_
+  Episode* wrap = nullptr;   // lowest tenant overall
+  Episode* nested = nullptr;
+  for (Episode* e : open_) {
+    if (e->next_chunk.load(std::memory_order_relaxed) >= e->num_chunks) {
+      continue;  // nothing left to claim
     }
-    // Own deque (LIFO: finish what we started, cache-warm) → tenant-fair
-    // registry (fresh top-level work beats helping a sibling's nested
-    // episode) → steal.
-    uint64_t ticket = deques_[self]->PopBottom();
-    if (ticket == 0) {
-      ticket = TakeFromRegistry();
-      if (ticket != 0) RUDOLF_COUNTER_INC("scheduler.registry.claims");
-    }
-    if (ticket == 0) {
-      for (size_t k = 1; k < deques_.size() && ticket == 0; ++k) {
-        ticket = deques_[(self + k) % deques_.size()]->StealTop();
-      }
-      if (ticket != 0) RUDOLF_COUNTER_INC("scheduler.steals");
-    }
-    if (ticket != 0) {
-      Episode* episode = JoinTicket(ticket);
-      if (episode == nullptr) {
-        RUDOLF_COUNTER_INC("scheduler.tickets.stale");
-        continue;
-      }
-      // Re-advertise before diving in: if more chunks remain than we can
-      // eat, another idle worker should be able to find the episode too.
-      if (episode->next_chunk.load(std::memory_order_relaxed) + 1 <
-          episode->num_chunks) {
-        deques_[self]->PushBottom(ticket);
-        WakeWorkers();
-      }
-      RunChunks(episode);
-      Leave(episode);
+    if (!e->external) {
+      if (nested == nullptr) nested = e;
       continue;
     }
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    wake_cv_.wait(lock,
-                  [&] { return shutdown_ || wake_epoch_ != epoch; });
+    if (wrap == nullptr || e->tenant < wrap->tenant) wrap = e;
+    if (e->tenant > rr_after_ &&
+        (after == nullptr || e->tenant < after->tenant)) {
+      after = e;
+    }
+  }
+  Episode* pick = after != nullptr ? after : wrap;
+  if (pick == nullptr) return nested;
+  rr_after_ = pick->tenant;
+  return pick;
+}
+
+void TaskScheduler::WorkerLoop() {
+  tls_worker_scheduler = this;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    Episode* episode = nullptr;
+    work_cv_.wait(lock, [&] {
+      return shutdown_ || (episode = PickLocked()) != nullptr;
+    });
     if (shutdown_) return;
+    // Joined under mu_ while the episode is listed, so its submitter's wait
+    // for participants == 0 counts this helper (see Episode).
+    episode->participants.fetch_add(1, std::memory_order_acq_rel);
+    lock.unlock();
+    // Counts helper joins; the name is the one perfbench reads.
+    RUDOLF_COUNTER_INC("scheduler.steals");
+    RunChunks(episode);
+    Leave(episode);
+    lock.lock();
   }
 }
 
@@ -385,26 +222,22 @@ void TaskScheduler::ParallelFor(
   episode.tag = tag;
   episode.tenant = CurrentTenant();
   episode.enclosing = tls_region;
+  episode.external = tls_worker_scheduler != this;
 
-  uint64_t ticket = OpenSlot(&episode);
-  if (ticket != 0) {
-    // A worker submitter advertises on its own deque (a stalled nested
-    // episode is still reachable to thieves); external submitters inject
-    // into the tenant-fair registry. Multiple copies let several helpers
-    // join concurrently; surplus copies go stale and validate to nothing.
-    const bool external =
-        tls_worker_scheduler != this || tls_worker_index < 0;
-    const size_t copies = std::min(num_chunks - 1, width - 1);
-    for (size_t i = 0; i < copies; ++i) {
-      Publish(ticket, episode.tenant, external);
-    }
-    WakeWorkers();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_.push_back(&episode);
   }
+  work_cv_.notify_all();
 
   // The submitter is the episode's first worker: claim chunks until the
-  // cursor runs dry, then retire the ticket and wait out the helpers.
+  // cursor runs dry, then unlist the episode (no helper joins after that)
+  // and wait out the helpers that joined before.
   RunChunks(&episode);
-  if (ticket != 0) CloseSlot(ticket);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_.erase(std::find(open_.begin(), open_.end(), &episode));
+  }
   {
     std::unique_lock<std::mutex> lock(episode.done_mu);
     episode.done_cv.wait(lock, [&] {

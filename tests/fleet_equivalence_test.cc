@@ -1,5 +1,5 @@
 // Fleet-mode equivalence: N tenants refined concurrently on the shared
-// work-stealing scheduler — with and without memory-budget eviction — must
+// task scheduler — with and without memory-budget eviction — must
 // produce bit-identical rule sets and edit logs to each tenant refined
 // alone, serially, at num_threads = 1. This is the determinism contract of
 // DESIGN.md ("Parallel evaluation pipeline") composed with the fleet layer:

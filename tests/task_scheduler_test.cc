@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -121,6 +125,49 @@ TEST(TaskScheduler, NestedEpisodesRunParallelAndCover) {
   }
 }
 
+// Runs a `units`-chunk episode of one-unit chunks on `sched` whose first
+// chunk waits, for at most 10 s, until a second thread has entered one of
+// the episode's chunks; every chunk then calls `then(lo)`. Returns how many
+// distinct threads ran the episode's chunks.
+size_t ThreadsInHeldEpisode(TaskScheduler& sched, size_t units,
+                            const std::function<void(size_t)>& then) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> threads;
+  sched.ParallelFor(0, units, 1, [&](size_t lo, size_t) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+      cv.notify_all();
+      if (lo == 0) {
+        cv.wait_for(lock, std::chrono::seconds(10),
+                    [&] { return threads.size() >= 2; });
+      }
+    }
+    then(lo);
+  });
+  return threads.size();
+}
+
+TEST(TaskScheduler, HelpersJoinExternalAndNestedEpisodes) {
+  // Idle workers must join open episodes. Each episode below holds its
+  // first chunk until another thread has entered the episode, so an
+  // episode that no worker joins runs on its submitter alone (after the
+  // bounded wait) and the test fails instead of hanging.
+  TaskScheduler sched(4);
+  EXPECT_GE(ThreadsInHeldEpisode(sched, 8, [](size_t) {}), 2u);
+
+  // Two outer chunks on two threads, at least one of them a worker, each
+  // submitting a nested episode.
+  size_t nested_threads[2] = {0, 0};
+  auto submit_nested = [&](size_t outer) {
+    nested_threads[outer] = ThreadsInHeldEpisode(sched, 8, [](size_t) {});
+  };
+  EXPECT_GE(ThreadsInHeldEpisode(sched, 2, submit_nested), 2u);
+  EXPECT_GE(nested_threads[0], 2u);
+  EXPECT_GE(nested_threads[1], 2u);
+}
+
 TEST(TaskScheduler, ExceptionPropagatesAndSchedulerSurvives) {
   TaskScheduler sched(4);
   try {
@@ -218,7 +265,7 @@ TEST(TaskScheduler, ChunksInheritSubmittersTenant) {
 
 TEST(TaskScheduler, FairnessAcrossTenantsUnderLoad) {
   // Two tenants issue rounds concurrently; both must make progress (the
-  // registry round-robin forbids starvation). This is a liveness smoke
+  // tenant round-robin forbids starvation). This is a liveness smoke
   // test, not a strict-share assertion.
   TaskScheduler sched(4);
   std::atomic<int> rounds_a{0}, rounds_b{0};
