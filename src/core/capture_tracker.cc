@@ -48,15 +48,15 @@ void CaptureTracker::SetLabel(size_t row, Label label) {
   }
 }
 
-size_t& CaptureTracker::LabelSlot(size_t row, LabelCounts* counts) const {
-  if (fraud_.Test(row)) return counts->fraud;
-  if (legit_.Test(row)) return counts->legitimate;
-  return counts->unlabeled;
+size_t LabelCounts::*CaptureTracker::LabelField(size_t row) const {
+  if (fraud_.Test(row)) return &LabelCounts::fraud;
+  if (legit_.Test(row)) return &LabelCounts::legitimate;
+  return &LabelCounts::unlabeled;
 }
 
 void CaptureTracker::AdjustTotals(size_t row, int direction) {
   // +1 or (wrapping) -1
-  LabelSlot(row, &total_counts_) += static_cast<size_t>(direction);
+  total_counts_.*LabelField(row) += static_cast<size_t>(direction);
 }
 
 void CaptureTracker::RaiseCover(size_t row) {
@@ -183,38 +183,87 @@ BenefitDelta CaptureTracker::DeltaForReplace(RuleId id,
   return DeltaBetween(RuleCapture(id), new_capture);
 }
 
+std::vector<BenefitDelta> CaptureTracker::DeltaForReplace(
+    const std::vector<RuleId>& ids,
+    const std::vector<const Rule*>& rules) const {
+  assert(ids.size() == rules.size());
+  std::vector<BenefitDelta> deltas(ids.size());
+  evaluator_.EvalRules(rules, [&](size_t i, Bitset capture) {
+    deltas[i] = DeltaForReplace(ids[i], capture);
+  });
+  return deltas;
+}
+
 BenefitDelta CaptureTracker::DeltaForAdd(const Bitset& capture) const {
   Bitset empty(prefix_);
   return DeltaBetween(empty, capture);
 }
 
-BenefitDelta CaptureTracker::DeltaForSplit(
-    RuleId id, size_t attr, const std::vector<Condition>& sides,
-    std::vector<LabelCounts>* side_counts) const {
-  const AttributeDef& def = relation_.schema().attribute(attr);
-  assert(std::all_of(sides.begin(), sides.end(), [&](const Condition& side) {
-    return rules_.Get(id).condition(attr).ContainsCondition(def, side);
-  }));
-  const std::vector<CellValue>& column = relation_.Column(attr);
-  side_counts->assign(sides.size(), LabelCounts{});
-  LabelCounts lost;
-  RuleCapture(id).ForEach([&](size_t row) {
-    bool kept = false;
-    for (size_t s = 0; s < sides.size(); ++s) {
-      if (sides[s].Matches(def, column[row])) {
-        ++LabelSlot(row, &(*side_counts)[s]);
-        kept = true;
-      }
+std::vector<SplitScore> CaptureTracker::DeltaForSplit(
+    RuleId id, const std::vector<AttributeSplit>& splits) const {
+  const Schema& schema = relation_.schema();
+  // Split s counts its sides' copies in counters [first[s], first[s + 1] -
+  // 1) of a chunk, and the rows it loses in counter first[s + 1] - 1.
+  std::vector<size_t> first = {0};
+  std::vector<const AttributeDef*> defs;
+  std::vector<const CellValue*> columns;
+  for (const AttributeSplit& split : splits) {
+    const AttributeDef& def = schema.attribute(split.attr);
+    assert(std::all_of(
+        split.sides.begin(), split.sides.end(), [&](const Condition& side) {
+          return rules_.Get(id).condition(split.attr).ContainsCondition(def,
+                                                                        side);
+        }));
+    // Matches reads a categorical side's ontology through Contains, which
+    // the chunks below may call from several threads.
+    if (def.kind == AttrKind::kCategorical) def.ontology->WarmCaches();
+    defs.push_back(&def);
+    columns.push_back(relation_.Column(split.attr).data());
+    first.push_back(first.back() + split.sides.size() + 1);
+  }
+  const size_t width = first.back();
+  const Bitset& capture = RuleCapture(id);
+  const size_t chunk_rows = RuleEvaluator::kChunkRows;
+  const size_t chunks = (prefix_ + chunk_rows - 1) / chunk_rows;
+  std::vector<LabelCounts> partial(chunks * width);
+  evaluator_.ForEachUnit(chunks, [&](size_t lo, size_t hi) {
+    for (size_t chunk = lo; chunk < hi; ++chunk) {
+      LabelCounts* counts = partial.data() + chunk * width;
+      capture.ForEachInRange(
+          chunk * chunk_rows, (chunk + 1) * chunk_rows, [&](size_t row) {
+            size_t LabelCounts::*label = LabelField(row);
+            const bool once = once_.Test(row);
+            for (size_t s = 0; s < splits.size(); ++s) {
+              const std::vector<Condition>& sides = splits[s].sides;
+              const CellValue cell = columns[s][row];
+              bool kept = false;
+              for (size_t k = 0; k < sides.size(); ++k) {
+                if (sides[k].Matches(*defs[s], cell)) {
+                  ++(counts[first[s] + k].*label);
+                  kept = true;
+                }
+              }
+              if (!kept && once) ++(counts[first[s + 1] - 1].*label);
+            }
+          });
     }
-    if (!kept && once_.Test(row)) ++LabelSlot(row, &lost);
   });
-  // Every side keeps a subset of the rule's capture, so the split covers no
+  std::vector<LabelCounts> total(width);
+  for (size_t chunk = 0; chunk < chunks; ++chunk) {
+    for (size_t j = 0; j < width; ++j) total[j] += partial[chunk * width + j];
+  }
+  // Every side keeps a subset of the rule's capture, so a split covers no
   // new row: ΔF <= 0 and ΔL, ΔR >= 0.
-  BenefitDelta delta;
-  delta.fraud = -static_cast<int64_t>(lost.fraud);
-  delta.legit = static_cast<int64_t>(lost.legitimate);
-  delta.unlabeled = static_cast<int64_t>(lost.unlabeled);
-  return delta;
+  std::vector<SplitScore> scores(splits.size());
+  for (size_t s = 0; s < splits.size(); ++s) {
+    const LabelCounts& lost = total[first[s + 1] - 1];
+    scores[s].delta.fraud = -static_cast<int64_t>(lost.fraud);
+    scores[s].delta.legit = static_cast<int64_t>(lost.legitimate);
+    scores[s].delta.unlabeled = static_cast<int64_t>(lost.unlabeled);
+    scores[s].side_counts.assign(total.begin() + first[s],
+                                 total.begin() + first[s + 1] - 1);
+  }
+  return scores;
 }
 
 void CaptureTracker::SetCapture(RuleId id, Bitset capture) {

@@ -4,8 +4,10 @@
 // whole rule set. This is what keeps Algorithm 1/2 proposal scoring under
 // the paper's "at most one second": a replace or add delta is a handful of
 // masked popcounts per 64 rows over the tracker's bit planes (see
-// DeltaForReplace), and a split delta a walk over the split rule's own
-// capture (see DeltaForSplit).
+// DeltaForReplace; a batch of generalization candidates is evaluated and
+// scored in parallel), and the splits of a rule on every attribute are one
+// walk over the rule's own capture, cut into chunks that fan out (see
+// DeltaForSplit).
 
 #ifndef RUDOLF_CORE_CAPTURE_TRACKER_H_
 #define RUDOLF_CORE_CAPTURE_TRACKER_H_
@@ -18,6 +20,21 @@
 #include "rules/rule_set.h"
 
 namespace rudolf {
+
+/// One attribute's split of a rule (see CaptureTracker::DeltaForSplit): the
+/// rule is replaced by one copy of itself per entry of `sides`, each with
+/// that condition on `attr` (no sides: the rule is removed).
+struct AttributeSplit {
+  size_t attr = 0;
+  std::vector<Condition> sides;
+};
+
+/// What one AttributeSplit would do: its benefit delta, and each copy's
+/// visible-label counts, in `sides` order.
+struct SplitScore {
+  BenefitDelta delta;
+  std::vector<LabelCounts> side_counts;
+};
 
 /// \brief Tracks per-rule capture bitmaps over a prefix of the relation.
 ///
@@ -104,21 +121,30 @@ class CaptureTracker {
   /// (size() == prefix_rows(), like an Eval result).
   BenefitDelta DeltaForReplace(RuleId id, const Bitset& new_capture) const;
 
+  /// DeltaForReplace for a batch of edits, rule ids[i] replaced by
+  /// *rules[i]: the captures come from one RuleEvaluator::EvalRules batch,
+  /// and each is scored as it is intersected, in parallel across the batch
+  /// when the evaluator fans out. The generalization candidates of one
+  /// ranking are such a batch.
+  std::vector<BenefitDelta> DeltaForReplace(
+      const std::vector<RuleId>& ids,
+      const std::vector<const Rule*>& rules) const;
+
   /// Benefit delta if a rule with capture `capture` were added.
   BenefitDelta DeltaForAdd(const Bitset& capture) const;
 
-  /// Benefit delta if rule `id` were split on attribute `attr`: replaced by
-  /// one copy of itself per entry of `sides`, each with that condition on
-  /// `attr` (no sides: the rule is removed). Every side must accept only
-  /// values the rule's own condition on `attr` accepts, so each copy
-  /// captures a subset of the rule's capture and the split gains no row.
-  /// One walk over the rule's capture tests each row's `attr` cell against
-  /// every side: `side_counts` receives each copy's visible-label counts,
-  /// and a row no side keeps is lost when the rule alone covers it. Rows
-  /// are labeled from the label planes, like every delta.
-  BenefitDelta DeltaForSplit(RuleId id, size_t attr,
-                             const std::vector<Condition>& sides,
-                             std::vector<LabelCounts>* side_counts) const;
+  /// The score of each split of rule `id` in `splits`, in order. Every side
+  /// must accept only values the rule's own condition on its attribute
+  /// accepts, so each copy captures a subset of the rule's capture and a
+  /// split gains no row. One walk over the rule's capture reads each row's
+  /// label and `once` bits a single time and tests each split's cell
+  /// against that split's sides: a copy counts the rows its side keeps, and
+  /// a row no side of a split keeps is lost to it when the rule alone
+  /// covers the row. The walk cuts the capture's words into chunks of
+  /// RuleEvaluator::kChunkWords, which fan out under the evaluator's rule,
+  /// and sums the per-chunk counts in chunk order.
+  std::vector<SplitScore> DeltaForSplit(
+      RuleId id, const std::vector<AttributeSplit>& splits) const;
 
   /// Edits of rules(): each evaluates the rule's capture and moves the
   /// cover and label counts along. Add returns the id rules() assigned. Add
@@ -148,8 +174,9 @@ class CaptureTracker {
   // Writes one row's visible label into the fraud and legit planes.
   void SetLabel(size_t row, Label label);
 
-  // The field of `counts` for one row's visible label, read from the planes.
-  size_t& LabelSlot(size_t row, LabelCounts* counts) const;
+  // The field of LabelCounts for one row's visible label, read from the
+  // planes.
+  size_t LabelCounts::*LabelField(size_t row) const;
 
   // Adjusts total_counts_ for a row entering (+1) or leaving (-1) the union.
   void AdjustTotals(size_t row, int direction);

@@ -85,7 +85,8 @@ std::vector<GeneralizationProposal> GeneralizationEngine::RankCandidates(
     by_distance.resize(options_.max_candidates_scored);
   }
 
-  // Stage 2: full Equation 2 scoring of the shortlisted rules.
+  // Stage 2: full Equation 2 scoring of the shortlisted rules, as one
+  // batch of replacements.
   std::vector<GeneralizationProposal> proposals;
   proposals.reserve(by_distance.size());
   for (const DistanceEntry& entry : by_distance) {
@@ -99,9 +100,19 @@ std::vector<GeneralizationProposal> GeneralizationEngine::RankCandidates(
     p.changed_attributes = rule.DiffAttributes(p.proposed);
     p.categorical_refinement = options_.refine_categorical;
     p.distance = entry.distance;
-    p.delta = tracker.DeltaForReplace(entry.id, tracker.Eval(p.proposed));
-    p.score = p.distance - options_.cost_model.Benefit(p.delta);
     proposals.push_back(std::move(p));
+  }
+  std::vector<RuleId> ids;
+  std::vector<const Rule*> proposed;
+  for (const GeneralizationProposal& p : proposals) {
+    ids.push_back(p.rule_id);
+    proposed.push_back(&p.proposed);
+  }
+  std::vector<BenefitDelta> deltas = tracker.DeltaForReplace(ids, proposed);
+  for (size_t i = 0; i < proposals.size(); ++i) {
+    proposals[i].delta = deltas[i];
+    proposals[i].score =
+        proposals[i].distance - options_.cost_model.Benefit(deltas[i]);
   }
   std::sort(proposals.begin(), proposals.end(),
             [](const GeneralizationProposal& a, const GeneralizationProposal& b) {

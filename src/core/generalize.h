@@ -3,6 +3,9 @@
 //   1. Cluster the uncaptured (visibly) fraudulent transactions.
 //   2. Per cluster, compute the representative tuple f(C) and rank the rules
 //      by Equation 2 (distance minus benefit of the minimal generalization).
+//      The benefits of a ranking's shortlist are one batch
+//      (CaptureTracker::DeltaForReplace over RuleEvaluator::EvalRules),
+//      scored in parallel when the tracker's evaluator fans out.
 //   3. Walk the top-k candidates through the expert: accept / revise /
 //      reject; when the candidates run dry, propose a transaction-specific
 //      rule that selects exactly f(C) (line 18).
@@ -37,7 +40,7 @@ struct GeneralizeOptions {
   /// do not already contain the representative are not candidates.
   bool refine_categorical = true;
   /// Candidates pre-filtered by Equation 1 distance before the (more
-  /// expensive) benefit evaluation.
+  /// expensive) benefit evaluation, which scores them as one batch.
   size_t max_candidates_scored = 16;
   /// Safety valve on expert interactions per cluster.
   size_t max_proposals_per_cluster = 8;

@@ -27,10 +27,12 @@ std::vector<SplitProposal> SpecializationEngine::RankSplits(
   const Rule& rule = tracker.rules().Get(rule_id);
   Tuple l = relation_.GetRow(row);
 
+  std::vector<AttributeSplit> splits;
   for (size_t attr = 0; attr < schema.arity(); ++attr) {
     const AttributeDef& def = schema.attribute(attr);
     const Condition& cond = rule.condition(attr);
-    std::vector<Condition> sides;
+    AttributeSplit split{attr, {}};
+    std::vector<Condition>& sides = split.sides;
 
     if (def.kind == AttrKind::kNumeric) {
       const Interval& iv = cond.interval();
@@ -60,20 +62,25 @@ std::vector<SplitProposal> SpecializationEngine::RankSplits(
       if (cover.empty() && def.ontology->LeafCount(within) > 1) continue;
       for (ConceptId c : cover) sides.push_back(Condition::MakeCategorical(c));
     }
+    splits.push_back(std::move(split));
+  }
 
+  // Every attribute's split is scored by one walk over the rule's capture.
+  std::vector<SplitScore> scores = tracker.DeltaForSplit(rule_id, splits);
+  for (size_t s = 0; s < splits.size(); ++s) {
     SplitProposal p;
     p.rule_id = rule_id;
     p.original = rule;
-    p.attribute = attr;
+    p.attribute = splits[s].attr;
     p.excluded = l;
     p.excluded_row = row;
-    p.delta =
-        tracker.DeltaForSplit(rule_id, attr, sides, &p.replacement_counts);
+    p.delta = scores[s].delta;
+    p.replacement_counts = std::move(scores[s].side_counts);
     p.benefit = options_.cost_model.Benefit(p.delta);
-    p.replacements.reserve(sides.size());
-    for (const Condition& side : sides) {
+    p.replacements.reserve(splits[s].sides.size());
+    for (const Condition& side : splits[s].sides) {
       Rule replacement = rule;
-      replacement.set_condition(attr, side);
+      replacement.set_condition(p.attribute, side);
       p.replacements.push_back(std::move(replacement));
     }
     proposals.push_back(std::move(p));

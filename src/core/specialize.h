@@ -5,8 +5,11 @@
 //   * numeric A ∈ [b,e] splits into [b, prev(l.A)] and [succ(l.A), e];
 //   * categorical A ≤ c splits into one rule per concept of a greedy set
 //     cover of c's leaves that excludes l.A (Section 4.2).
-// The best split is proposed to the expert; a rejection tries the next
-// attribute. An accepted split replaces r with the replacement rules.
+// The splits of every attribute are scored in one walk over r's capture
+// (CaptureTracker::DeltaForSplit), cut into chunks that fan out across the
+// session's eval threads on large prefixes. The best split is proposed to
+// the expert; a rejection tries the next attribute. An accepted split
+// replaces r with the replacement rules.
 
 #ifndef RUDOLF_CORE_SPECIALIZE_H_
 #define RUDOLF_CORE_SPECIALIZE_H_
@@ -56,7 +59,8 @@ class SpecializationEngine {
   /// the tracker handed to Run(), so the engine (and its dismissed-tuple
   /// memory) can persist across a session's rounds. Split scoring never
   /// evaluates a rule: every side narrows the rule, so the tracker counts
-  /// it from the rule's own capture (CaptureTracker::DeltaForSplit).
+  /// every attribute's sides in one walk over the rule's own capture
+  /// (CaptureTracker::DeltaForSplit).
   SpecializationEngine(const Relation& relation, SpecializeOptions options);
 
   /// One full pass over all captured legitimate tuples. The accepted splits

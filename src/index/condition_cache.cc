@@ -28,8 +28,7 @@ void ConditionCache::Put(const ConditionKey& key,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it != map_.end()) {
-    // A concurrent extraction of the same key, or a completed stale entry:
-    // keep the new bitmap, refresh recency.
+    // A completed stale entry: keep the new bitmap, refresh recency.
     it->second->second = std::move(bitmap);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;

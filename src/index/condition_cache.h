@@ -8,8 +8,8 @@
 // The cache itself never rewrites an entry: when the index's prefix grows,
 // ConditionIndex completes a shorter entry on its next hit and Puts the
 // completed copy back. Thread-safe: a single mutex guards the map and
-// recency list; entries are shared_ptr so a concurrent eviction or
-// replacement never invalidates a bitmap another thread is intersecting.
+// recency list. Entries are shared_ptr, so an eviction or replacement never
+// invalidates a bitmap a batch still holds and intersects.
 
 #ifndef RUDOLF_INDEX_CONDITION_CACHE_H_
 #define RUDOLF_INDEX_CONDITION_CACHE_H_

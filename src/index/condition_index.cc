@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -43,38 +44,68 @@ bool ConditionIndex::ReadyForRule(const Rule& rule) const {
   return true;
 }
 
+std::vector<std::shared_ptr<const Bitset>> ConditionIndex::ConditionBitmaps(
+    const std::vector<ConditionRef>& conds, const FanOut& fan_out) {
+  // The distinct keys in first-use order, each looked up once: `bitmaps`
+  // holds a fresh hit, or the stale entry (an empty bitmap on a miss) that
+  // the fan-out below replaces.
+  std::unordered_map<ConditionKey, size_t, ConditionKeyHash> slot_of;
+  std::vector<size_t> slot(conds.size());
+  std::vector<ConditionKey> keys;
+  std::vector<const ConditionRef*> firsts;
+  std::vector<std::shared_ptr<const Bitset>> bitmaps;
+  std::vector<size_t> missing;
+  for (size_t i = 0; i < conds.size(); ++i) {
+    const ConditionKey key = ConditionKey::For(conds[i].attr, conds[i].cond);
+    auto [it, added] = slot_of.try_emplace(key, keys.size());
+    slot[i] = it->second;
+    if (!added) continue;
+    keys.push_back(key);
+    firsts.push_back(&conds[i]);
+    std::shared_ptr<const Bitset> hit = cache_.Get(key);
+    assert(hit == nullptr || hit->size() <= prefix_);
+    if (hit == nullptr || hit->size() < prefix_) missing.push_back(it->second);
+    bitmaps.push_back(std::move(hit));
+  }
+  fan_out(missing.size(), [&](size_t lo, size_t hi) {
+    for (size_t m = lo; m < hi; ++m) {
+      const size_t k = missing[m];
+      const ConditionRef& ref = *firsts[k];
+      Bitset filled;
+      if (bitmaps[k] != nullptr) {
+        // Stale: cached before an ExtendTo. Complete a copy over the rows it
+        // is missing, with the exact scan semantics of the condition; the
+        // copy leaves readers of the old entry their snapshot.
+        RUDOLF_COUNTER_INC("index.cache.stale_extends");
+        filled = Complete(ref.attr, ref.cond, *bitmaps[k]);
+      } else {
+        // A categorical condition has no attribute index: its miss is the
+        // column scan that completes a stale entry, over the whole prefix.
+        RUDOLF_SPAN("index.extract");
+        RUDOLF_COUNTER_INC("index.extractions");
+        if (ref.cond.kind() == AttrKind::kNumeric) {
+          assert(numeric_[ref.attr] != nullptr);
+          filled = numeric_[ref.attr]->Extract(ref.cond.interval());
+        } else {
+          filled = Complete(ref.attr, ref.cond, Bitset());
+        }
+      }
+      bitmaps[k] = std::make_shared<const Bitset>(std::move(filled));
+    }
+  });
+  for (size_t k : missing) cache_.Put(keys[k], bitmaps[k]);
+  std::vector<std::shared_ptr<const Bitset>> out(conds.size());
+  for (size_t i = 0; i < conds.size(); ++i) out[i] = bitmaps[slot[i]];
+  return out;
+}
+
 std::shared_ptr<const Bitset> ConditionIndex::ConditionBitmap(
     size_t attr, const Condition& cond) {
-  ConditionKey key = ConditionKey::For(attr, cond);
-  if (std::shared_ptr<const Bitset> hit = cache_.Get(key)) {
-    assert(hit->size() <= prefix_);
-    if (hit->size() == prefix_) return hit;
-    // Stale: cached before an ExtendTo. Complete a copy over the rows it is
-    // missing, with the exact scan semantics of the condition, and put it
-    // back. A concurrent completion of the same key produces the identical
-    // bitmap and Put keeps one; the copy leaves readers of the old entry
-    // their snapshot.
-    RUDOLF_COUNTER_INC("index.cache.stale_extends");
-    auto completed = std::make_shared<const Bitset>(Complete(attr, cond, *hit));
-    cache_.Put(key, completed);
-    return completed;
-  }
-  // Extraction happens outside the cache lock; a concurrent extraction of
-  // the same key produces the identical bitmap and Put keeps one. A
-  // categorical condition has no attribute index: its miss is the column
-  // scan that completes a stale entry, over the whole prefix.
-  RUDOLF_SPAN("index.extract");
-  RUDOLF_COUNTER_INC("index.extractions");
-  Bitset extracted;
-  if (cond.kind() == AttrKind::kNumeric) {
-    assert(numeric_[attr] != nullptr);
-    extracted = numeric_[attr]->Extract(cond.interval());
-  } else {
-    extracted = Complete(attr, cond, Bitset());
-  }
-  auto bitmap = std::make_shared<const Bitset>(std::move(extracted));
-  cache_.Put(key, bitmap);
-  return bitmap;
+  return ConditionBitmaps(
+      {{attr, cond}},
+      [](size_t n, const std::function<void(size_t, size_t)>& body) {
+        body(0, n);
+      })[0];
 }
 
 Bitset ConditionIndex::Complete(size_t attr, const Condition& cond,

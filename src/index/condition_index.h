@@ -9,16 +9,16 @@
 // cumulative bitmaps). A categorical condition's miss is the column scan of
 // its containment mask, the same scan that completes a stale entry (below).
 //
-// Threading contract (mirrors RuleEvaluator::EnsureMasks): EnsureForRule and
-// ExtendTo are the only mutating entry points for the attribute indexes and
-// the prefix, and must run on the coordinating thread, never during a
-// parallel evaluation. ConditionBitmap and ReadyForRule are safe from worker
-// threads afterwards (the LRU cache is internally locked). A worker's
-// ConditionBitmap may complete a stale entry (below) or scan a categorical
-// condition's column on a miss. Both read the relation's columns below the
-// prefix, as the scan path does (the ingest pipeline defers column regrowth
-// while an epoch is pinned), and read the ontology only through Contains,
-// which is safe once EnsureForRule has warmed its caches.
+// Threading contract (mirrors RuleEvaluator::EnsureMasks): EnsureForRule,
+// ExtendTo and ConditionBitmaps run on the coordinating thread, never during
+// a parallel evaluation. ConditionBitmaps looks up and puts back every key
+// of a batch on that thread; only the extractions and completions of the
+// keys it misses or finds stale run on the workers of its fan-out. An
+// extraction reads its numeric index; a completion, and a categorical
+// condition's miss, scan the relation's columns below the prefix, as the
+// scan path does (the ingest pipeline defers column regrowth while an
+// epoch is pinned), and read the ontology only through Contains, which is
+// safe once EnsureForRule has warmed its caches.
 //
 // Append/delta contract: numeric attribute indexes describe the first
 // prefix_rows() rows as of the last build or extension. A RuleEvaluator
@@ -37,6 +37,7 @@
 #ifndef RUDOLF_INDEX_CONDITION_INDEX_H_
 #define RUDOLF_INDEX_CONDITION_INDEX_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -66,17 +67,38 @@ class ConditionIndex {
   void EnsureForRule(const Rule& rule);
 
   /// True if every non-trivial numeric condition of the rule has its
-  /// attribute index built — the read-only fast path worker threads may
-  /// take.
+  /// attribute index built, as EnsureForRule leaves it: what
+  /// ConditionBitmaps requires of the rules whose conditions it looks up.
   bool ReadyForRule(const Rule& rule) const;
 
-  /// Capture bitmap of one condition over the prefix: LRU-cached. A miss
-  /// extracts a numeric condition from its attribute index and scans a
-  /// categorical condition's column. A hit on an entry cached before an
-  /// ExtendTo completes it over the missing rows (a scan of at most the rows
-  /// appended since) and puts it back; that counts as a hit and as
-  /// `index.cache.stale_extends`. Requires EnsureForRule (or ReadyForRule)
-  /// for the condition's rule. Thread-safe.
+  /// One condition of a batch lookup.
+  struct ConditionRef {
+    size_t attr = 0;
+    Condition cond;
+  };
+
+  /// Runs `body(lo, hi)` over a partition of the units [0, n), in parallel
+  /// or inline (RuleEvaluator::ForEachUnit).
+  using FanOut = std::function<void(
+      size_t n, const std::function<void(size_t, size_t)>& body)>;
+
+  /// Capture bitmaps of `conds` over the prefix, one per entry (entries with
+  /// equal keys share one bitmap), through the LRU cache. Each distinct key
+  /// is looked up once, in first-use order. A miss extracts a numeric
+  /// condition from its attribute index and scans a categorical
+  /// condition's column. A hit on an entry cached before an ExtendTo is
+  /// completed over the missing rows (a scan of at most the rows appended
+  /// since); that counts as a hit and as `index.cache.stale_extends`. The
+  /// extractions and completions run through `fan_out`, one key per unit,
+  /// and their bitmaps are put back in first-use order once all are done.
+  /// So the cache's counters and contents do not depend on the thread
+  /// count, and no key is extracted twice. Requires EnsureForRule (or
+  /// ReadyForRule) for the conditions' rules. Serial-only (see the
+  /// threading contract above).
+  std::vector<std::shared_ptr<const Bitset>> ConditionBitmaps(
+      const std::vector<ConditionRef>& conds, const FanOut& fan_out);
+
+  /// ConditionBitmaps for one condition, run inline.
   std::shared_ptr<const Bitset> ConditionBitmap(size_t attr,
                                                 const Condition& cond);
 
@@ -84,7 +106,7 @@ class ConditionIndex {
   /// relation's current rows; must not shrink the prefix): every built
   /// numeric index absorbs the rows of [prefix_rows(), new_prefix) (see
   /// NumericAttributeIndex::AppendRows). Cached condition bitmaps are not touched; each is
-  /// completed on its next hit (ConditionBitmap). Bit-identical to dropping
+  /// completed on its next hit (ConditionBitmaps). Bit-identical to dropping
   /// and rebuilding. Serial-only, like EnsureForRule. Only valid when the
   /// relation grew by pure appends since the last build or extension (see
   /// the append/delta contract above).

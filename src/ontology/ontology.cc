@@ -1,6 +1,7 @@
 #include "ontology/ontology.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <deque>
 
@@ -129,6 +130,22 @@ size_t Ontology::LeafCount(ConceptId c) const {
   assert(IsValid(c));
   EnsureLeafSets();
   return leaf_sets_[c].Count();
+}
+
+ConceptId Ontology::LeafUnder(ConceptId c, size_t k) const {
+  assert(IsValid(c));
+  EnsureLeafSets();
+  const Bitset& leaves = leaf_sets_[c];
+  assert(k < leaves.Count());
+  size_t w = 0;
+  for (;; ++w) {
+    const size_t n = static_cast<size_t>(std::popcount(leaves.Words()[w]));
+    if (k < n) break;
+    k -= n;
+  }
+  uint64_t word = leaves.Words()[w];
+  for (; k > 0; --k) word &= word - 1;  // drop the k lowest leaves
+  return static_cast<ConceptId>(w * 64 + std::countr_zero(word));
 }
 
 int Ontology::UpwardDistance(ConceptId from, ConceptId target) const {

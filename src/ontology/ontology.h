@@ -88,6 +88,10 @@ class Ontology {
   /// Number of leaves contained in `c`.
   size_t LeafCount(ConceptId c) const;
 
+  /// The k-th leaf contained in `c`, in id order: LeavesUnder(c)[k] without
+  /// building the vector. Requires k < LeafCount(c).
+  ConceptId LeafUnder(ConceptId c, size_t k) const;
+
   /// Minimum number of parent-edges from ⊤ down to c (0 for ⊤).
   int Depth(ConceptId c) const { return depth_[c]; }
 

@@ -39,6 +39,20 @@ RuleEvaluator::RuleEvaluator(const Relation& relation, size_t prefix_rows,
                  ? std::make_unique<ConditionIndex>(relation, num_rows_)
                  : nullptr) {}
 
+bool RuleEvaluator::FansOut() const {
+  return sched_ != nullptr && Bitset::WordsFor(num_rows_) > kChunkWords &&
+         !TaskScheduler::InRegionTagged(this);
+}
+
+void RuleEvaluator::ForEachUnit(
+    size_t n, const std::function<void(size_t, size_t)>& body) const {
+  if (FansOut()) {
+    sched_->ParallelFor(0, n, 1, body, /*tag=*/this);
+  } else {
+    body(0, n);
+  }
+}
+
 void RuleEvaluator::ExtendPrefix(size_t new_prefix) {
   new_prefix = std::min(new_prefix, relation_.NumRows());
   assert(new_prefix >= num_rows_);
@@ -197,38 +211,12 @@ void RuleEvaluator::EvalRuleBlock(const Rule& rule,
   out->OrWords(acc.data(), alo / 64, nwords);
 }
 
-Bitset RuleEvaluator::EvalRuleIndexed(const Rule& rule,
-                                      const std::vector<size_t>& conditions) const {
-  Bitset out =
-      *index_->ConditionBitmap(conditions[0], rule.condition(conditions[0]));
-  for (size_t c = 1; c < conditions.size(); ++c) {
-    out &=
-        *index_->ConditionBitmap(conditions[c], rule.condition(conditions[c]));
-  }
-  return out;
-}
-
-Bitset RuleEvaluator::EvalRule(const Rule& rule) const {
-  assert(rule.arity() == relation_.schema().arity());
-  RUDOLF_SPAN("eval.rule");
+Bitset RuleEvaluator::EvalRuleScan(const Rule& rule) const {
   std::vector<size_t> conditions = NonTrivialConditions(rule);
   Bitset out(num_rows_);
   if (conditions.empty()) {
     out.Fill(true);
     return out;
-  }
-  if (index_ != nullptr) {
-    // Attribute indexes may only be built from the coordinating thread;
-    // calls inside this evaluator's own fan-out (EvalRules) find them
-    // pre-built and take the read-only path, or fall back to the
-    // (bit-identical) scan.
-    if (sched_ == nullptr || !TaskScheduler::InRegionTagged(this)) {
-      index_->EnsureForRule(rule);
-    }
-    if (index_->ReadyForRule(rule)) {
-      RUDOLF_COUNTER_INC("eval.rule.indexed");
-      return EvalRuleIndexed(rule, conditions);
-    }
   }
   RUDOLF_COUNTER_INC("eval.rule.scan");
   if (sched_ != nullptr && num_rows_ >= kMinParallelRows &&
@@ -246,31 +234,70 @@ Bitset RuleEvaluator::EvalRule(const Rule& rule) const {
   return out;
 }
 
+Bitset RuleEvaluator::EvalRule(const Rule& rule) const {
+  assert(rule.arity() == relation_.schema().arity());
+  RUDOLF_SPAN("eval.rule");
+  if (index_ == nullptr) return EvalRuleScan(rule);
+  Bitset out;
+  EvalRules({&rule}, [&out](size_t, Bitset capture) { out = std::move(capture); });
+  return out;
+}
+
+void RuleEvaluator::EvalRules(
+    const std::vector<const Rule*>& rules,
+    const std::function<void(size_t, Bitset)>& consume) const {
+  if (index_ == nullptr) {
+    // Serially warm the mask cache so the helpers' scans only read it.
+    if (FansOut()) {
+      for (const Rule* rule : rules) EnsureMasks(*rule);
+    }
+    ForEachUnit(rules.size(), [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) consume(i, EvalRuleScan(*rules[i]));
+    });
+    return;
+  }
+  // The index and its cache are the coordinating thread's alone.
+  assert(!TaskScheduler::InRegionTagged(this));
+  // Every non-trivial condition of the batch, rule by rule: rule i's are
+  // conds[first[i], first[i + 1]).
+  std::vector<ConditionIndex::ConditionRef> conds;
+  std::vector<size_t> first = {0};
+  for (const Rule* rule : rules) {
+    assert(rule->arity() == relation_.schema().arity());
+    index_->EnsureForRule(*rule);
+    assert(index_->ReadyForRule(*rule));
+    for (size_t attr : NonTrivialConditions(*rule)) {
+      conds.push_back({attr, rule->condition(attr)});
+    }
+    first.push_back(conds.size());
+  }
+  RUDOLF_COUNTER_ADD("eval.rule.indexed", rules.size());
+  std::vector<std::shared_ptr<const Bitset>> bitmaps = index_->ConditionBitmaps(
+      conds, [this](size_t n, const std::function<void(size_t, size_t)>& body) {
+        ForEachUnit(n, body);
+      });
+  ForEachUnit(rules.size(), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      if (first[i] == first[i + 1]) {
+        consume(i, Bitset(num_rows_, true));
+        continue;
+      }
+      Bitset out = *bitmaps[first[i]];
+      for (size_t c = first[i] + 1; c < first[i + 1]; ++c) out &= *bitmaps[c];
+      consume(i, std::move(out));
+    }
+  });
+}
+
 std::vector<Bitset> RuleEvaluator::EvalRules(const RuleSet& rules,
                                              const std::vector<RuleId>& ids) const {
+  std::vector<const Rule*> batch;
+  batch.reserve(ids.size());
+  for (RuleId id : ids) batch.push_back(&rules.Get(id));
   std::vector<Bitset> bitmaps(ids.size());
-  if (sched_ != nullptr && ids.size() > 1 &&
-      !TaskScheduler::InRegionTagged(this)) {
-    // Serially warm the condition index (or the mask cache on the scan
-    // path) so the helpers' EvalRule calls only read shared state.
-    for (RuleId id : ids) {
-      if (index_ != nullptr) {
-        index_->EnsureForRule(rules.Get(id));
-      } else {
-        EnsureMasks(rules.Get(id));
-      }
-    }
-    sched_->ParallelFor(
-        0, ids.size(), 1,
-        [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) {
-            bitmaps[i] = EvalRule(rules.Get(ids[i]));
-          }
-        },
-        /*tag=*/this);
-  } else {
-    for (size_t i = 0; i < ids.size(); ++i) bitmaps[i] = EvalRule(rules.Get(ids[i]));
-  }
+  EvalRules(batch, [&bitmaps](size_t i, Bitset capture) {
+    bitmaps[i] = std::move(capture);
+  });
   return bitmaps;
 }
 

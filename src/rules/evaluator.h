@@ -3,24 +3,30 @@
 // material of the benefit term α·ΔF + β·ΔL + γ·ΔR.
 //
 // Evaluation optionally runs on the shared TaskScheduler (see
-// EvalOptions): rule sets parallelize across rules, single rules across
-// word-aligned row blocks of the columnar scan. Both decompositions produce
-// bit-identical bitmaps to the serial path — see DESIGN.md "Parallel
-// evaluation pipeline" — and episodes issued by concurrent evaluators
-// (fleet tenants) interleave freely on the one scheduler.
+// EvalOptions). One rule, FansOut, decides whether a batch of rules (tracker
+// builds, Sync, generalization candidates) and a split walk over a rule's
+// capture fan out: only when the evaluator has more than one thread and its
+// prefix spans at least two 65,536-row chunks. The row-range extension pass
+// parallelizes across rules and the scan of a single rule across
+// word-aligned row blocks, each under its own size test. Every decomposition
+// produces bit-identical results to the serial path — see DESIGN.md
+// "Parallel evaluation pipeline" — and episodes issued by concurrent
+// evaluators (fleet tenants) interleave freely on the one scheduler.
 //
 // By default rules are evaluated through the condition index (src/index/):
 // each non-trivial condition's capture bitmap is extracted once from a
 // per-attribute index and LRU-cached, and a rule is the intersection of its
 // conditions' bitmaps — so candidate rules differing from an evaluated rule
 // in one condition (minimal generalizations) cost one extraction instead of
-// a full scan. The indexed path is bit-identical to the scan; see DESIGN.md
-// "Condition index & cache".
+// a full scan. A batch looks up each distinct condition once, serially, and
+// extracts the missing ones in parallel (EvalRules). The indexed path is
+// bit-identical to the scan; see DESIGN.md "Condition index & cache".
 
 #ifndef RUDOLF_RULES_EVALUATOR_H_
 #define RUDOLF_RULES_EVALUATOR_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -63,6 +69,12 @@ struct LabelCounts {
   size_t unlabeled = 0;
 
   size_t total() const { return fraud + legitimate + unlabeled; }
+  LabelCounts& operator+=(const LabelCounts& other) {
+    fraud += other.fraud;
+    legitimate += other.legitimate;
+    unlabeled += other.unlabeled;
+    return *this;
+  }
   bool operator==(const LabelCounts&) const = default;
 };
 
@@ -86,6 +98,23 @@ class RuleEvaluator {
 
   /// Resolved thread count (1 = serial).
   int num_threads() const { return num_threads_; }
+
+  /// Words of one chunk of a fanned-out walk over a prefix bitmap: 1,024
+  /// words, 65,536 rows.
+  static constexpr size_t kChunkWords = 1024;
+  static constexpr size_t kChunkRows = kChunkWords * 64;
+
+  /// The fan-out rule of batch evaluation and proposal scoring: true when
+  /// the evaluator has more than one thread, its prefix spans at least two
+  /// chunks (more than kChunkRows rows), and the caller is not already
+  /// inside one of this evaluator's own parallel regions.
+  bool FansOut() const;
+
+  /// Runs `body(lo, hi)` over a partition of the units [0, n): on the
+  /// scheduler when FansOut(), else inline as one `body(0, n)` call. A body
+  /// may write only state indexed by its own units.
+  void ForEachUnit(size_t n,
+                   const std::function<void(size_t, size_t)>& body) const;
 
   /// Re-binds to the first `new_prefix` rows (clamped to the relation's
   /// current rows; must not shrink) after the relation grew by appends: the
@@ -111,7 +140,8 @@ class RuleEvaluator {
                       size_t lo, size_t hi,
                       const std::vector<Bitset*>& outs) const;
 
-  /// Rows captured by a single rule. Parallel across row blocks for large
+  /// Rows captured by a single rule: a batch of one on the indexed path
+  /// (see EvalRules). The scan runs parallel across row blocks for large
   /// prefixes when the evaluator was built with num_threads > 1.
   Bitset EvalRule(const Rule& rule) const;
 
@@ -119,9 +149,22 @@ class RuleEvaluator {
   /// when num_threads > 1.
   Bitset EvalRuleSet(const RuleSet& rules) const;
 
+  /// The batch evaluation path: hands each rule's capture bitmap to
+  /// `consume(i, capture)`, once per index i of `rules`. On the indexed path
+  /// every distinct (attribute, condition) of the batch is looked up in the
+  /// condition cache once, serially and in first-use order; the missing and
+  /// stale ones are extracted or completed in parallel and put back in that
+  /// order (ConditionIndex::ConditionBitmaps), so the cache's counters do not
+  /// depend on the thread count and no key is extracted twice. Then the
+  /// conditions of each rule are intersected and consumed, in parallel
+  /// across rules; on the scan path each rule is scanned. Both fan out under
+  /// FansOut(), and `consume` runs on worker threads when they do.
+  void EvalRules(const std::vector<const Rule*>& rules,
+                 const std::function<void(size_t, Bitset)>& consume) const;
+
   /// Capture bitmaps of the given live rules, in `ids` order — the bulk
-  /// build behind EvalRuleSet and CaptureTracker. Parallel across rules
-  /// when num_threads > 1.
+  /// build behind EvalRuleSet, CaptureTracker's construction and Sync,
+  /// through the batch path above.
   std::vector<Bitset> EvalRules(const RuleSet& rules,
                                 const std::vector<RuleId>& ids) const;
 
@@ -174,10 +217,8 @@ class RuleEvaluator {
   void EvalRuleBlock(const Rule& rule, const std::vector<size_t>& conditions,
                      size_t lo, size_t hi, Bitset* out) const;
 
-  // The indexed path: intersection of the conditions' cached bitmaps.
-  // Requires index_->ReadyForRule(rule).
-  Bitset EvalRuleIndexed(const Rule& rule,
-                         const std::vector<size_t>& conditions) const;
+  // The scan of one rule over the whole prefix.
+  Bitset EvalRuleScan(const Rule& rule) const;
 
   const Relation& relation_;
   size_t num_rows_;
@@ -189,8 +230,9 @@ class RuleEvaluator {
   // some other object's episode (fleet mode).
   TaskScheduler* sched_;
   // Condition index + bitmap cache of the indexed evaluation path; null
-  // when disabled. Attribute indexes inside are built lazily, only from the
-  // coordinating thread (mirroring mask_cache_'s EnsureMasks discipline).
+  // when disabled. Its attribute indexes and cache are touched only from
+  // the coordinating thread (mirroring mask_cache_'s EnsureMasks
+  // discipline); workers only extract and intersect.
   mutable std::unique_ptr<ConditionIndex> index_;
   // Memoized concept masks keyed by (ontology pointer, concept id).
   mutable std::vector<std::pair<std::pair<const Ontology*, ConceptId>,

@@ -8,15 +8,13 @@
 
 namespace rudolf {
 
-namespace {
-
-// Uniformly picks a leaf under `within`.
 ConceptId RandomLeafUnder(const Ontology& o, ConceptId within, Rng* rng) {
-  std::vector<ConceptId> leaves = o.LeavesUnder(within);
-  assert(!leaves.empty());
-  return leaves[static_cast<size_t>(
-      rng->UniformInt(0, static_cast<int64_t>(leaves.size()) - 1))];
+  const size_t n = o.LeafCount(within);
+  return o.LeafUnder(within, static_cast<size_t>(rng->UniformInt(
+                                 0, static_cast<int64_t>(n) - 1)));
 }
+
+namespace {
 
 // Background (legitimate) transaction.
 Tuple SampleLegit(const CreditCardSchema& cc, Rng* rng) {

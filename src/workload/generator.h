@@ -61,6 +61,11 @@ struct Dataset {
   }
 };
 
+/// A leaf under `within`, drawn uniformly: one
+/// `rng->UniformInt(0, LeafCount(within) - 1)` picks the leaf's rank in id
+/// order. Every generator and rule synthesizer samples cells through it.
+ConceptId RandomLeafUnder(const Ontology& o, ConceptId within, Rng* rng);
+
 /// Generates a full dataset. Deterministic in `options.seed`.
 Dataset GenerateDataset(const GeneratorOptions& options);
 

@@ -4,17 +4,6 @@
 
 namespace rudolf {
 
-namespace {
-
-// A random leaf under `within` (the expert's over-specific guess).
-ConceptId SomeLeafUnder(const Ontology& o, ConceptId within, Rng* rng) {
-  std::vector<ConceptId> leaves = o.LeavesUnder(within);
-  return leaves[static_cast<size_t>(
-      rng->UniformInt(0, static_cast<int64_t>(leaves.size()) - 1))];
-}
-
-}  // namespace
-
 RuleSet SynthesizeInitialRules(const Dataset& dataset,
                                const InitialRuleOptions& options) {
   const CreditCardSchema& cc = dataset.cc;
@@ -46,7 +35,7 @@ RuleSet SynthesizeInitialRules(const Dataset& dataset,
       if (cond.concept_id() != def.ontology->top() &&
           !def.ontology->IsLeaf(cond.concept_id()) &&
           rng.Bernoulli(options.leaf_specialization_prob)) {
-        rule.set_condition(attr, Condition::MakeCategorical(SomeLeafUnder(
+        rule.set_condition(attr, Condition::MakeCategorical(RandomLeafUnder(
                                      *def.ontology, cond.concept_id(), &rng)));
       }
     }
@@ -64,7 +53,7 @@ RuleSet SynthesizeInitialRules(const Dataset& dataset,
                                        rng.UniformInt(300, 600))));
     rule.set_condition(
         lay.location,
-        Condition::MakeCategorical(SomeLeafUnder(
+        Condition::MakeCategorical(RandomLeafUnder(
             *cc.location_ontology, cc.location_ontology->top(), &rng)));
     out.AddRule(std::move(rule));
   }

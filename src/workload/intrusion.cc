@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "util/string_util.h"
+#include "workload/generator.h"
 
 namespace rudolf {
 
@@ -15,13 +16,6 @@ ConceptId MustAdd(Ontology* o, const std::string& name,
   auto r = o->AddConcept(name, parents);
   assert(r.ok());
   return r.ValueOrDie();
-}
-
-ConceptId RandomLeafUnder(const Ontology& o, ConceptId within, Rng* rng) {
-  std::vector<ConceptId> leaves = o.LeavesUnder(within);
-  assert(!leaves.empty());
-  return leaves[static_cast<size_t>(
-      rng->UniformInt(0, static_cast<int64_t>(leaves.size()) - 1))];
 }
 
 }  // namespace

@@ -70,12 +70,14 @@ TEST_F(CaptureTrackerTest, DeltaForAddDoesNotDoubleCountCovered) {
 TEST_F(CaptureTrackerTest, DeltaForSplitWithNoSidesRemovesTheRule) {
   CaptureTracker tracker(*ex_.relation, ex_.rules);
   RuleId first = ex_.rules.LiveIds()[0];  // captures row 2 (legitimate)
-  std::vector<LabelCounts> side_counts(1);  // replaced by the call
-  BenefitDelta d = tracker.DeltaForSplit(first, 1, {}, &side_counts);
+  std::vector<SplitScore> scores =
+      tracker.DeltaForSplit(first, {AttributeSplit{1, {}}});
+  ASSERT_EQ(scores.size(), 1u);
+  BenefitDelta d = scores[0].delta;
   EXPECT_EQ(d.fraud, 0);
   EXPECT_EQ(d.legit, 1);  // one fewer captured legitimate
   EXPECT_EQ(d.unlabeled, 0);
-  EXPECT_TRUE(side_counts.empty());
+  EXPECT_TRUE(scores[0].side_counts.empty());
 }
 
 TEST_F(CaptureTrackerTest, DeltaForReplace) {
@@ -97,14 +99,45 @@ TEST_F(CaptureTrackerTest, DeltaForSplitAroundRow) {
       Parse("time in [18:00,18:03]").condition(0),
       Parse("time = 18:05").condition(0),
   };
-  std::vector<LabelCounts> side_counts;
-  BenefitDelta d = tracker.DeltaForSplit(id, 0, sides, &side_counts);
+  std::vector<SplitScore> scores =
+      tracker.DeltaForSplit(id, {AttributeSplit{0, sides}});
+  ASSERT_EQ(scores.size(), 1u);
+  BenefitDelta d = scores[0].delta;
   EXPECT_EQ(d.fraud, 0);
   EXPECT_EQ(d.legit, 1);
   EXPECT_EQ(d.unlabeled, 0);
+  const std::vector<LabelCounts>& side_counts = scores[0].side_counts;
   ASSERT_EQ(side_counts.size(), 2u);
   EXPECT_EQ(side_counts[0], (LabelCounts{2, 0, 0}));  // rows 0, 1
   EXPECT_EQ(side_counts[1], LabelCounts{});
+}
+
+// One walk scores the splits of every attribute it is given: each score
+// equals the one the split gets alone, whatever else is in the call.
+TEST_F(CaptureTrackerTest, DeltaForSplitScoresEveryAttributeInOneWalk) {
+  RuleSet rules;
+  RuleId id = rules.AddRule(Parse("time in [18:00,18:05] && amount >= 100"));
+  rules.AddRule(Parse("amount = 107"));  // row 0 is covered twice
+  CaptureTracker tracker(*ex_.relation, rules);
+  const std::vector<AttributeSplit> splits = {
+      {0, {Parse("time in [18:00,18:03]").condition(0),
+           Parse("time = 18:05").condition(0)}},
+      {1, {Parse("amount in [100,106]").condition(1),
+           Parse("amount >= 108").condition(1)}},
+      {0, {Parse("time = 18:04").condition(0)}},
+      {1, {}},
+  };
+  std::vector<SplitScore> together = tracker.DeltaForSplit(id, splits);
+  ASSERT_EQ(together.size(), splits.size());
+  for (size_t s = 0; s < splits.size(); ++s) {
+    std::vector<SplitScore> alone = tracker.DeltaForSplit(id, {splits[s]});
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_EQ(together[s].delta, alone[0].delta) << "split " << s;
+    EXPECT_EQ(together[s].side_counts, alone[0].side_counts) << "split " << s;
+  }
+  EXPECT_EQ(together[2].delta, (BenefitDelta{-1, 0, 0}));
+  EXPECT_EQ(together[3].delta, (BenefitDelta{-1, 1, 0}));
+  EXPECT_TRUE(tracker.DeltaForSplit(id, {}).empty());
 }
 
 TEST_F(CaptureTrackerTest, DeltaForSplitLosesOnlyRowsNoOtherRuleCovers) {
@@ -114,12 +147,12 @@ TEST_F(CaptureTrackerTest, DeltaForSplitLosesOnlyRowsNoOtherRuleCovers) {
   CaptureTracker tracker(*ex_.relation, rules);
   // Keep only 18:04 (row 2): rows 0 and 1 leave the rule, and only row 1
   // leaves the union.
-  std::vector<LabelCounts> side_counts;
-  BenefitDelta d = tracker.DeltaForSplit(
-      id, 0, {Parse("time = 18:04").condition(0)}, &side_counts);
-  EXPECT_EQ(d, (BenefitDelta{-1, 0, 0}));
-  ASSERT_EQ(side_counts.size(), 1u);
-  EXPECT_EQ(side_counts[0], (LabelCounts{0, 1, 0}));  // row 2
+  std::vector<SplitScore> scores = tracker.DeltaForSplit(
+      id, {AttributeSplit{0, {Parse("time = 18:04").condition(0)}}});
+  ASSERT_EQ(scores.size(), 1u);
+  EXPECT_EQ(scores[0].delta, (BenefitDelta{-1, 0, 0}));
+  ASSERT_EQ(scores[0].side_counts.size(), 1u);
+  EXPECT_EQ(scores[0].side_counts[0], (LabelCounts{0, 1, 0}));  // row 2
 }
 
 TEST_F(CaptureTrackerTest, ApplyReplaceKeepsStateConsistent) {

@@ -345,12 +345,15 @@ TEST(ConditionIndexExtend, KeepsCacheAndMatchesRebuild) {
 // rules is cached at one prefix, the prefix is extended twice (with some
 // entries completed in between, so entries are one or two extensions
 // stale), and the rules are then evaluated through EvalRules with one rule
-// repeated, so several workers complete the same key at once. Every capture
-// must equal a fresh build's and the scan's, no completion may count as a
-// miss, and the completions must show in `index.cache.stale_extends`.
+// repeated, so one batch finds the same stale key several times. The
+// prefixes exceed 65,536 rows, so at 4 and 8 threads the batch completes
+// its keys on several workers. Every capture must equal a fresh build's and
+// the scan's, no completion may count as a miss, and each key must be
+// extracted once and completed once (`index.cache.stale_extends`), at every
+// thread count.
 TEST(ConditionIndexExtend, StaleEntriesCompleteOnConcurrentHits) {
   Scenario s = TinyScenario();
-  s.options.num_transactions = 6000;
+  s.options.num_transactions = 80000;
   Dataset ds = GenerateDataset(s.options);
   const Relation& rel = *ds.relation;
   const Schema& schema = rel.schema();
@@ -376,7 +379,7 @@ TEST(ConditionIndexExtend, StaleEntriesCompleteOnConcurrentHits) {
   ASSERT_GT(rules.Get(ids[0]).NumNonTrivial(schema), 1u);
   std::vector<RuleId> repeated = ids;
   repeated.insert(repeated.end(), 6, ids[0]);
-  const size_t final_prefix = 5500;
+  const size_t final_prefix = 78000;
 
   RuleEvaluator scan(rel, final_prefix, EvalOptions{1, false});
   RuleEvaluator fresh(rel, final_prefix, EvalOptions{1, true});
@@ -384,13 +387,13 @@ TEST(ConditionIndexExtend, StaleEntriesCompleteOnConcurrentHits) {
   ASSERT_EQ(fresh.EvalRules(rules, repeated), expected);
 
   for (int threads : {1, 4, 8}) {
-    RuleEvaluator eval(rel, 3000, EvalOptions{threads, true});
+    RuleEvaluator eval(rel, 66000, EvalOptions{threads, true});
     eval.EvalRules(rules, ids);
     const ConditionCacheStats warm = eval.condition_index()->cache_stats();
-    // Two workers may both miss a key that two rules share.
-    ASSERT_GE(warm.misses, keys.size()) << threads << " threads";
-    eval.ExtendPrefix(4200);
-    // Complete the first half of the rules' entries at 4200 only.
+    // One batch looks each key up once, however many rules share it.
+    ASSERT_EQ(warm.misses, keys.size()) << threads << " threads";
+    eval.ExtendPrefix(72000);
+    // Complete the first half of the rules' entries at 72000 only.
     eval.EvalRules(rules, std::vector<RuleId>(ids.begin(),
                                               ids.begin() + ids.size() / 2));
     eval.ExtendPrefix(final_prefix);
@@ -411,12 +414,131 @@ TEST(ConditionIndexExtend, StaleEntriesCompleteOnConcurrentHits) {
     const obs::CounterSample* stale =
         delta.FindCounter("index.cache.stale_extends");
     ASSERT_NE(stale, nullptr) << threads << " threads";
-    // Every key was stale once; concurrent workers may complete one twice.
-    // (RUDOLF_THREADS overrides the requested count, so ask the evaluator.)
-    if (eval.num_threads() == 1) {
-      EXPECT_EQ(stale->value, keys.size());
-    } else {
-      EXPECT_GE(stale->value, keys.size()) << threads << " threads";
+    // Every key was stale once, and is completed once.
+    EXPECT_EQ(stale->value, keys.size()) << threads << " threads";
+  }
+}
+
+// The batch lookup is one serial pass at every thread count. A fixed
+// sequence of candidate batches runs over prefixes of more than 65,536 rows
+// (so at 4 and 8 threads the extractions, completions and intersections fan
+// out), with two ExtendPrefix calls between batches so that cached entries
+// go stale and are completed. The candidates draw their conditions from
+// small per-attribute pools, so the rules of one batch share keys, and from
+// large ones, so the 256-entry cache evicts. After every batch the cache's
+// hits, misses and evictions and `index.cache.stale_extends` must be
+// identical at 1, 4 and 8 threads; each distinct key of a batch is looked up
+// once and extracted at most once; and every capture equals the scan's.
+TEST(ConditionIndexExtend, BatchLookupIsThreadCountDeterministic) {
+  Scenario s = TinyScenario();
+  s.options.num_transactions = 72000;
+  Dataset ds = GenerateDataset(s.options);
+  const Relation& rel = *ds.relation;
+  const Schema& schema = rel.schema();
+  Rng rng(36);
+
+  std::vector<std::vector<Condition>> pools(schema.arity());
+  for (size_t attr = 0; attr < schema.arity(); ++attr) {
+    const AttributeDef& def = schema.attribute(attr);
+    const size_t size = attr % 2 == 0 ? 3 : 200;
+    for (size_t k = 0; k < size; ++k) {
+      Rule drawn = Rule::Trivial(schema);
+      while (drawn.condition(attr).IsTrivial(def)) drawn = RandomRule(schema, &rng);
+      pools[attr].push_back(drawn.condition(attr));
+    }
+  }
+  const size_t kBatches = 24;
+  std::vector<std::vector<Rule>> batches(kBatches);
+  for (std::vector<Rule>& batch : batches) {
+    for (int c = 0; c < 16; ++c) {
+      Rule rule = Rule::Trivial(schema);
+      for (size_t attr = 0; attr < schema.arity(); ++attr) {
+        if (rng.Bernoulli(0.5)) continue;
+        rule.set_condition(attr, pools[attr][static_cast<size_t>(rng.UniformInt(
+                                     0, static_cast<int64_t>(pools[attr].size()) - 1))]);
+      }
+      batch.push_back(rule);
+    }
+  }
+  auto prefix_before = [](size_t b) {
+    return b < 8 ? size_t{66000} : b < 16 ? size_t{69000} : size_t{72000};
+  };
+
+  // The captures every thread count must produce, from the scan.
+  std::vector<std::vector<Bitset>> expected(kBatches);
+  for (size_t b = 0; b < kBatches; ++b) {
+    RuleEvaluator scan(rel, prefix_before(b), EvalOptions{1, false});
+    for (const Rule& rule : batches[b]) expected[b].push_back(scan.EvalRule(rule));
+  }
+
+  struct Step {
+    ConditionCacheStats stats;
+    uint64_t stale_extends = 0;
+    bool operator==(const Step& o) const {
+      return stats.hits == o.stats.hits && stats.misses == o.stats.misses &&
+             stats.evictions == o.stats.evictions &&
+             stale_extends == o.stale_extends;
+    }
+  };
+  auto counter = [](const obs::MetricsSnapshot& snap, const char* name) {
+    const obs::CounterSample* c = snap.FindCounter(name);
+    return c == nullptr ? uint64_t{0} : c->value;
+  };
+  std::vector<std::vector<Step>> traces;
+  for (int threads : {1, 4, 8}) {
+    RuleEvaluator eval(rel, prefix_before(0), EvalOptions{threads, true});
+    std::vector<Step> trace;
+    uint64_t stale_extends = 0;
+    uint64_t episodes = 0;
+    for (size_t b = 0; b < kBatches; ++b) {
+      eval.ExtendPrefix(prefix_before(b));
+      std::unordered_set<ConditionKey, ConditionKeyHash> keys;
+      std::vector<const Rule*> batch;
+      for (const Rule& rule : batches[b]) {
+        batch.push_back(&rule);
+        for (size_t attr = 0; attr < schema.arity(); ++attr) {
+          if (rule.condition(attr).IsTrivial(schema.attribute(attr))) continue;
+          keys.insert(ConditionKey::For(attr, rule.condition(attr)));
+        }
+      }
+      const ConditionCacheStats before = eval.condition_index()->cache_stats();
+      const obs::MetricsSnapshot snap = obs::MetricsRegistry::Default().Snapshot();
+      std::vector<Bitset> got(batch.size());
+      eval.EvalRules(batch, [&got](size_t i, Bitset capture) {
+        got[i] = std::move(capture);
+      });
+      const obs::MetricsSnapshot delta =
+          obs::MetricsRegistry::Default().Snapshot().DeltaSince(snap);
+      const ConditionCacheStats after = eval.condition_index()->cache_stats();
+      ASSERT_EQ(got, expected[b]) << threads << " threads, batch " << b;
+      EXPECT_EQ(after.hits + after.misses - before.hits - before.misses,
+                keys.size())
+          << threads << " threads, batch " << b;
+      EXPECT_EQ(counter(delta, "index.extractions"), after.misses - before.misses)
+          << threads << " threads, batch " << b;
+      stale_extends += counter(delta, "index.cache.stale_extends");
+      episodes += counter(delta, "scheduler.episodes");
+      trace.push_back({after, stale_extends});
+    }
+    EXPECT_GT(trace.back().stats.evictions, 0u) << threads << " threads";
+    EXPECT_GT(trace.back().stale_extends, 0u) << threads << " threads";
+    // RUDOLF_THREADS overrides the requested count, so ask the evaluator.
+    if (eval.num_threads() > 1) {
+      EXPECT_GT(episodes, 0u) << threads << " threads";
+    }
+    traces.push_back(std::move(trace));
+  }
+  for (size_t t = 1; t < traces.size(); ++t) {
+    ASSERT_EQ(traces[t].size(), traces[0].size());
+    for (size_t b = 0; b < traces[t].size(); ++b) {
+      EXPECT_TRUE(traces[t][b] == traces[0][b])
+          << "configuration " << t << ", batch " << b << ": hits "
+          << traces[t][b].stats.hits << " vs " << traces[0][b].stats.hits
+          << ", misses " << traces[t][b].stats.misses << " vs "
+          << traces[0][b].stats.misses << ", evictions "
+          << traces[t][b].stats.evictions << " vs "
+          << traces[0][b].stats.evictions << ", stale extends "
+          << traces[t][b].stale_extends << " vs " << traces[0][b].stale_extends;
     }
   }
 }
@@ -627,11 +749,12 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
             << op << " cfg " << t << " replace-by-two rule " << live[k];
       }
       for (const Split& split : splits) {
-        std::vector<LabelCounts> counts;
-        ASSERT_EQ(got.DeltaForSplit(split.id, split.attr, split.sides, &counts),
-                  split.want)
+        std::vector<SplitScore> scores =
+            got.DeltaForSplit(split.id, {AttributeSplit{split.attr, split.sides}});
+        ASSERT_EQ(scores.size(), 1u);
+        ASSERT_EQ(scores[0].delta, split.want)
             << op << " cfg " << t << " split rule " << split.id;
-        ASSERT_EQ(counts, split.want_counts)
+        ASSERT_EQ(scores[0].side_counts, split.want_counts)
             << op << " cfg " << t << " split rule " << split.id;
       }
     }

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "ontology/builders.h"
+#include "workload/intrusion.h"
 
 namespace rudolf {
 namespace {
@@ -86,6 +87,37 @@ TEST(Ontology, LeavesUnder) {
   EXPECT_EQ(d.o.LeavesUnder(d.b), (std::vector<ConceptId>{d.ab, d.b1}));
   EXPECT_EQ(d.o.LeavesUnder(d.a1), (std::vector<ConceptId>{d.a1}));
   EXPECT_EQ(d.o.LeafCount(d.o.top()), 3u);
+}
+
+// LeafUnder selects from the leaf-set bitmap what LeavesUnder lists: the
+// k-th leaf of every concept, for every k, of the diamond and of every
+// builder ontology, a 463-concept geo ontology among them (its leaf sets
+// span eight words).
+TEST(Ontology, LeafUnderIsTheKthOfLeavesUnder) {
+  Diamond d;
+  GeoOntologyOptions wide;
+  wide.num_regions = 8;
+  wide.num_cities_per_region = 8;
+  std::vector<std::unique_ptr<Ontology>> ontologies;
+  ontologies.push_back(BuildTransactionTypeOntology());
+  ontologies.push_back(BuildGeoOntology());
+  ontologies.push_back(BuildGeoOntology(wide));
+  ontologies.push_back(BuildClientTypeOntology());
+  ontologies.push_back(BuildProtocolOntology());
+  ontologies.push_back(BuildAddressOntology());
+  ASSERT_EQ(ontologies[2]->size(), 463u);
+  std::vector<const Ontology*> all = {&d.o};
+  for (const auto& o : ontologies) all.push_back(o.get());
+  for (const Ontology* o : all) {
+    for (ConceptId c = 0; c < o->size(); ++c) {
+      const std::vector<ConceptId> leaves = o->LeavesUnder(c);
+      ASSERT_EQ(o->LeafCount(c), leaves.size()) << o->NameOf(c);
+      for (size_t k = 0; k < leaves.size(); ++k) {
+        ASSERT_EQ(o->LeafUnder(c, k), leaves[k])
+            << o->NameOf(c) << " leaf " << k;
+      }
+    }
+  }
 }
 
 TEST(Ontology, DepthIsShortestPathFromTop) {

@@ -51,6 +51,20 @@ const Dataset& SessionDataset() {
   return *ds;
 }
 
+// A session dataset above the evaluator's fan-out threshold (more than
+// 65,536 rows): at 4 threads its rankings score on the scheduler.
+const Dataset& LargeSessionDataset() {
+  static const Dataset* ds = [] {
+    Scenario s = TinyScenario();
+    s.options.num_transactions = 70000;
+    auto* d = new Dataset(GenerateDataset(s.options));
+    Rng rng(29);
+    RevealLabels(d->relation.get(), 0, 70000, 0.9, 0.05, 0.003, &rng);
+    return d;
+  }();
+  return *ds;
+}
+
 // Draws a random syntactically valid rule over the credit-card schema
 // (same construction as property_test.cc).
 Rule RandomRule(const Dataset& ds, Rng* rng) {
@@ -220,15 +234,15 @@ TEST_P(ParallelEquivalence, ClusteringMatchesSerialAcrossThreadCounts) {
 }
 
 TEST_P(ParallelEquivalence, RefineOutcomeMatchesSerial) {
-  const Dataset& ds = SessionDataset();
-  const size_t prefix = ds.relation->NumRows();
-
   // One full refinement session per thread count, and one on the scan
   // path, each from an identical starting rule set and an identically
   // seeded expert. Everything the session produces — the final rules, the
   // edit log, the interaction counters — must be independent of the thread
-  // count and of the condition index.
-  auto run = [&](int threads, bool use_index = true) {
+  // count and of the condition index. The large dataset runs at 1 and 4
+  // threads, with the index on and off: at 4 threads its proposal scoring
+  // fans out.
+  auto run = [&](const Dataset& ds, int threads, bool use_index = true) {
+    const size_t prefix = ds.relation->NumRows();
     SessionOptions options;
     options.eval.num_threads = threads;
     options.eval.use_index = use_index;
@@ -246,15 +260,23 @@ TEST_P(ParallelEquivalence, RefineOutcomeMatchesSerial) {
                            tracker.TotalCounts());
   };
 
-  auto expected = run(1);
+  const Dataset& small = SessionDataset();
+  auto expected = run(small, 1);
   // Guard against vacuous equivalence: the scenario must actually drive
   // proposals through the engines (it does — imperfect initial rules plus
   // an obsolete rule leave real refinement work).
   EXPECT_GT(std::get<4>(expected) + std::get<5>(expected), 0u);
   for (int threads : kThreadCounts) {
-    EXPECT_EQ(run(threads), expected) << threads << " threads";
+    EXPECT_EQ(run(small, threads), expected) << threads << " threads";
   }
-  EXPECT_EQ(run(1, false), expected) << "scan";
+  EXPECT_EQ(run(small, 1, false), expected) << "scan";
+
+  const Dataset& large = LargeSessionDataset();
+  auto expected_large = run(large, 1);
+  EXPECT_GT(std::get<4>(expected_large) + std::get<5>(expected_large), 0u);
+  EXPECT_EQ(run(large, 4), expected_large) << "large, 4 threads";
+  EXPECT_EQ(run(large, 1, false), expected_large) << "large, scan";
+  EXPECT_EQ(run(large, 4, false), expected_large) << "large, scan, 4 threads";
 }
 
 }  // namespace

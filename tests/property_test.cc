@@ -11,6 +11,7 @@
 #include "core/specialize.h"
 #include "io/csv.h"
 #include "metrics/quality.h"
+#include "obs/metrics.h"
 #include "ontology/serialization.h"
 #include "rules/parser.h"
 #include "util/random.h"
@@ -31,6 +32,31 @@ const Dataset& SharedDataset() {
     return d;
   }();
   return *ds;
+}
+
+// A dataset above the evaluator's fan-out threshold: more than 65,536 rows
+// (two RuleEvaluator::kChunkRows chunks), so trackers built at more than one
+// thread score on the scheduler.
+const Dataset& LargeDataset() {
+  static const Dataset* ds = [] {
+    Scenario s = TinyScenario();
+    s.options.num_transactions = 70000;
+    auto* d = new Dataset(GenerateDataset(s.options));
+    Rng rng(13);
+    RevealLabels(d->relation.get(), 0, 70000, 0.9, 0.08, 0.004, &rng);
+    return d;
+  }();
+  return *ds;
+}
+
+// Trackers at 1, 4 and 8 threads score every proposal alike.
+const int kTrackerThreads[] = {1, 4, 8};
+
+// The `scheduler.episodes` counter: moves when an evaluator fans out.
+uint64_t SchedulerEpisodes() {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Default().Snapshot();
+  const obs::CounterSample* c = snap.FindCounter("scheduler.episodes");
+  return c == nullptr ? 0 : c->value;
 }
 
 // Draws a random syntactically valid rule over the credit-card schema.
@@ -270,25 +296,28 @@ TEST_P(SeededProperty, TrackerDeltasMatchBruteForce) {
             brute(two));
 }
 
-// RankSplits scores each split from one walk over the split rule's capture
-// (CaptureTracker::DeltaForSplit). Its oracle is the scan: every proposal's
-// delta must equal DeltaFromCounts of the rule-set union's visible counts
-// before and after the split, and each side's counts those of the side
-// rule's scanned capture. Rows appended to a copy of the shared relation
-// hold non-leaf concepts in their type and location cells and amounts next
-// to the kNegInf / kPosInf sentinels. The rule set holds two overlapping
-// open-ended amount rules (some rows are covered twice), a point condition
-// (a split with no sides removes the rule, and the first appended row,
-// whose risk score is above every other, is covered by it alone) and
-// random rules; a type condition of ⊤ splits into a multi-concept cover of
-// the transaction-type DAG.
-TEST_P(SeededProperty, SplitScoresMatchScanOracle) {
-  const Dataset& ds = SharedDataset();
+// RankSplits scores the splits of every attribute from one walk over the
+// split rule's capture (CaptureTracker::DeltaForSplit). Its oracle is the
+// scan: every proposal's delta must equal DeltaFromCounts of the rule-set
+// union's visible counts before and after the split, and each side's counts
+// those of the side rule's scanned capture. Rows appended to a copy of the
+// relation hold non-leaf concepts in their type and location cells and
+// amounts next to the kNegInf / kPosInf sentinels. The rule set holds two
+// overlapping open-ended amount rules (some rows are covered twice), a
+// point condition (a split with no sides removes the rule, and the first
+// appended row, whose risk score is above every other, is covered by it
+// alone) and random rules; a type condition of ⊤ splits into a
+// multi-concept cover of the transaction-type DAG. Each rule is split
+// around at most `rows_per_rule` rows, appended ones first. Trackers at 1, 4
+// and 8 threads must rank alike; on the large input the 4-thread walk fans
+// out.
+void ExpectSplitScoresMatchScan(const Dataset& ds, uint64_t seed,
+                                size_t rows_per_rule) {
   const Schema& schema = *ds.cc.schema;
   const CreditCardSchemaLayout& at = ds.cc.layout;
   const Ontology& types = *ds.cc.type_ontology;
   const Ontology& places = *ds.cc.location_ontology;
-  Rng rng(GetParam() ^ 0x5B117);
+  Rng rng(seed ^ 0x5B117);
   Relation rel = *ds.relation;
   auto any_inner = [&](const Ontology& o) {
     std::vector<ConceptId> inner;
@@ -331,14 +360,23 @@ TEST_P(SeededProperty, SplitScoresMatchScanOracle) {
   for (int i = 0; i < 2; ++i) rules.AddRule(RandomRule(ds, &rng));
 
   SpecializationEngine engine(rel, SpecializeOptions{});
-  CaptureTracker tracker(rel, rules);
+  std::vector<std::unique_ptr<CaptureTracker>> trackers;
+  for (int threads : kTrackerThreads) {
+    trackers.push_back(std::make_unique<CaptureTracker>(
+        rel, rules, rel.NumRows(), EvalOptions{threads}));
+  }
+  const CaptureTracker& tracker = *trackers[0];
   RuleEvaluator scan(rel, rel.NumRows(), EvalOptions{1, false});
   const LabelCounts before = scan.CountsVisible(scan.EvalRuleSet(rules));
+  uint64_t fanned_out = 0;
   bool removal = false, sentinel = false, inner_cell = false,
        multi_cover = false, twice = false;
   for (RuleId id : rules.LiveIds()) {
     const Rule& rule = rules.Get(id);
     const Bitset& capture = tracker.RuleCapture(id);
+    RuleSet others = rules;
+    others.RemoveRule(id);
+    const Bitset others_capture = scan.EvalRuleSet(others);
     // The split rows: every captured appended row, and a few others.
     std::vector<size_t> rows;
     capture.ForEachInRange(first_appended, rel.NumRows(),
@@ -350,25 +388,41 @@ TEST_P(SeededProperty, SplitScoresMatchScanOracle) {
       rows.push_back(old_rows[static_cast<size_t>(rng.UniformInt(
           0, static_cast<int64_t>(old_rows.size()) - 1))]);
     }
+    if (rows.size() > rows_per_rule) rows.resize(rows_per_rule);
     capture.ForEach(
         [&](size_t r) { twice = twice || tracker.CoverCount(r) > 1; });
     for (size_t row : rows) {
       std::vector<SplitProposal> proposals =
           engine.RankSplits(tracker, id, row);
       ASSERT_FALSE(proposals.empty()) << "rule " << id << " row " << row;
+      for (size_t t = 1; t < trackers.size(); ++t) {
+        const uint64_t episodes = SchedulerEpisodes();
+        std::vector<SplitProposal> got =
+            engine.RankSplits(*trackers[t], id, row);
+        if (kTrackerThreads[t] == 4) fanned_out += SchedulerEpisodes() - episodes;
+        ASSERT_EQ(got.size(), proposals.size()) << kTrackerThreads[t];
+        for (size_t k = 0; k < got.size(); ++k) {
+          EXPECT_EQ(got[k].attribute, proposals[k].attribute);
+          EXPECT_EQ(got[k].delta, proposals[k].delta)
+              << kTrackerThreads[t] << " threads, rule " << id << " row "
+              << row << " attr " << proposals[k].attribute;
+          EXPECT_EQ(got[k].replacement_counts, proposals[k].replacement_counts)
+              << kTrackerThreads[t] << " threads, rule " << id << " row "
+              << row << " attr " << proposals[k].attribute;
+          EXPECT_EQ(got[k].replacements, proposals[k].replacements);
+        }
+      }
       for (const SplitProposal& p : proposals) {
-        RuleSet split = rules;
-        split.RemoveRule(id);
+        Bitset after = others_capture;
         ASSERT_EQ(p.replacement_counts.size(), p.replacements.size());
         for (size_t s = 0; s < p.replacements.size(); ++s) {
-          split.AddRule(p.replacements[s]);
-          EXPECT_EQ(p.replacement_counts[s],
-                    scan.CountsVisible(scan.EvalRule(p.replacements[s])))
+          const Bitset side = scan.EvalRule(p.replacements[s]);
+          EXPECT_EQ(p.replacement_counts[s], scan.CountsVisible(side))
               << "rule " << id << " row " << row << " attr " << p.attribute
               << " side " << s;
+          after |= side;
         }
-        LabelCounts after = scan.CountsVisible(scan.EvalRuleSet(split));
-        EXPECT_EQ(p.delta, DeltaFromCounts(before, after))
+        EXPECT_EQ(p.delta, DeltaFromCounts(before, scan.CountsVisible(after)))
             << "rule " << id << " row " << row << " attr " << p.attribute;
 
         const AttributeDef& def = schema.attribute(p.attribute);
@@ -395,6 +449,97 @@ TEST_P(SeededProperty, SplitScoresMatchScanOracle) {
   EXPECT_TRUE(inner_cell);
   EXPECT_TRUE(multi_cover);
   EXPECT_TRUE(twice);
+  // RUDOLF_THREADS overrides the requested count, so ask the evaluator.
+  const RuleEvaluator& four = trackers[1]->evaluator();
+  if (four.num_threads() > 1 && rel.NumRows() > RuleEvaluator::kChunkRows) {
+    EXPECT_TRUE(four.FansOut());
+    EXPECT_GT(fanned_out, 0u);
+  }
+}
+
+TEST_P(SeededProperty, SplitScoresMatchScanOracle) {
+  ExpectSplitScoresMatchScan(SharedDataset(), GetParam(), SIZE_MAX);
+  ExpectSplitScoresMatchScan(LargeDataset(), GetParam(), 4);
+}
+
+// RankCandidates scores its shortlist as one batch of replacements
+// (CaptureTracker::DeltaForReplace over RuleEvaluator::EvalRules): every
+// proposal's delta, and every delta of a batch of random replacements, must
+// equal DeltaFromCounts of the scanned union's visible counts before and
+// after the replacement, at 1, 4 and 8 threads. On the large input the
+// 4-thread batches fan out.
+void ExpectCandidateDeltasMatchScan(const Dataset& ds, uint64_t seed) {
+  const Relation& rel = *ds.relation;
+  const Schema& schema = *ds.cc.schema;
+  Rng rng(seed ^ 0xCA9D);
+  RuleSet rules;
+  for (int i = 0; i < 6; ++i) rules.AddRule(RandomRule(ds, &rng));
+  const std::vector<RuleId> ids = rules.LiveIds();
+  RuleEvaluator scan(rel, rel.NumRows(), EvalOptions{1, false});
+  const LabelCounts before = scan.CountsVisible(scan.EvalRuleSet(rules));
+  auto oracle = [&](RuleId id, const Rule& replacement) {
+    RuleSet replaced = rules;
+    replaced.Replace(id, replacement);
+    return DeltaFromCounts(before,
+                           scan.CountsVisible(scan.EvalRuleSet(replaced)));
+  };
+  // Representatives of a few random rows, and one random replacement per
+  // rule (repeated once, so a batch holds equal keys).
+  std::vector<Rule> representatives;
+  for (int i = 0; i < 2; ++i) {
+    std::vector<size_t> rows;
+    for (int k = 0; k < 3; ++k) {
+      rows.push_back(static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(rel.NumRows()) - 1)));
+    }
+    representatives.push_back(RepresentativeOfRows(rel, rows));
+  }
+  std::vector<Rule> replacements;
+  std::vector<RuleId> replaced;
+  for (RuleId id : ids) {
+    replacements.push_back(RandomRule(ds, &rng));
+    replaced.push_back(id);
+  }
+  replacements.push_back(replacements[0]);
+  replaced.push_back(ids[1]);
+  std::vector<BenefitDelta> want;
+  for (size_t i = 0; i < replacements.size(); ++i) {
+    want.push_back(oracle(replaced[i], replacements[i]));
+  }
+  std::vector<const Rule*> batch;
+  for (const Rule& r : replacements) batch.push_back(&r);
+
+  GeneralizeOptions options;
+  options.top_k = options.max_candidates_scored;
+  GeneralizationEngine engine(rel, options);
+  size_t candidates = 0;
+  for (int threads : kTrackerThreads) {
+    CaptureTracker tracker(rel, rules, rel.NumRows(), EvalOptions{threads});
+    const uint64_t episodes = SchedulerEpisodes();
+    EXPECT_EQ(tracker.DeltaForReplace(replaced, batch), want)
+        << threads << " threads";
+    for (const Rule& rep : representatives) {
+      for (const GeneralizationProposal& p :
+           engine.RankCandidates(tracker, rep, 3)) {
+        EXPECT_EQ(p.delta, oracle(p.rule_id, p.proposed))
+            << threads << " threads, rule " << p.rule_id << " to "
+            << p.proposed.ToString(schema);
+        ++candidates;
+      }
+    }
+    // RUDOLF_THREADS overrides the requested count, so ask the evaluator.
+    if (threads == 4 && tracker.evaluator().num_threads() > 1 &&
+        rel.NumRows() > RuleEvaluator::kChunkRows) {
+      EXPECT_TRUE(tracker.evaluator().FansOut());
+      EXPECT_GT(SchedulerEpisodes(), episodes);
+    }
+  }
+  EXPECT_GT(candidates, 0u);
+}
+
+TEST_P(SeededProperty, CandidateDeltasMatchScanOracle) {
+  ExpectCandidateDeltasMatchScan(SharedDataset(), GetParam());
+  ExpectCandidateDeltasMatchScan(LargeDataset(), GetParam());
 }
 
 // EvaluateOnRange scans each rule over its window only; its counts must
