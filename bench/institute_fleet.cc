@@ -12,6 +12,10 @@
 //      RSS ceiling — with a bit-identity gate against the baseline replay;
 //   3. memory pressure: the same fleet under a deliberately small budget,
 //      asserting the evictor fires and stays invisible in the outputs.
+//
+// Phases 1 and 2 each time a fraction of a second, on a host whose speed
+// drifts, so they run kRepetitions times, interleaved and each on fresh
+// worlds, and the speedup is the ratio of their median rounds/sec.
 
 #include <algorithm>
 #include <chrono>
@@ -35,6 +39,8 @@ using namespace rudolf::bench;
 namespace {
 
 constexpr int kRounds = 3;
+// Timed runs of phases 1 and 2 each; odd, so the median is one run.
+constexpr int kRepetitions = 5;
 
 size_t PrefixAt(size_t rows, int round) {  // 40% initial, +20% per round
   double frac = 0.4 + 0.2 * round;
@@ -175,6 +181,13 @@ bool Identical(const PhaseResult& a, const PhaseResult& b) {
   return a.rules == b.rules && a.edits == b.edits;
 }
 
+double MedianSeconds(const std::vector<PhaseResult>& runs) {
+  std::vector<double> seconds;
+  for (const PhaseResult& run : runs) seconds.push_back(run.seconds);
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2];
+}
+
 }  // namespace
 
 int main() {
@@ -196,17 +209,36 @@ int main() {
 
   // Phase 1: gang-serialized baseline (also the bit-identity reference —
   // tenants are independent, so one-at-a-time IS the serial per-tenant
-  // replay).
-  PhaseResult gang = GangSerialized(tenants, rows);
-  double gang_rps = static_cast<double>(total_rounds) / gang.seconds;
-  std::printf("[phase 1] gang-serialized: %.2fs, %.1f rounds/sec\n",
-              gang.seconds, gang_rps);
-
-  // Phase 2: concurrent fleet, unlimited memory.
+  // replay). Phase 2: concurrent fleet, unlimited memory. The repetitions
+  // alternate which phase runs first.
+  std::vector<PhaseResult> gangs;
+  std::vector<PhaseResult> fleets;
   FleetStats fleet_stats;
-  PhaseResult fleet = ConcurrentFleet(tenants, rows, /*budget=*/0,
-                                      &fleet_stats);
-  double fleet_rps = static_cast<double>(total_rounds) / fleet.seconds;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    if (rep % 2 == 1) {
+      fleets.push_back(ConcurrentFleet(tenants, rows, /*budget=*/0,
+                                       &fleet_stats));
+    }
+    gangs.push_back(GangSerialized(tenants, rows));
+    if (rep % 2 == 0) {
+      fleets.push_back(ConcurrentFleet(tenants, rows, /*budget=*/0,
+                                       &fleet_stats));
+    }
+  }
+  for (size_t rep = 0; rep < gangs.size(); ++rep) {
+    std::printf("[repetition %zu] gang-serialized %.3fs, concurrent fleet "
+                "%.3fs (%.2fx)\n",
+                rep + 1, gangs[rep].seconds, fleets[rep].seconds,
+                gangs[rep].seconds / fleets[rep].seconds);
+  }
+  const PhaseResult& gang = gangs.front();
+  const double gang_s = MedianSeconds(gangs);
+  const double fleet_s = MedianSeconds(fleets);
+  double gang_rps = static_cast<double>(total_rounds) / gang_s;
+  std::printf("[phase 1] gang-serialized: median %.3fs of %d runs, "
+              "%.1f rounds/sec\n",
+              gang_s, kRepetitions, gang_rps);
+  double fleet_rps = static_cast<double>(total_rounds) / fleet_s;
   obs::MetricsSnapshot snap = obs::MetricsRegistry::Default().Snapshot();
   const obs::HistogramSample* rounds_hist =
       snap.FindHistogram("fleet.round.seconds");
@@ -215,11 +247,19 @@ int main() {
   double rss_mb = 0, hwm_mb = 0;
   ReadRss(&rss_mb, &hwm_mb);
   double speedup = fleet_rps / gang_rps;
-  std::printf("[phase 2] concurrent fleet: %.2fs, %.1f rounds/sec "
-              "(%.2fx), p95 round %.1f ms, RSS %.0f MiB (peak %.0f)\n",
-              fleet.seconds, fleet_rps, speedup, p95_ms, rss_mb, hwm_mb);
+  std::printf("[phase 2] concurrent fleet: median %.3fs of %d runs, "
+              "%.1f rounds/sec (%.2fx), p95 round %.1f ms, RSS %.0f MiB "
+              "(peak %.0f)\n",
+              fleet_s, kRepetitions, fleet_rps, speedup, p95_ms, rss_mb,
+              hwm_mb);
 
-  bool identical = Identical(gang, fleet);
+  bool identical = true;
+  for (const PhaseResult& run : gangs) {
+    identical = identical && Identical(gang, run);
+  }
+  for (const PhaseResult& run : fleets) {
+    identical = identical && Identical(gang, run);
+  }
   ShapeCheck("concurrent fleet outputs are bit-identical to serial replay",
              identical);
   // Oversubscribing a narrow box with RUDOLF_THREADS can't beat serial, so
@@ -257,6 +297,7 @@ int main() {
   BenchJson json("institute_fleet", tenants * rows);
   json.Metric("tenants", static_cast<double>(tenants));
   json.Metric("scheduler_width", width);
+  json.Metric("repetitions", kRepetitions);
   json.Metric("gang_rounds_per_sec", gang_rps);
   json.Metric("fleet_rounds_per_sec", fleet_rps);
   json.Metric("speedup", speedup);

@@ -102,13 +102,11 @@ ManualRoundStats ManualExpert::RunRound(RuleSet* rules, size_t prefix_rows,
   size_t prefix = std::min(prefix_rows, relation.NumRows());
 
   // Snapshot of the problematic transactions at round start. Each rule is
-  // evaluated once, so an index would not pay for its build: scan each live
-  // rule over the prefix, OR-ing into one bitmap.
+  // evaluated once, so an index would not pay for its build: one scan union
+  // over the prefix.
   RuleEvaluator evaluator(relation, prefix, EvalOptions{.use_index = false});
   Bitset covered(prefix);
-  for (RuleId id : rules->LiveIds()) {
-    evaluator.EvalRuleRange(rules->Get(id), 0, prefix, &covered);
-  }
+  evaluator.EvalRuleSetRange(*rules, 0, prefix, &covered);
   std::vector<size_t> problematic;  // stream order: frauds missed, legits hit
   for (size_t r = 0; r < prefix; ++r) {
     Label l = relation.VisibleLabel(r);

@@ -53,12 +53,12 @@ PredictionQuality EvaluateOnRange(const Relation& relation, const RuleSet& rules
   if (begin >= end) return q;
 
   // Each rule is evaluated once, so an index would not pay for its build:
-  // scan each live rule over [begin, end) only, OR-ing into one bitmap.
-  RuleEvaluator evaluator(relation, end, EvalOptions{.use_index = false});
+  // one scan union over [begin, end) only, whose row blocks fan out at the
+  // shared scheduler's width.
+  RuleEvaluator evaluator(relation, end,
+                          EvalOptions{.num_threads = 0, .use_index = false});
   Bitset captured(end);
-  for (RuleId id : rules.LiveIds()) {
-    evaluator.EvalRuleRange(rules.Get(id), begin, end, &captured);
-  }
+  evaluator.EvalRuleSetRange(rules, begin, end, &captured);
   for (size_t r = begin; r < end; ++r) {
     ++q.rows;
     bool hit = captured.Test(r);

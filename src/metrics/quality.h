@@ -37,7 +37,8 @@ struct PredictionQuality {
 };
 
 /// Evaluates `rules` on rows [begin, end) of `relation` with ground-truth
-/// labels.
+/// labels, by one RuleEvaluator::EvalRuleSetRange scan at the shared
+/// scheduler's width (all hardware threads unless `RUDOLF_THREADS` is set).
 PredictionQuality EvaluateOnRange(const Relation& relation, const RuleSet& rules,
                                   size_t begin, size_t end);
 

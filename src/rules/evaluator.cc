@@ -11,17 +11,6 @@
 
 namespace rudolf {
 
-namespace {
-
-// Row-block grain of the parallel columnar scan. A multiple of 64, so block
-// boundaries are Bitset-word-aligned and blocks never share an output word.
-constexpr size_t kRowBlockGrain = size_t{1} << 14;
-
-// Below this prefix size the fork-join overhead beats the scan itself.
-constexpr size_t kMinParallelRows = size_t{1} << 15;
-
-}  // namespace
-
 bool ResolveUseIndex(bool requested) {
   // Read once per process, so an invalid value warns once, not once per
   // evaluator.
@@ -211,26 +200,37 @@ void RuleEvaluator::EvalRuleBlock(const Rule& rule,
   out->OrWords(acc.data(), alo / 64, nwords);
 }
 
+void RuleEvaluator::ForEachBlock(
+    size_t lo, size_t hi,
+    const std::function<void(size_t, size_t)>& body) const {
+  if (lo >= hi) return;
+  const size_t first = lo / kChunkRows;
+  ForEachUnit((hi - 1) / kChunkRows - first + 1, [&](size_t a, size_t b) {
+    for (size_t k = first + a; k < first + b; ++k) {
+      body(std::max(lo, k * kChunkRows), std::min(hi, (k + 1) * kChunkRows));
+    }
+  });
+}
+
+void RuleEvaluator::EvalRuleSetRange(const RuleSet& rules, size_t lo,
+                                     size_t hi, Bitset* out) const {
+  const std::vector<RuleId> ids = rules.LiveIds();
+  // Serially warm the mask cache so the blocks' scans only read it.
+  if (FansOut()) {
+    for (RuleId id : ids) EnsureMasks(rules.Get(id));
+  }
+  ForEachBlock(lo, std::min(hi, num_rows_), [&](size_t blo, size_t bhi) {
+    for (RuleId id : ids) EvalRuleRange(rules.Get(id), blo, bhi, out);
+  });
+}
+
 Bitset RuleEvaluator::EvalRuleScan(const Rule& rule) const {
-  std::vector<size_t> conditions = NonTrivialConditions(rule);
-  Bitset out(num_rows_);
-  if (conditions.empty()) {
-    out.Fill(true);
-    return out;
-  }
   RUDOLF_COUNTER_INC("eval.rule.scan");
-  if (sched_ != nullptr && num_rows_ >= kMinParallelRows &&
-      !TaskScheduler::InRegionTagged(this)) {
-    EnsureMasks(rule);
-    sched_->ParallelFor(
-        0, num_rows_, kRowBlockGrain,
-        [&](size_t lo, size_t hi) {
-          EvalRuleBlock(rule, conditions, lo, hi, &out);
-        },
-        /*tag=*/this);
-  } else {
-    EvalRuleBlock(rule, conditions, 0, num_rows_, &out);
-  }
+  if (FansOut()) EnsureMasks(rule);
+  Bitset out(num_rows_);
+  ForEachBlock(0, num_rows_, [&](size_t lo, size_t hi) {
+    EvalRuleRange(rule, lo, hi, &out);
+  });
   return out;
 }
 
@@ -303,23 +303,17 @@ std::vector<Bitset> RuleEvaluator::EvalRules(const RuleSet& rules,
 
 Bitset RuleEvaluator::EvalRuleSet(const RuleSet& rules) const {
   RUDOLF_SPAN("eval.rule_set");
-  std::vector<RuleId> ids = rules.LiveIds();
   Bitset out(num_rows_);
-  if (sched_ != nullptr && ids.size() > 1 &&
-      !TaskScheduler::InRegionTagged(this)) {
-    std::vector<Bitset> bitmaps = EvalRules(rules, ids);
-    // Parallel union over word-aligned row ranges: every worker ORs all
-    // bitmaps into its own disjoint slice of `out`. Bitwise OR commutes, so
-    // the result is independent of the partition.
-    sched_->ParallelFor(
-        0, num_rows_, kRowBlockGrain,
-        [&](size_t lo, size_t hi) {
-          for (const Bitset& b : bitmaps) out.OrRange(b, lo, hi);
-        },
-        /*tag=*/this);
-  } else {
-    for (RuleId id : ids) out |= EvalRule(rules.Get(id));
+  if (index_ == nullptr) {
+    EvalRuleSetRange(rules, 0, num_rows_, &out);
+    return out;
   }
+  const std::vector<Bitset> bitmaps = EvalRules(rules, rules.LiveIds());
+  // Every block ORs all bitmaps into its own words of `out`; bitwise OR
+  // commutes, so the union does not depend on the partition.
+  ForEachBlock(0, num_rows_, [&](size_t lo, size_t hi) {
+    for (const Bitset& b : bitmaps) out.OrRange(b, lo, hi);
+  });
   return out;
 }
 

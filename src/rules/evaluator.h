@@ -4,11 +4,11 @@
 //
 // Evaluation optionally runs on the shared TaskScheduler (see
 // EvalOptions). One rule, FansOut, decides whether a batch of rules (tracker
-// builds, Sync, generalization candidates) and a split walk over a rule's
-// capture fan out: only when the evaluator has more than one thread and its
-// prefix spans at least two 65,536-row chunks. The row-range extension pass
-// parallelizes across rules and the scan of a single rule across
-// word-aligned row blocks, each under its own size test. Every decomposition
+// builds, Sync, generalization candidates), a split walk over a rule's
+// capture and a scan's 65,536-row blocks fan out: only when the evaluator
+// has more than one thread and its prefix spans at least two such chunks.
+// Only the row-range extension pass keeps its own test: it parallelizes
+// across rules whenever it has more than one. Every decomposition
 // produces bit-identical results to the serial path — see DESIGN.md
 // "Parallel evaluation pipeline" — and episodes issued by concurrent
 // evaluators (fleet tenants) interleave freely on the one scheduler.
@@ -99,15 +99,15 @@ class RuleEvaluator {
   /// Resolved thread count (1 = serial).
   int num_threads() const { return num_threads_; }
 
-  /// Words of one chunk of a fanned-out walk over a prefix bitmap: 1,024
-  /// words, 65,536 rows.
+  /// Words of one chunk of a fanned-out walk over a prefix bitmap, and of
+  /// one row block of a scan: 1,024 words, 65,536 rows.
   static constexpr size_t kChunkWords = 1024;
   static constexpr size_t kChunkRows = kChunkWords * 64;
 
-  /// The fan-out rule of batch evaluation and proposal scoring: true when
-  /// the evaluator has more than one thread, its prefix spans at least two
-  /// chunks (more than kChunkRows rows), and the caller is not already
-  /// inside one of this evaluator's own parallel regions.
+  /// The fan-out rule of batch evaluation, proposal scoring and row-block
+  /// scans: true when the evaluator has more than one thread, its prefix
+  /// spans at least two chunks (more than kChunkRows rows), and the caller
+  /// is not already inside one of this evaluator's own parallel regions.
   bool FansOut() const;
 
   /// Runs `body(lo, hi)` over a partition of the units [0, n): on the
@@ -140,13 +140,23 @@ class RuleEvaluator {
                       size_t lo, size_t hi,
                       const std::vector<Bitset*>& outs) const;
 
+  /// ORs into `out` (sized num_rows()) the rows in [lo, hi) that some live
+  /// rule of `rules` captures; bits outside [lo, hi) are untouched. Scans,
+  /// never the condition index, in blocks cut on absolute kChunkRows
+  /// boundaries, one unit each of ForEachUnit; blocks write disjoint words,
+  /// so the union is bit-identical at every width. The one-shot pass of
+  /// EvaluateOnRange and ManualExpert::RunRound.
+  void EvalRuleSetRange(const RuleSet& rules, size_t lo, size_t hi,
+                        Bitset* out) const;
+
   /// Rows captured by a single rule: a batch of one on the indexed path
-  /// (see EvalRules). The scan runs parallel across row blocks for large
-  /// prefixes when the evaluator was built with num_threads > 1.
+  /// (see EvalRules); with the index off, a scan whose row blocks fan out
+  /// under FansOut(), as in EvalRuleSetRange.
   Bitset EvalRule(const Rule& rule) const;
 
-  /// Rows captured by the union of all live rules. Parallel across rules
-  /// when num_threads > 1.
+  /// Rows captured by the union of all live rules: EvalRuleSetRange over
+  /// the prefix with the index off; with it on, one EvalRules batch ORed on
+  /// the same blocks. Both fan out under FansOut().
   Bitset EvalRuleSet(const RuleSet& rules) const;
 
   /// The batch evaluation path: hands each rule's capture bitmap to
@@ -216,6 +226,12 @@ class RuleEvaluator {
   // disjoint words of `out`.
   void EvalRuleBlock(const Rule& rule, const std::vector<size_t>& conditions,
                      size_t lo, size_t hi, Bitset* out) const;
+
+  // Runs `body(lo, hi)` once per block of [lo, hi): the range cut on
+  // absolute kChunkRows boundaries and clamped to lo and hi, one block per
+  // unit of ForEachUnit.
+  void ForEachBlock(size_t lo, size_t hi,
+                    const std::function<void(size_t, size_t)>& body) const;
 
   // The scan of one rule over the whole prefix.
   Bitset EvalRuleScan(const Rule& rule) const;

@@ -24,8 +24,9 @@ namespace {
 
 const int kThreadCounts[] = {2, 4, 8};
 
-// Large enough that EvalRule's row-block path (which only engages above an
-// internal prefix threshold of 2^15 rows) is genuinely exercised.
+// 40,000 rows: below the evaluator's fan-out threshold (65,536 rows), so
+// the suites on it run their evaluations inline; LargeDataset() is the one
+// whose scans and batches fan out.
 const Dataset& BlockDataset() {
   static const Dataset* ds = [] {
     Scenario s = TinyScenario();
@@ -51,9 +52,10 @@ const Dataset& SessionDataset() {
   return *ds;
 }
 
-// A session dataset above the evaluator's fan-out threshold (more than
-// 65,536 rows): at 4 threads its rankings score on the scheduler.
-const Dataset& LargeSessionDataset() {
+// A dataset above the evaluator's fan-out threshold (more than 65,536
+// rows): at more than one thread its scans split into 65,536-row blocks and
+// its sessions' rankings score on the scheduler.
+const Dataset& LargeDataset() {
   static const Dataset* ds = [] {
     Scenario s = TinyScenario();
     s.options.num_transactions = 70000;
@@ -98,18 +100,25 @@ class ParallelEquivalence : public ::testing::TestWithParam<uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
+// With the index on, EvalRule's condition extractions fan out; with it off,
+// the scan's row blocks do.
 TEST_P(ParallelEquivalence, EvalRuleMatchesSerialAcrossThreadCounts) {
-  const Dataset& ds = BlockDataset();
+  const Dataset& ds = LargeDataset();
   Rng rng(GetParam() ^ 0x0B10C);
-  RuleEvaluator serial(*ds.relation, static_cast<size_t>(-1), EvalOptions{1});
-  for (int i = 0; i < 6; ++i) {
-    Rule rule = RandomRule(ds, &rng);
-    Bitset expected = serial.EvalRule(rule);
-    for (int threads : kThreadCounts) {
-      RuleEvaluator parallel(*ds.relation, static_cast<size_t>(-1),
-                             EvalOptions{threads});
-      EXPECT_EQ(parallel.EvalRule(rule), expected)
-          << threads << " threads, rule " << rule.ToString(*ds.cc.schema);
+  for (bool use_index : {true, false}) {
+    RuleEvaluator serial(*ds.relation, static_cast<size_t>(-1),
+                         EvalOptions{1, use_index});
+    for (int i = 0; i < 6; ++i) {
+      Rule rule = RandomRule(ds, &rng);
+      Bitset expected = serial.EvalRule(rule);
+      for (int threads : kThreadCounts) {
+        RuleEvaluator parallel(*ds.relation, static_cast<size_t>(-1),
+                               EvalOptions{threads, use_index});
+        EXPECT_EQ(parallel.FansOut(), parallel.num_threads() > 1);
+        EXPECT_EQ(parallel.EvalRule(rule), expected)
+            << threads << " threads, index " << use_index << ", rule "
+            << rule.ToString(*ds.cc.schema);
+      }
     }
   }
 }
@@ -155,35 +164,46 @@ TEST_P(ParallelEquivalence, IndexedEvalRulesMatchesScan) {
 }
 
 TEST_P(ParallelEquivalence, EvalRuleMatchesOnUnalignedPrefix) {
-  const Dataset& ds = BlockDataset();
+  const Dataset& ds = LargeDataset();
   Rng rng(GetParam() ^ 0xA117);
-  // A prefix that is neither block- nor word-aligned: the final short chunk
-  // and padding-word handling must still agree with the serial path.
-  const size_t prefix = 39007;
-  RuleEvaluator serial(*ds.relation, prefix, EvalOptions{1});
-  for (int i = 0; i < 4; ++i) {
-    Rule rule = RandomRule(ds, &rng);
-    Bitset expected = serial.EvalRule(rule);
-    for (int threads : kThreadCounts) {
-      RuleEvaluator parallel(*ds.relation, prefix, EvalOptions{threads});
-      EXPECT_EQ(parallel.EvalRule(rule), expected) << threads << " threads";
+  // A prefix above the fan-out threshold that is neither block- nor
+  // word-aligned: the final short block and padding-word handling must
+  // still agree with the serial path.
+  const size_t prefix = 69007;
+  for (bool use_index : {true, false}) {
+    RuleEvaluator serial(*ds.relation, prefix, EvalOptions{1, use_index});
+    for (int i = 0; i < 4; ++i) {
+      Rule rule = RandomRule(ds, &rng);
+      Bitset expected = serial.EvalRule(rule);
+      for (int threads : kThreadCounts) {
+        RuleEvaluator parallel(*ds.relation, prefix,
+                               EvalOptions{threads, use_index});
+        EXPECT_EQ(parallel.EvalRule(rule), expected)
+            << threads << " threads, index " << use_index;
+      }
     }
   }
 }
 
+// With the index on, the union ORs one batch's captures block by block; with
+// it off, every block scans every rule (EvalRuleSetRange).
 TEST_P(ParallelEquivalence, EvalRuleSetMatchesSerialAcrossThreadCounts) {
-  const Dataset& ds = BlockDataset();
+  const Dataset& ds = LargeDataset();
   Rng rng(GetParam() ^ 0x5E7);
   RuleSet rules = RandomRuleSet(ds, &rng, 7);
-  RuleEvaluator serial(*ds.relation, static_cast<size_t>(-1), EvalOptions{1});
+  rules.RemoveRule(rules.LiveIds()[2]);
+  RuleEvaluator serial(*ds.relation, static_cast<size_t>(-1),
+                       EvalOptions{1, /*use_index=*/false});
   Bitset expected = serial.EvalRuleSet(rules);
   LabelCounts expected_counts = serial.CountsVisible(expected);
-  for (int threads : kThreadCounts) {
-    RuleEvaluator parallel(*ds.relation, static_cast<size_t>(-1),
-                           EvalOptions{threads});
-    Bitset got = parallel.EvalRuleSet(rules);
-    EXPECT_EQ(got, expected) << threads << " threads";
-    EXPECT_EQ(parallel.CountsVisible(got), expected_counts);
+  for (bool use_index : {true, false}) {
+    for (int threads : kThreadCounts) {
+      RuleEvaluator parallel(*ds.relation, static_cast<size_t>(-1),
+                             EvalOptions{threads, use_index});
+      Bitset got = parallel.EvalRuleSet(rules);
+      EXPECT_EQ(got, expected) << threads << " threads, index " << use_index;
+      EXPECT_EQ(parallel.CountsVisible(got), expected_counts);
+    }
   }
 }
 
@@ -271,7 +291,7 @@ TEST_P(ParallelEquivalence, RefineOutcomeMatchesSerial) {
   }
   EXPECT_EQ(run(small, 1, false), expected) << "scan";
 
-  const Dataset& large = LargeSessionDataset();
+  const Dataset& large = LargeDataset();
   auto expected_large = run(large, 1);
   EXPECT_GT(std::get<4>(expected_large) + std::get<5>(expected_large), 0u);
   EXPECT_EQ(run(large, 4), expected_large) << "large, 4 threads";

@@ -15,6 +15,7 @@
 #include "ontology/serialization.h"
 #include "rules/parser.h"
 #include "util/random.h"
+#include "util/task_scheduler.h"
 #include "workload/generator.h"
 #include "workload/scenarios.h"
 
@@ -36,7 +37,8 @@ const Dataset& SharedDataset() {
 
 // A dataset above the evaluator's fan-out threshold: more than 65,536 rows
 // (two RuleEvaluator::kChunkRows chunks), so trackers built at more than one
-// thread score on the scheduler.
+// thread score on the scheduler, and scans at more than one thread split
+// into row blocks that fan out.
 const Dataset& LargeDataset() {
   static const Dataset* ds = [] {
     Scenario s = TinyScenario();
@@ -542,22 +544,13 @@ TEST_P(SeededProperty, CandidateDeltasMatchScanOracle) {
   ExpectCandidateDeltasMatchScan(LargeDataset(), GetParam());
 }
 
-// EvaluateOnRange scans each rule over its window only; its counts must
-// equal a row-by-row match over the same window. The window spans more than
-// two 64-row words and starts off a word boundary, so both the per-row head
-// and the kernel body run.
-TEST_P(SeededProperty, EvaluateOnRangeMatchesRowByRow) {
-  const Dataset& ds = SharedDataset();
+// EvaluateOnRange scans the live rules over the window only; its counts
+// must equal a row-by-row match over the same window.
+void ExpectEvaluateOnRangeMatchesRowByRow(const Dataset& ds,
+                                          const RuleSet& rules, size_t begin,
+                                          size_t end) {
   const Relation& rel = *ds.relation;
-  Rng rng(GetParam() ^ 0x0E7A);
-  RuleSet rules;
-  for (int i = 0; i < 4; ++i) rules.AddRule(RandomRule(ds, &rng));
-  rules.RemoveRule(rules.LiveIds()[static_cast<size_t>(rng.UniformInt(0, 3))]);
-  size_t begin = 64 * static_cast<size_t>(rng.UniformInt(0, 4)) +
-                 static_cast<size_t>(rng.UniformInt(1, 63));
-  size_t end = begin + static_cast<size_t>(rng.UniformInt(129, 700));
   ASSERT_LE(end, rel.NumRows());
-
   PredictionQuality want;
   for (size_t r = begin; r < end; ++r) {
     bool hit = false;
@@ -584,6 +577,103 @@ TEST_P(SeededProperty, EvaluateOnRangeMatchesRowByRow) {
   EXPECT_EQ(got.fraud_captured, want.fraud_captured);
   EXPECT_EQ(got.fraud_missed, want.fraud_missed);
   EXPECT_EQ(got.legit_captured, want.legit_captured);
+}
+
+// A row in [lo, hi) that is not on a 64-row word boundary.
+size_t OffWordRow(size_t lo, size_t hi, Rng* rng) {
+  for (;;) {
+    auto row = static_cast<size_t>(rng->UniformInt(
+        static_cast<int64_t>(lo), static_cast<int64_t>(hi) - 1));
+    if (row % 64 != 0) return row;
+  }
+}
+
+// On the small input the window spans more than two 64-row words and starts
+// off a word boundary, so both the per-row head and the kernel body run. On
+// the large one it starts and ends off a word boundary and crosses row
+// 65,536, so its two row blocks fan out at the shared scheduler's width.
+TEST_P(SeededProperty, EvaluateOnRangeMatchesRowByRow) {
+  {
+    const Dataset& ds = SharedDataset();
+    Rng rng(GetParam() ^ 0x0E7A);
+    RuleSet rules;
+    for (int i = 0; i < 4; ++i) rules.AddRule(RandomRule(ds, &rng));
+    rules.RemoveRule(rules.LiveIds()[static_cast<size_t>(rng.UniformInt(0, 3))]);
+    size_t begin = 64 * static_cast<size_t>(rng.UniformInt(0, 4)) +
+                   static_cast<size_t>(rng.UniformInt(1, 63));
+    size_t end = begin + static_cast<size_t>(rng.UniformInt(129, 700));
+    ExpectEvaluateOnRangeMatchesRowByRow(ds, rules, begin, end);
+  }
+  const Dataset& ds = LargeDataset();
+  Rng rng(GetParam() ^ 0x0E7B);
+  RuleSet rules;
+  for (int i = 0; i < 4; ++i) rules.AddRule(RandomRule(ds, &rng));
+  rules.RemoveRule(rules.LiveIds()[static_cast<size_t>(rng.UniformInt(0, 3))]);
+  const size_t block = RuleEvaluator::kChunkRows;
+  const size_t begin = OffWordRow(block - 4000, block, &rng);
+  const size_t end = OffWordRow(block + 1, ds.relation->NumRows(), &rng);
+  const uint64_t episodes = SchedulerEpisodes();
+  ExpectEvaluateOnRangeMatchesRowByRow(ds, rules, begin, end);
+  // RUDOLF_THREADS overrides the shared scheduler's width.
+  if (ResolveNumThreads(0) > 1) {
+    EXPECT_GT(SchedulerEpisodes(), episodes);
+  }
+}
+
+// EvalRuleSetRange ORs the live rules' captures over a window into the
+// caller's bitmap, block by block: at 1, 4 and 8 threads it must equal the
+// serial per-rule EvalRuleRange loop and leave the bits outside the window
+// as they were. The windows start and end off a word boundary and cross
+// row 65,536, or lie inside one block, or are empty; the rule set holds a
+// removed rule.
+TEST_P(SeededProperty, EvalRuleSetRangeMatchesPerRuleLoop) {
+  const Dataset& ds = LargeDataset();
+  const Relation& rel = *ds.relation;
+  const size_t n = rel.NumRows();
+  const size_t block = RuleEvaluator::kChunkRows;
+  Rng rng(GetParam() ^ 0x5E7A);
+  RuleSet rules;
+  for (int i = 0; i < 6; ++i) rules.AddRule(RandomRule(ds, &rng));
+  rules.RemoveRule(rules.LiveIds()[static_cast<size_t>(rng.UniformInt(0, 5))]);
+  const size_t inside = OffWordRow(block + 1, n - 1000, &rng);
+  const size_t empty = OffWordRow(1, n, &rng);
+  const std::pair<size_t, size_t> windows[] = {
+      {OffWordRow(1, block, &rng), OffWordRow(block + 1, n, &rng)},
+      {OffWordRow(block - 200, block, &rng),
+       OffWordRow(block + 1, block + 200, &rng)},
+      {inside, inside + 777},
+      {empty, empty},
+      {0, n},
+  };
+  // Bits the window must leave alone.
+  Bitset background(n);
+  for (size_t r = 0; r < n;
+       r += 1 + static_cast<size_t>(rng.UniformInt(0, 96))) {
+    background.Set(r);
+  }
+
+  RuleEvaluator serial(rel, n, EvalOptions{1, /*use_index=*/false});
+  for (const auto& [lo, hi] : windows) {
+    Bitset want = background;
+    for (RuleId id : rules.LiveIds()) {
+      serial.EvalRuleRange(rules.Get(id), lo, hi, &want);
+    }
+    for (int threads : kTrackerThreads) {
+      RuleEvaluator eval(rel, n, EvalOptions{threads, /*use_index=*/false});
+      const uint64_t episodes = SchedulerEpisodes();
+      Bitset got = background;
+      eval.EvalRuleSetRange(rules, lo, hi, &got);
+      EXPECT_EQ(got, want) << threads << " threads, rows [" << lo << ", "
+                           << hi << ")";
+      // RUDOLF_THREADS overrides the requested count, so ask the evaluator.
+      if (threads == 4 && eval.num_threads() > 1 && lo < hi &&
+          lo / block != (hi - 1) / block) {
+        EXPECT_TRUE(eval.FansOut());
+        EXPECT_GT(SchedulerEpisodes(), episodes)
+            << "rows [" << lo << ", " << hi << ")";
+      }
+    }
+  }
 }
 
 TEST_P(SeededProperty, TrackerApplySequenceStaysConsistent) {
