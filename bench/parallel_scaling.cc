@@ -1,8 +1,11 @@
 // Thread-scaling benchmark for the parallel evaluation engine: measures
-// EvalRule (row-block scan), EvalRuleSet (across-rule + blocked union) and
-// the CaptureTracker bitmap build on a large synthetic relation at 1/2/4/8
-// worker threads, and reports the speedup over the serial engine. Results
-// are asserted bit-identical across thread counts while timing.
+// EvalRule (row-block scan), EvalRuleSet (blocked union of row-block scans)
+// and the CaptureTracker bitmap build (the condition cache's blocked scan
+// pass, on a fresh cache) on a large synthetic relation at 1/2/4/8 worker
+// threads, in milliseconds, and reports the speedup over the serial engine.
+// The EvalRule and EvalRuleSet evaluators run with the condition cache off,
+// so they scan on every call instead of copying cached bitmaps. Results are
+// asserted bit-identical across thread counts while timing.
 //
 //   RUDOLF_BENCH_N=...   rows (default 1,000,000)
 //   RUDOLF_THREADS=...   overrides every measured thread count — unset it
@@ -52,8 +55,8 @@ struct Row {
 };
 
 void PrintHeader(const int* threads, size_t n) {
-  std::printf("%-28s", "operation");
-  for (size_t i = 0; i < n; ++i) std::printf("  %6dT", threads[i]);
+  std::printf("%-28s", "operation (ms)");
+  for (size_t i = 0; i < n; ++i) std::printf("  %7dT", threads[i]);
   std::printf("   speedup@8T\n");
 }
 
@@ -80,11 +83,12 @@ int main() {
   const int kThreads[] = {1, 2, 4, 8};
   const size_t kNumConfigs = sizeof(kThreads) / sizeof(kThreads[0]);
 
-  // One evaluator/tracker build per thread count, reused across repetitions.
+  // One scanning evaluator per thread count, reused across repetitions.
   std::vector<RuleEvaluator> evals;
   evals.reserve(kNumConfigs);
   for (int t : kThreads) {
-    evals.emplace_back(*dataset.relation, rows, EvalOptions{t});
+    evals.emplace_back(*dataset.relation, rows,
+                       EvalOptions{t, /*use_index=*/false});
   }
 
   // Warmup: builds the shared scheduler and the per-evaluator mask caches,
@@ -108,7 +112,7 @@ int main() {
     for (size_t i = 0; i < kNumConfigs; ++i) {
       double s = TimeMedian3([&] { evals[i].EvalRuleSet(rules); });
       if (i == 0) serial = s;
-      std::printf("  %6.3f", s);
+      std::printf("  %8.2f", s * 1e3);
       json.Metric("eval_rule_set_seconds_" + std::to_string(kThreads[i]) + "t", s);
       if (i + 1 == kNumConfigs) rule_set_speedup_at_8 = serial / s;
     }
@@ -125,7 +129,7 @@ int main() {
     for (size_t i = 0; i < kNumConfigs; ++i) {
       double s = TimeMedian3([&] { evals[i].EvalRule(widest); });
       if (i == 0) serial = s;
-      std::printf("  %6.3f", s);
+      std::printf("  %8.2f", s * 1e3);
       if (i + 1 == kNumConfigs) {
         std::printf("   %8.2fx\n", serial / s);
         json.Metric("eval_rule_speedup_8t", serial / s);
@@ -143,7 +147,7 @@ int main() {
         (void)tracker.TotalCounts();
       });
       if (i == 0) serial = s;
-      std::printf("  %6.3f", s);
+      std::printf("  %8.2f", s * 1e3);
       if (i + 1 == kNumConfigs) {
         std::printf("   %8.2fx\n", serial / s);
         json.Metric("tracker_build_speedup_8t", serial / s);

@@ -6,8 +6,8 @@
 // Protocol: start with a warm tracker over a large prefix, then advance in
 // fixed-size batches of newly arrived (and newly labeled) rows. Each round
 // measures (a) extending the persistent tracker over just the batch and
-// (b) rebuilding a tracker — attribute indexes, condition cache, capture
-// bitmaps, cover counts — over the whole new prefix. After every round the
+// (b) rebuilding a tracker — condition cache, capture bitmaps, cover
+// counts — over the whole new prefix. After every round the
 // two trackers are asserted bit-identical: every live rule's capture bitmap,
 // every row's cover count, and the maintained label totals.
 //

@@ -70,8 +70,7 @@ class CaptureTracker {
   /// range (parallel across rules when the tracker was built with
   /// num_threads > 1) and its bitmap, the cover counts, and the maintained
   /// label counts are extended in place; the evaluator's condition index
-  /// absorbs the new rows too. The rule scans are O(batch × rules), and the
-  /// index extension is O(batch) per built attribute index: cached
+  /// moves its prefix too. The rule scans are O(batch × rules); cached
   /// condition bitmaps are completed on their next hit
   /// (ConditionIndex::ExtendTo). Bit-identical to building a fresh tracker
   /// over the new prefix. The relation must have grown by pure appends
@@ -162,7 +161,7 @@ class CaptureTracker {
 
   /// Tier-1 fleet eviction: drops the evaluator's condition-bitmap cache
   /// (the captures and cover counts stay). Later candidate evaluations
-  /// re-extract on demand, bit-identically. Quiescent-only, like
+  /// scan again on demand, bit-identically. Quiescent-only, like
   /// ApproxMemoryBytes.
   void ReleaseCachedBitmaps();
 

@@ -146,8 +146,8 @@ class RefinementSession {
   size_t HeldMemoryBytes() const;
 
   /// Tier-1 fleet eviction: drops the held tracker's cached condition
-  /// bitmaps (attribute indexes, captures and cover counts stay); later
-  /// rounds re-extract on demand, bit-identically. No-op when no tracker is
+  /// bitmaps (captures and cover counts stay); later rounds scan again on
+  /// demand, bit-identically. No-op when no tracker is
   /// held or the session is pipelined.
   void ReleaseCachedBitmaps();
 

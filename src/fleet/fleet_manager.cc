@@ -140,7 +140,7 @@ void FleetManager::AccountAndEvict(Tenant* tenant) {
 
   RUDOLF_SPAN("fleet.evict");
   // LRU order over idle tenants. Tier 1 drops cached condition bitmaps
-  // (cheap, re-extracted bit-identically on demand); if still over budget,
+  // (cheap, scanned again bit-identically on demand); if still over budget,
   // tier 2 drops whole trackers (next round rebuilds, bit-identical by the
   // append-path guarantee). Busy tenants are skipped — they are hot.
   std::vector<Tenant*> order;

@@ -8,14 +8,14 @@
 // its tenant id, so rounds interleave at chunk granularity and idle
 // workers join tenants' episodes round-robin, which keeps a large tenant
 // from starving small ones. The budget gives it a memory model: each
-// tenant's held bytes (persistent tracker: capture bitmaps + condition
-// index + bitmap cache) are accounted after every round, and when the total
+// tenant's held bytes (persistent tracker: capture bitmaps + the condition
+// cache's bitmaps) are accounted after every round, and when the total
 // exceeds the budget the coldest tenants are evicted — first their cached
-// condition bitmaps (cheap to rebuild, bit-identical on re-extraction),
-// then their whole tracker (the next round rebuilds it, which DESIGN.md
-// "Incremental append path" guarantees is bit-identical to having extended
-// it). Eviction therefore never changes any tenant's refinement outcome,
-// only its latency.
+// condition bitmaps, which frees everything but the captures (cheap to
+// scan again, bit-identical), then their whole tracker (the next round
+// rebuilds it, which DESIGN.md "Incremental append path" guarantees is
+// bit-identical to having extended it). Eviction therefore never changes
+// any tenant's refinement outcome, only its latency.
 //
 // Lock ordering (see DESIGN.md §15): a tenant's round holds its tenant
 // mutex and may briefly take the fleet mutex for accounting; the evictor

@@ -2,8 +2,8 @@
 // condition). One rule's capture is the intersection of its conditions'
 // bitmaps, and neighbouring rules in a refinement session (split candidates,
 // minimal generalizations) share all but one condition with an existing
-// rule — so the cache turns a candidate evaluation into one extraction plus
-// arity−1 hits. Entries are dense Bitsets over the prefix the index had
+// rule — so the cache turns a candidate evaluation into one column scan
+// plus arity−1 hits. Entries are dense Bitsets over the prefix the index had
 // when they were stored, so an intersection is a straight word-wise AND.
 // The cache itself never rewrites an entry: when the index's prefix grows,
 // ConditionIndex completes a shorter entry on its next hit and Puts the

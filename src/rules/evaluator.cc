@@ -265,7 +265,6 @@ void RuleEvaluator::EvalRules(
   for (const Rule* rule : rules) {
     assert(rule->arity() == relation_.schema().arity());
     index_->EnsureForRule(*rule);
-    assert(index_->ReadyForRule(*rule));
     for (size_t attr : NonTrivialConditions(*rule)) {
       conds.push_back({attr, rule->condition(attr)});
     }
@@ -273,8 +272,9 @@ void RuleEvaluator::EvalRules(
   }
   RUDOLF_COUNTER_ADD("eval.rule.indexed", rules.size());
   std::vector<std::shared_ptr<const Bitset>> bitmaps = index_->ConditionBitmaps(
-      conds, [this](size_t n, const std::function<void(size_t, size_t)>& body) {
-        ForEachUnit(n, body);
+      conds, [this](size_t lo, size_t hi,
+                    const std::function<void(size_t, size_t)>& body) {
+        ForEachBlock(lo, hi, body);
       });
   ForEachUnit(rules.size(), [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {

@@ -13,14 +13,15 @@
 // "Parallel evaluation pipeline" — and episodes issued by concurrent
 // evaluators (fleet tenants) interleave freely on the one scheduler.
 //
-// By default rules are evaluated through the condition index (src/index/):
-// each non-trivial condition's capture bitmap is extracted once from a
-// per-attribute index and LRU-cached, and a rule is the intersection of its
-// conditions' bitmaps — so candidate rules differing from an evaluated rule
-// in one condition (minimal generalizations) cost one extraction instead of
-// a full scan. A batch looks up each distinct condition once, serially, and
-// extracts the missing ones in parallel (EvalRules). The indexed path is
-// bit-identical to the scan; see DESIGN.md "Condition index & cache".
+// By default rules are evaluated through the condition cache (src/index/):
+// each non-trivial condition's capture bitmap is scanned once from its
+// column and LRU-cached, and a rule is the intersection of its conditions'
+// bitmaps — so candidate rules differing from an evaluated rule in one
+// condition (minimal generalizations) cost one column scan instead of a
+// scan of every condition. A batch looks up each distinct condition once,
+// serially, and scans the missing ones in one pass whose row blocks fan out
+// (EvalRules). The cached path is bit-identical to the scan; see DESIGN.md
+// "Condition index & cache".
 
 #ifndef RUDOLF_RULES_EVALUATOR_H_
 #define RUDOLF_RULES_EVALUATOR_H_
@@ -49,11 +50,11 @@ struct EvalOptions {
   /// configured, the `RUDOLF_THREADS` environment variable overrides it
   /// (see ResolveNumThreads).
   int num_threads = 1;
-  /// Condition-indexed evaluation (default on): rule captures are computed
-  /// as intersections of LRU-cached per-condition bitmaps backed by
-  /// per-attribute indexes (src/index/), bit-identical to the columnar
-  /// scan. The `RUDOLF_INDEX` environment variable (0/1) overrides it (see
-  /// ResolveUseIndex).
+  /// Condition-cached evaluation (default on): rule captures are computed
+  /// as intersections of LRU-cached per-condition bitmaps, each scanned
+  /// from its column on a miss (src/index/), bit-identical to the columnar
+  /// scan of the rule. The `RUDOLF_INDEX` environment variable (0/1)
+  /// overrides it (see ResolveUseIndex).
   bool use_index = true;
 };
 
@@ -100,7 +101,8 @@ class RuleEvaluator {
   int num_threads() const { return num_threads_; }
 
   /// Words of one chunk of a fanned-out walk over a prefix bitmap, and of
-  /// one row block of a scan: 1,024 words, 65,536 rows.
+  /// one row block of a scan or of the condition cache's scan pass: 1,024
+  /// words, 65,536 rows.
   static constexpr size_t kChunkWords = 1024;
   static constexpr size_t kChunkRows = kChunkWords * 64;
 
@@ -118,9 +120,9 @@ class RuleEvaluator {
 
   /// Re-binds to the first `new_prefix` rows (clamped to the relation's
   /// current rows; must not shrink) after the relation grew by appends: the
-  /// condition index absorbs only the new rows via ConditionIndex::ExtendTo,
-  /// O(batch); its cached condition bitmaps are completed over the new rows
-  /// on their next hit. Bit-identical to constructing a fresh evaluator
+  /// condition index moves its prefix (ConditionIndex::ExtendTo), and its
+  /// cached condition bitmaps are completed over the new rows on their next
+  /// hit. Bit-identical to constructing a fresh evaluator
   /// over the new prefix. Serial-only (coordinating thread).
   void ExtendPrefix(size_t new_prefix);
 
@@ -163,9 +165,10 @@ class RuleEvaluator {
   /// `consume(i, capture)`, once per index i of `rules`. On the indexed path
   /// every distinct (attribute, condition) of the batch is looked up in the
   /// condition cache once, serially and in first-use order; the missing and
-  /// stale ones are extracted or completed in parallel and put back in that
-  /// order (ConditionIndex::ConditionBitmaps), so the cache's counters do not
-  /// depend on the thread count and no key is extracted twice. Then the
+  /// stale ones are scanned in one pass over the row blocks of ForEachBlock
+  /// and put back in that order (ConditionIndex::ConditionBitmaps), so the
+  /// cache's counters do not depend on the thread count and no key is
+  /// scanned twice. Then the
   /// conditions of each rule are intersected and consumed, in parallel
   /// across rules; on the scan path each rule is scanned. Both fan out under
   /// FansOut(), and `consume` runs on worker threads when they do.
@@ -192,15 +195,15 @@ class RuleEvaluator {
   const ConditionIndex* condition_index() const { return index_.get(); }
 
   /// Approximate heap bytes held by the evaluator's caches: the condition
-  /// index (attribute indexes + bitmap cache) and the concept-mask cache.
+  /// cache's bitmaps and the concept-mask cache.
   /// The fleet's per-tenant memory accounting reads this; call only from a
   /// quiescent session (no concurrent evaluation).
   size_t ApproxMemoryBytes() const;
 
-  /// Drops every cached condition bitmap (tier-1 fleet eviction); attribute
-  /// indexes and concept masks stay, and later evaluations re-extract on
-  /// demand, bit-identically. No-op when indexing is disabled. Call only
-  /// from a quiescent session.
+  /// Drops every cached condition bitmap (tier-1 fleet eviction); concept
+  /// masks stay, and later evaluations scan again on demand,
+  /// bit-identically. No-op when indexing is disabled. Call only from a
+  /// quiescent session.
   void ReleaseCachedBitmaps();
 
  private:
@@ -229,7 +232,8 @@ class RuleEvaluator {
 
   // Runs `body(lo, hi)` once per block of [lo, hi): the range cut on
   // absolute kChunkRows boundaries and clamped to lo and hi, one block per
-  // unit of ForEachUnit.
+  // unit of ForEachUnit. The condition cache's scan pass runs on these
+  // blocks too (EvalRules).
   void ForEachBlock(size_t lo, size_t hi,
                     const std::function<void(size_t, size_t)>& body) const;
 
@@ -245,10 +249,10 @@ class RuleEvaluator {
   // coordinating call — even when this whole evaluator runs nested inside
   // some other object's episode (fleet mode).
   TaskScheduler* sched_;
-  // Condition index + bitmap cache of the indexed evaluation path; null
-  // when disabled. Its attribute indexes and cache are touched only from
-  // the coordinating thread (mirroring mask_cache_'s EnsureMasks
-  // discipline); workers only extract and intersect.
+  // Condition-bitmap cache of the indexed evaluation path; null when
+  // disabled. It is looked up, filled and extended only from the
+  // coordinating thread (mirroring mask_cache_'s EnsureMasks discipline);
+  // workers only scan the blocks of its bitmaps and intersect.
   mutable std::unique_ptr<ConditionIndex> index_;
   // Memoized concept masks keyed by (ontology pointer, concept id).
   mutable std::vector<std::pair<std::pair<const Ontology*, ConceptId>,

@@ -5,8 +5,9 @@
 // callers holding a Bitset bound to a relation prefix can vectorize a scan
 // of rows [lo, hi) without caring about alignment. The produced bits are
 // exactly the bits the per-row loop would set (the kernels are
-// bit-identical to scalar at every tier). ConditionIndex scans with them
-// to complete stale cache entries and to extract categorical conditions.
+// bit-identical to scalar at every tier). ConditionIndex scans with them,
+// one 1,024-row strip at a time, to fill its cache misses and to complete
+// stale entries.
 
 #ifndef RUDOLF_SIMD_COLUMN_SCAN_H_
 #define RUDOLF_SIMD_COLUMN_SCAN_H_

@@ -1,8 +1,9 @@
-// Extend-vs-rebuild equivalence for the incremental append path: delta-
-// maintained attribute indexes, cache-preserving ConditionIndex::ExtendTo,
-// CaptureTracker::ExtendPrefix and Sync under randomized append / relabel /
-// rule-edit interleavings (at 1, 4 and 8 threads), and the persistent-session
-// mode — every incremental result must be BIT-IDENTICAL to a fresh build.
+// Extend-vs-rebuild equivalence for the incremental append path: the
+// cache-preserving ConditionIndex::ExtendTo with its completions of stale
+// entries, CaptureTracker::ExtendPrefix and Sync under randomized append /
+// relabel / rule-edit interleavings (at 1, 4 and 8 threads), and the
+// persistent-session mode — every incremental result must be BIT-IDENTICAL
+// to a fresh build.
 //
 // Alongside ParallelEquivalence, this binary is a TSan target: the README's
 // RUDOLF_SANITIZE=thread invocation runs it to race-check the parallel
@@ -20,7 +21,6 @@
 #include "core/session.h"
 #include "expert/oracle_expert.h"
 #include "experiments/runner.h"
-#include "index/attribute_index.h"
 #include "index/condition_index.h"
 #include "obs/metrics.h"
 #include "rules/evaluator.h"
@@ -65,13 +65,15 @@ Rule RandomRule(const Schema& schema, Rng* rng) {
   return rule;
 }
 
-// Three columns, each appended in random batches across at least one
-// compaction: random values of both signs; the int64 edges and their
-// neighbours in long duplicate runs (the radix key must flip the sign bit
-// and keep ties in row order); and a constant column, where every byte
-// position is shared and no radix pass runs. After every batch, intervals
-// with sentinel ends are checked against the scan and a fresh build.
-TEST(NumericAppend, MatchesFreshBuildAcrossCompactions) {
+// Three numeric columns: random values of both signs; the int64 edges and
+// their neighbours in long duplicate runs; and a constant column. From a
+// 5,000-row prefix, a random ExtendTo schedule grows the binding to all
+// 30,000 rows. Intervals with sentinel ends and six random ones per column
+// stay cached throughout, so after every extension their lookups complete
+// stale entries, in one batch with six new intervals per column that miss.
+// Every bitmap must equal the scan and a fresh ConditionIndex's, and no
+// completion may count as a miss.
+TEST(ConditionIndexExtend, NumericCompletionsMatchScanAndFreshIndex) {
   Rng rng(31);
   const std::vector<int64_t> edges = {kNegInf, kNegInf + 1, -1, 0,
                                       1,       kPosInf - 1, kPosInf};
@@ -87,6 +89,15 @@ TEST(NumericAppend, MatchesFreshBuildAcrossCompactions) {
   }
   columns[1].resize(30000);
   columns[2].assign(30000, 7);
+  auto schema = std::make_shared<Schema>();
+  for (const char* name : {"mixed", "edges", "constant"}) {
+    ASSERT_TRUE(schema->AddNumeric(name).ok());
+  }
+  Relation rel(schema);
+  for (size_t r = 0; r < 30000; ++r) {
+    ASSERT_TRUE(
+        rel.AppendRow(Tuple{columns[0][r], columns[1][r], columns[2][r]}).ok());
+  }
 
   // Interval ends: the edges, their neighbours and random values.
   std::vector<int64_t> ends = edges;
@@ -96,44 +107,69 @@ TEST(NumericAppend, MatchesFreshBuildAcrossCompactions) {
     return ends[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(ends.size()) - 1))];
   };
-
+  auto draw = [&](size_t attr) {
+    int64_t a = draw_end();
+    int64_t b = draw_end();
+    return ConditionIndex::ConditionRef{
+        attr, Condition::MakeNumeric({std::min(a, b), std::max(a, b)})};
+  };
+  std::vector<ConditionIndex::ConditionRef> kept;
   for (size_t c = 0; c < columns.size(); ++c) {
-    const std::vector<CellValue>& column = columns[c];
-    size_t prefix = 5000;
-    NumericAttributeIndex index(column, prefix);
-    bool compacted = false;
-    while (prefix < column.size()) {
-      size_t batch = static_cast<size_t>(rng.UniformInt(1, 1500));
-      size_t delta_before = index.delta_size();
-      prefix = std::min(prefix + batch, column.size());
-      index.AppendRows(column, prefix);
-      if (index.delta_size() < delta_before) compacted = true;
-
-      NumericAttributeIndex fresh(column, prefix);
-      std::vector<Interval> intervals = {
-          Interval::All(),           Interval::Point(kNegInf),
-          Interval::Point(kPosInf),  {kNegInf + 1, kPosInf - 1},
-          Interval::AtMost(-1),      Interval::AtLeast(0)};
-      for (int i = 0; i < 6; ++i) {
-        int64_t a = draw_end();
-        int64_t b = draw_end();
-        intervals.push_back({std::min(a, b), std::max(a, b)});
-      }
-      for (const Interval& iv : intervals) {
-        Bitset expected = ScanInterval(column, prefix, iv);
-        ASSERT_EQ(index.Extract(iv), expected)
-            << "column " << c << ": extended diverges at prefix " << prefix
-            << " on [" << iv.lo << ", " << iv.hi << "]";
-        ASSERT_EQ(fresh.Extract(iv), expected)
-            << "column " << c << ": fresh diverges at prefix " << prefix
-            << " on [" << iv.lo << ", " << iv.hi << "]";
-      }
+    for (const Interval& iv :
+         {Interval::All(), Interval::Point(kNegInf), Interval::Point(kPosInf),
+          Interval{kNegInf + 1, kPosInf - 1}, Interval::AtMost(-1),
+          Interval::AtLeast(0)}) {
+      kept.push_back({c, Condition::MakeNumeric(iv)});
     }
-    // The schedule must have crossed the compaction threshold at least
-    // once, or the test would only cover the pure-delta regime.
-    EXPECT_TRUE(compacted) << "column " << c;
-    EXPECT_GT(index.DeltaCompactionThreshold(), 1000u);
+    for (int i = 0; i < 6; ++i) kept.push_back(draw(c));
   }
+
+  const ConditionIndex::BlockFanOut inline_pass =
+      [](size_t lo, size_t hi, const std::function<void(size_t, size_t)>& body) {
+        body(lo, hi);
+      };
+  // Large enough that no interval of the schedule is evicted.
+  ConditionIndex index(rel, 5000, /*cache_capacity=*/4096);
+  std::unordered_set<ConditionKey, ConditionKeyHash> distinct;
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Default().Snapshot();
+  index.ConditionBitmaps(kept, inline_pass);
+  for (const ConditionIndex::ConditionRef& ref : kept) {
+    distinct.insert(ConditionKey::For(ref.attr, ref.cond));
+  }
+  while (index.prefix_rows() < rel.NumRows()) {
+    index.ExtendTo(index.prefix_rows() +
+                   static_cast<size_t>(rng.UniformInt(1, 1500)));
+    const size_t prefix = index.prefix_rows();
+    std::vector<ConditionIndex::ConditionRef> batch = kept;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      for (int i = 0; i < 6; ++i) batch.push_back(draw(c));
+    }
+    const std::vector<std::shared_ptr<const Bitset>> got =
+        index.ConditionBitmaps(batch, inline_pass);
+    ConditionIndex fresh(rel, prefix);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const size_t c = batch[i].attr;
+      const Interval iv = batch[i].cond.interval();
+      const Bitset expected = ScanInterval(columns[c], prefix, iv);
+      ASSERT_EQ(*got[i], expected)
+          << "column " << c << ": extended diverges at prefix " << prefix
+          << " on [" << iv.lo << ", " << iv.hi << "]";
+      ASSERT_EQ(*fresh.ConditionBitmap(c, batch[i].cond), expected)
+          << "column " << c << ": fresh diverges at prefix " << prefix
+          << " on [" << iv.lo << ", " << iv.hi << "]";
+      distinct.insert(ConditionKey::For(c, batch[i].cond));
+    }
+  }
+  // Each distinct interval missed once; every later lookup was a hit, and
+  // the kept ones completed their stale entries.
+  const ConditionCacheStats stats = index.cache_stats();
+  EXPECT_EQ(stats.misses, distinct.size());
+  EXPECT_EQ(stats.evictions, 0u);
+  const obs::MetricsSnapshot delta =
+      obs::MetricsRegistry::Default().Snapshot().DeltaSince(before);
+  const obs::CounterSample* stale = delta.FindCounter("index.cache.stale_extends");
+  ASSERT_NE(stale, nullptr);
+  EXPECT_GE(stale->value, kept.size());
 }
 
 // Rows appended through Relation::AppendRow after the index is built carry
@@ -280,7 +316,6 @@ TEST(ConditionIndexExtend, CategoricalBitmapsMatchConceptMaskScan) {
       Rule rule = Rule::Trivial(schema);
       rule.set_condition(attr, Condition::MakeCategorical(c));
       index.EnsureForRule(rule);
-      EXPECT_TRUE(index.ReadyForRule(rule));
     }
   }
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Default().Snapshot();
@@ -540,6 +575,137 @@ TEST(ConditionIndexExtend, BatchLookupIsThreadCountDeterministic) {
           << traces[0][b].stats.evictions << ", stale extends "
           << traces[t][b].stale_extends << " vs " << traces[0][b].stale_extends;
     }
+  }
+}
+
+// The scan pass of one batch over more than one 65,536-row block. On a
+// 79,123-row prefix, one batch looks up four keys on `time` and two on
+// `location`: two `time` keys and one `location` key were cached at 65,499
+// or 65,581 rows (off a 64-row word boundary on both sides of row 65,536),
+// so their completions start inside the first block and inside the second,
+// and three keys miss. Completions scan only the rows their entries are
+// missing: a cell of each attribute below both cached sizes is rewritten
+// after caching (which the append contract forbids, so that a completion
+// that re-read it would show), and the stale keys must keep the bits of the
+// original relation while the misses read the new cells. At 1, 4 and 8
+// threads every capture must equal the scan's, and the cache's counters must
+// equal the 1-thread run's; with more than one thread the pass fans out.
+TEST(ConditionIndexExtend, BlockedScanPassMatchesScanAtEveryWidth) {
+  Scenario s = TinyScenario();
+  s.options.num_transactions = 80000;
+  Dataset ds = GenerateDataset(s.options);
+  const Relation& base = *ds.relation;
+  const Schema& schema = base.schema();
+  const size_t time = schema.IndexOf("time").ValueOrDie();
+  const size_t location = schema.IndexOf("location").ValueOrDie();
+  const Ontology& places = *schema.attribute(location).ontology;
+  ConceptId region = places.top();
+  for (ConceptId c = 1; c < places.size(); ++c) {
+    if (!places.IsLeaf(c)) {
+      region = c;
+      break;
+    }
+  }
+  ASSERT_NE(region, places.top());
+  const size_t first_cached = 65536 - 37;
+  const size_t second_cached = 65536 + 45;
+  const size_t prefix = 79123;
+  ASSERT_GT(base.NumRows(), prefix);
+
+  auto single = [&](size_t attr, const Condition& cond) {
+    Rule rule = Rule::Trivial(schema);
+    rule.set_condition(attr, cond);
+    return rule;
+  };
+  const Rule stale_a = single(time, Condition::MakeNumeric({0, 400}));
+  const Rule stale_b = single(time, Condition::MakeNumeric({300, 900}));
+  const Rule stale_c = single(location, Condition::MakeCategorical(region));
+  const Rule miss_d = single(time, Condition::MakeNumeric({350, 1100}));
+  const Rule miss_e = single(time, Condition::MakeNumeric({1200, 1439}));
+  Rule both = miss_d;
+  both.set_condition(location, Condition::MakeCategorical(places.Leaves()[0]));
+  const std::vector<const Rule*> batch = {&stale_a, &miss_d, &stale_c,
+                                          &stale_b, &miss_e, &both};
+  const std::vector<bool> stale = {true, false, true, true, false, false};
+
+  // The rewritten cells move into the stale keys' conditions, so that a
+  // completion that re-read them would set a bit its entry does not hold:
+  // a `time` outside both stale intervals moves into them, and a
+  // `location` outside the region moves to a leaf inside it.
+  size_t time_row = 0;
+  while (!(1000 <= base.Get(time_row, time) && base.Get(time_row, time) <= 1100)) {
+    ++time_row;
+  }
+  size_t place_row = 0;
+  while (places.Contains(region, static_cast<ConceptId>(base.Get(place_row, location)))) {
+    ++place_row;
+  }
+  ASSERT_LT(std::max(time_row, place_row), first_cached);
+  auto rewrite = [&](Relation* rel) {
+    rel->SetCell(time_row, time, 350);
+    rel->SetCell(place_row, location, places.LeavesUnder(region)[0]);
+  };
+  Relation rewritten = base;
+  rewrite(&rewritten);
+  std::vector<Bitset> expected;
+  {
+    RuleEvaluator original(base, prefix, EvalOptions{1, false});
+    RuleEvaluator changed(rewritten, prefix, EvalOptions{1, false});
+    for (size_t i = 0; i < batch.size(); ++i) {
+      expected.push_back(stale[i] ? original.EvalRule(*batch[i])
+                                  : changed.EvalRule(*batch[i]));
+    }
+    // The rewrite shows in a stale key's capture.
+    ASSERT_NE(expected[0], changed.EvalRule(*batch[0]));
+  }
+
+  struct Counts {
+    ConditionCacheStats stats;
+    uint64_t stale_extends = 0;
+    uint64_t extractions = 0;
+  };
+  auto counter = [](const obs::MetricsSnapshot& snap, const char* name) {
+    const obs::CounterSample* c = snap.FindCounter(name);
+    return c == nullptr ? uint64_t{0} : c->value;
+  };
+  std::vector<Counts> runs;
+  for (int threads : {1, 4, 8}) {
+    Relation rel = base;
+    RuleEvaluator eval(rel, first_cached, EvalOptions{threads, true});
+    eval.EvalRules({&stale_a, &stale_c}, [](size_t, Bitset) {});
+    eval.ExtendPrefix(second_cached);
+    eval.EvalRules({&stale_b}, [](size_t, Bitset) {});
+    eval.ExtendPrefix(prefix);
+    rewrite(&rel);
+
+    const obs::MetricsSnapshot before = obs::MetricsRegistry::Default().Snapshot();
+    std::vector<Bitset> got(batch.size());
+    eval.EvalRules(batch, [&got](size_t i, Bitset capture) {
+      got[i] = std::move(capture);
+    });
+    const obs::MetricsSnapshot delta =
+        obs::MetricsRegistry::Default().Snapshot().DeltaSince(before);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(got[i], expected[i])
+          << threads << " threads, rule " << batch[i]->ToString(schema);
+    }
+    runs.push_back({eval.condition_index()->cache_stats(),
+                    counter(delta, "index.cache.stale_extends"),
+                    counter(delta, "index.extractions")});
+    EXPECT_EQ(runs.back().stale_extends, 3u) << threads << " threads";
+    EXPECT_EQ(runs.back().extractions, 3u) << threads << " threads";
+    // RUDOLF_THREADS overrides the requested count, so ask the evaluator.
+    if (eval.num_threads() > 1) {
+      EXPECT_GT(counter(delta, "scheduler.episodes"), 0u) << threads << " threads";
+    }
+  }
+  for (size_t t = 1; t < runs.size(); ++t) {
+    EXPECT_EQ(runs[t].stats.hits, runs[0].stats.hits) << "configuration " << t;
+    EXPECT_EQ(runs[t].stats.misses, runs[0].stats.misses) << "configuration " << t;
+    EXPECT_EQ(runs[t].stats.evictions, runs[0].stats.evictions)
+        << "configuration " << t;
+    EXPECT_EQ(runs[t].stale_extends, runs[0].stale_extends) << "configuration " << t;
+    EXPECT_EQ(runs[t].extractions, runs[0].extractions) << "configuration " << t;
   }
 }
 

@@ -1,6 +1,6 @@
-// The condition-index subsystem: numeric-index extraction must be
+// The condition-index subsystem: a numeric condition's miss must be
 // bit-identical to a naive scan for every interval (including
-// sentinel-bounded, point, empty and chunk-straddling cases), a categorical
+// sentinel-bounded, point, empty and strip-straddling cases), a categorical
 // miss must equal the concept-mask scan for every concept, the LRU cache
 // must evict and count correctly, and the facade must honour the
 // invalidation contract.
@@ -9,7 +9,6 @@
 
 #include <memory>
 
-#include "index/attribute_index.h"
 #include "index/condition_cache.h"
 #include "index/condition_index.h"
 #include "obs/metrics.h"
@@ -24,7 +23,7 @@
 namespace rudolf {
 namespace {
 
-// Ground truth for NumericAttributeIndex::Extract.
+// Ground truth for a numeric condition's bitmap.
 Bitset ScanInterval(const std::vector<CellValue>& column, size_t prefix,
                     const Interval& iv) {
   Bitset out(prefix);
@@ -34,53 +33,71 @@ Bitset ScanInterval(const std::vector<CellValue>& column, size_t prefix,
   return out;
 }
 
-TEST(NumericAttributeIndex, MatchesScanOnSmallColumn) {
+// A relation whose one attribute is the numeric `column`.
+Relation NumericRelation(const std::vector<CellValue>& column) {
+  auto schema = std::make_shared<Schema>();
+  EXPECT_TRUE(schema->AddNumeric("v").ok());
+  Relation relation(schema);
+  for (CellValue v : column) EXPECT_TRUE(relation.AppendRow(Tuple{v}).ok());
+  return relation;
+}
+
+// The bitmap a fresh index over the first `prefix` rows scans for `iv`.
+Bitset MissBitmap(const Relation& relation, size_t prefix, const Interval& iv) {
+  ConditionIndex index(relation, prefix);
+  return *index.ConditionBitmap(0, Condition::MakeNumeric(iv));
+}
+
+TEST(ConditionIndexNumeric, MatchesScanOnSmallColumn) {
   std::vector<CellValue> column = {5, 1, 9, 5, -3, 7, 5, 0};
-  NumericAttributeIndex index(column, column.size());
+  Relation relation = NumericRelation(column);
   for (const Interval& iv :
        {Interval{0, 6}, Interval{5, 5}, Interval{-10, -4}, Interval{9, 3},
         Interval::All(), Interval::AtLeast(6), Interval::AtMost(0)}) {
-    EXPECT_EQ(index.Extract(iv), ScanInterval(column, column.size(), iv))
+    EXPECT_EQ(MissBitmap(relation, column.size(), iv),
+              ScanInterval(column, column.size(), iv))
         << "[" << iv.lo << "," << iv.hi << "]";
   }
 }
 
-TEST(NumericAttributeIndex, MatchesScanAtDomainExtremes) {
+TEST(ConditionIndexNumeric, MatchesScanAtDomainExtremes) {
   std::vector<CellValue> column = {kNegInf, kNegInf + 1, 0, kPosInf - 1, kPosInf};
-  NumericAttributeIndex index(column, column.size());
+  Relation relation = NumericRelation(column);
   for (const Interval& iv :
        {Interval::All(), Interval{kNegInf, kNegInf}, Interval{kPosInf, kPosInf},
         Interval{kNegInf, kNegInf + 1}, Interval{kPosInf - 1, kPosInf},
         Interval{kNegInf + 1, kPosInf - 1}}) {
-    EXPECT_EQ(index.Extract(iv), ScanInterval(column, column.size(), iv))
+    EXPECT_EQ(MissBitmap(relation, column.size(), iv),
+              ScanInterval(column, column.size(), iv))
         << "[" << iv.lo << "," << iv.hi << "]";
   }
 }
 
-TEST(NumericAttributeIndex, MatchesScanAcrossChunkBoundaries) {
-  // Large enough for several cumulative chunks (chunk size is >= 1024), with
-  // heavy duplication so runs of equal values straddle chunk boundaries.
+TEST(ConditionIndexNumeric, MatchesScanAcrossStripBoundaries) {
+  // 20,000 rows cross many 1,024-row strips of the scan pass, with heavy
+  // duplication so runs of equal values straddle strip boundaries.
   Rng rng(7);
   std::vector<CellValue> column;
   for (int i = 0; i < 20000; ++i) column.push_back(rng.UniformInt(0, 300));
-  NumericAttributeIndex index(column, column.size());
+  Relation relation = NumericRelation(column);
   for (int i = 0; i < 40; ++i) {
     int64_t a = rng.UniformInt(-10, 310);
     int64_t b = rng.UniformInt(-10, 310);
     Interval iv{std::min(a, b), std::max(a, b)};
-    ASSERT_EQ(index.Extract(iv), ScanInterval(column, column.size(), iv))
+    ASSERT_EQ(MissBitmap(relation, column.size(), iv),
+              ScanInterval(column, column.size(), iv))
         << "[" << iv.lo << "," << iv.hi << "]";
   }
-  // Point and empty intervals through the chunked path too.
-  EXPECT_EQ(index.Extract(Interval::Point(150)),
+  // Point and empty intervals too.
+  EXPECT_EQ(MissBitmap(relation, column.size(), Interval::Point(150)),
             ScanInterval(column, column.size(), Interval::Point(150)));
-  EXPECT_EQ(index.Extract(Interval{200, 100}).Count(), 0u);
+  EXPECT_EQ(MissBitmap(relation, column.size(), Interval{200, 100}).Count(), 0u);
 }
 
-TEST(NumericAttributeIndex, RespectsPrefix) {
+TEST(ConditionIndexNumeric, RespectsPrefix) {
   std::vector<CellValue> column = {1, 2, 3, 4, 5, 6};
-  NumericAttributeIndex index(column, 4);
-  Bitset got = index.Extract(Interval{2, 6});
+  Relation relation = NumericRelation(column);
+  Bitset got = MissBitmap(relation, 4, Interval{2, 6});
   EXPECT_EQ(got.size(), 4u);
   EXPECT_EQ(got.ToIndices(), (std::vector<size_t>{1, 2, 3}));
 }
@@ -214,9 +231,7 @@ TEST(ConditionIndex, BitmapsMatchRuleSemantics) {
   ConditionIndex index(*ex.relation);
   Rule rule =
       ParseRule(*ex.schema, "amount >= 100 and type <= 'Offline'").ValueOrDie();
-  EXPECT_FALSE(index.ReadyForRule(rule));
   index.EnsureForRule(rule);
-  ASSERT_TRUE(index.ReadyForRule(rule));
 
   Bitset captured(index.prefix_rows());
   captured.Fill(true);
