@@ -12,17 +12,17 @@ namespace rudolf {
 CaptureTracker::CaptureTracker(const Relation& relation, const RuleSet& rules,
                                size_t prefix_rows, EvalOptions eval)
     : relation_(relation),
-      prefix_(std::min(prefix_rows, relation.NumRows())),
-      evaluator_(relation, prefix_, eval),
+      evaluator_(relation, prefix_rows, eval),
       rules_(rules) {
   RUDOLF_TIMED_SCOPE("tracker.build");
   RUDOLF_COUNTER_INC("tracker.builds");
-  cover_count_.assign(prefix_, 0);
-  covered_ = Bitset(prefix_);
-  once_ = Bitset(prefix_);
-  fraud_ = Bitset(prefix_);
-  legit_ = Bitset(prefix_);
-  for (size_t row = 0; row < prefix_; ++row) {
+  const size_t prefix = evaluator_.num_rows();
+  cover_count_.assign(prefix, 0);
+  covered_ = Bitset(prefix);
+  once_ = Bitset(prefix);
+  fraud_ = Bitset(prefix);
+  legit_ = Bitset(prefix);
+  for (size_t row = 0; row < prefix; ++row) {
     SetLabel(row, relation_.VisibleLabel(row));
   }
   std::vector<RuleId> ids = rules.LiveIds();
@@ -88,15 +88,17 @@ void CaptureTracker::LowerCover(size_t row) {
 void CaptureTracker::ExtendPrefix(size_t new_prefix) {
   RUDOLF_TIMED_SCOPE("tracker.extend");
   RUDOLF_COUNTER_INC("tracker.extends");
-  size_t old_prefix = prefix_;
+  const size_t old_prefix = prefix_rows();
+  // A backwards request is the evaluator's checked no-op, so the tracker
+  // follows only a prefix that moved forward.
   evaluator_.ExtendPrefix(new_prefix);
-  prefix_ = evaluator_.num_rows();
-  if (prefix_ == old_prefix) return;
-  cover_count_.resize(prefix_, 0);
+  const size_t prefix = prefix_rows();
+  if (prefix == old_prefix) return;
+  cover_count_.resize(prefix, 0);
   for (Bitset* plane : {&covered_, &once_, &fraud_, &legit_}) {
-    plane->Resize(prefix_);
+    plane->Resize(prefix);
   }
-  for (size_t row = old_prefix; row < prefix_; ++row) {
+  for (size_t row = old_prefix; row < prefix; ++row) {
     SetLabel(row, relation_.VisibleLabel(row));
   }
   std::vector<RuleId> ids = rules_.LiveIds();
@@ -105,14 +107,14 @@ void CaptureTracker::ExtendPrefix(size_t new_prefix) {
   for (RuleId id : ids) {
     auto it = captures_.find(id);
     assert(it != captures_.end());
-    it->second.Resize(prefix_);
+    it->second.Resize(prefix);
     outs.push_back(&it->second);
   }
   // Each rule scans only the new row range, in parallel across rules; the
   // cover/label-count accumulation walks just the new bits, serially.
-  evaluator_.EvalRulesRange(rules_, ids, old_prefix, prefix_, outs);
+  evaluator_.EvalRulesRange(rules_, ids, old_prefix, prefix, outs);
   for (Bitset* capture : outs) {
-    capture->ForEachInRange(old_prefix, prefix_,
+    capture->ForEachInRange(old_prefix, prefix,
                             [this](size_t row) { RaiseCover(row); });
   }
 }
@@ -140,7 +142,7 @@ void CaptureTracker::Sync(const RuleSet& rules) {
 
 void CaptureTracker::OnVisibleLabelChanged(size_t row, Label old_label,
                                            Label new_label) {
-  if (row >= prefix_ || old_label == new_label) return;
+  if (row >= prefix_rows() || old_label == new_label) return;
   // The planes follow every row of the prefix, covered or not: a delta that
   // would cover an uncovered row reads its label here.
   bool covered = cover_count_[row] > 0;
@@ -161,7 +163,8 @@ Bitset CaptureTracker::Eval(const Rule& rule) const {
 
 BenefitDelta CaptureTracker::DeltaBetween(const Bitset& old_capture,
                                           const Bitset& new_capture) const {
-  assert(old_capture.size() == prefix_ && new_capture.size() == prefix_);
+  assert(old_capture.size() == prefix_rows() &&
+         new_capture.size() == prefix_rows());
   simd::CoverDeltaCounts c = simd::CountCoverDelta(
       old_capture.Words(), new_capture.Words(),
       {covered_.Words(), once_.Words(), fraud_.Words(), legit_.Words()},
@@ -195,7 +198,7 @@ std::vector<BenefitDelta> CaptureTracker::DeltaForReplace(
 }
 
 BenefitDelta CaptureTracker::DeltaForAdd(const Bitset& capture) const {
-  Bitset empty(prefix_);
+  Bitset empty(prefix_rows());
   return DeltaBetween(empty, capture);
 }
 
@@ -224,7 +227,7 @@ std::vector<SplitScore> CaptureTracker::DeltaForSplit(
   const size_t width = first.back();
   const Bitset& capture = RuleCapture(id);
   const size_t chunk_rows = RuleEvaluator::kChunkRows;
-  const size_t chunks = (prefix_ + chunk_rows - 1) / chunk_rows;
+  const size_t chunks = (prefix_rows() + chunk_rows - 1) / chunk_rows;
   std::vector<LabelCounts> partial(chunks * width);
   evaluator_.ForEachUnit(chunks, [&](size_t lo, size_t hi) {
     for (size_t chunk = lo; chunk < hi; ++chunk) {

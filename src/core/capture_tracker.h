@@ -59,22 +59,24 @@ class CaptureTracker {
                  size_t prefix_rows = static_cast<size_t>(-1),
                  EvalOptions eval = {});
 
-  size_t prefix_rows() const { return prefix_; }
+  /// The prefix, which the evaluator owns.
+  size_t prefix_rows() const { return evaluator_.num_rows(); }
   const RuleEvaluator& evaluator() const { return evaluator_; }
   /// The rules the tracker tracks.
   const RuleSet& rules() const { return rules_; }
 
   /// Extends the tracker over rows [prefix_rows(), new_prefix) after the
-  /// visible stream advanced (clamped to the relation's current rows; must
-  /// not shrink): each tracked rule is evaluated only over the new row
-  /// range (parallel across rules when the tracker was built with
-  /// num_threads > 1) and its bitmap, the cover counts, and the maintained
-  /// label counts are extended in place; the evaluator's condition index
-  /// moves its prefix too. The rule scans are O(batch × rules); cached
-  /// condition bitmaps are completed on their next hit
-  /// (ConditionIndex::ExtendTo). Bit-identical to building a fresh tracker
-  /// over the new prefix. The relation must have grown by pure appends
-  /// since the last build/extension.
+  /// visible stream advanced (clamped to the relation's current rows): the
+  /// evaluator moves its prefix, each tracked rule is evaluated only over
+  /// the new row range (parallel across rules when the tracker was built
+  /// with num_threads > 1), and its bitmap, the cover counts, and the
+  /// maintained label counts are extended in place. The rule scans are
+  /// O(batch × rules); cached condition bitmaps are completed on their next
+  /// hit (RuleEvaluator::ExtendPrefix). Bit-identical to building a fresh
+  /// tracker over the new prefix. A `new_prefix` below prefix_rows() is the
+  /// evaluator's checked no-op (counted as `index.extend_to.rejected`), and
+  /// leaves the tracker as it was. The relation must have grown by pure
+  /// appends since the last build/extension.
   void ExtendPrefix(size_t new_prefix);
 
   /// Brings the tracker in line with `rules` after edits made outside it
@@ -154,7 +156,7 @@ class CaptureTracker {
 
   /// Approximate heap bytes held: per-rule capture bitmaps, cover counts,
   /// the four bit planes (4 bits per prefix row), and the evaluator's
-  /// caches (condition index + bitmap cache + masks).
+  /// caches (condition bitmaps and concept masks).
   /// The fleet's per-tenant accounting; call only while the tracker is
   /// quiescent.
   size_t ApproxMemoryBytes() const;
@@ -190,7 +192,6 @@ class CaptureTracker {
   void SetCapture(RuleId id, Bitset capture);
 
   const Relation& relation_;
-  size_t prefix_;
   RuleEvaluator evaluator_;
   RuleSet rules_;
   std::unordered_map<RuleId, Bitset> captures_;

@@ -150,9 +150,7 @@ SessionStats RefinementSession::Refine(size_t prefix_rows, RuleSet* rules,
   if (options_.serving != nullptr && log->size() != edits_at_last_publish) {
     options_.serving->Publish(*rules);
   }
-  if (tracker_ != nullptr && tracker_->evaluator().condition_index() != nullptr) {
-    stats.cache = tracker_->evaluator().condition_index()->cache_stats();
-  }
+  if (tracker_ != nullptr) stats.cache = tracker_->evaluator().cache_stats();
   stats.expert_seconds =
       stats.generalize.expert_seconds + stats.specialize.expert_seconds;
   stats.edits = log->size() - edits_before;

@@ -1,15 +1,17 @@
 // LRU cache of per-condition capture bitmaps, keyed by (attribute,
 // condition). One rule's capture is the intersection of its conditions'
-// bitmaps, and neighbouring rules in a refinement session (split candidates,
-// minimal generalizations) share all but one condition with an existing
-// rule — so the cache turns a candidate evaluation into one column scan
-// plus arity−1 hits. Entries are dense Bitsets over the prefix the index had
-// when they were stored, so an intersection is a straight word-wise AND.
-// The cache itself never rewrites an entry: when the index's prefix grows,
-// ConditionIndex completes a shorter entry on its next hit and Puts the
-// completed copy back. Thread-safe: a single mutex guards the map and
-// recency list. Entries are shared_ptr, so an eviction or replacement never
-// invalidates a bitmap a batch still holds and intersects.
+// bitmaps, and neighbouring rules in a refinement session (minimal
+// generalizations) share all but one condition with an existing rule — so
+// the cache turns a candidate evaluation into one column scan plus arity−1
+// hits. A RuleEvaluator owns one (none when its cache is off) and fills it
+// from its blocked scan pass. Entries are dense Bitsets over the prefix the
+// evaluator had when they were stored, so an intersection is a straight
+// word-wise AND. The cache itself never rewrites an entry: when the
+// evaluator's prefix grows, the evaluator completes a shorter entry on its
+// next hit and Puts the completed copy back. Thread-safe: a single mutex
+// guards the map and recency list. Entries are shared_ptr, so an eviction
+// or replacement never invalidates a bitmap a batch still holds and
+// intersects.
 
 #ifndef RUDOLF_INDEX_CONDITION_CACHE_H_
 #define RUDOLF_INDEX_CONDITION_CACHE_H_

@@ -6,19 +6,20 @@
 //                        N worker threads pop batches:
 //                          (1) validate against the schema  — parallel
 //                          (2) apply to the Relation        — sequenced
-//                          (3) extend attached tracker/index — gate open only
+//                          (3) extend attached tracker       — gate open only
 //
 // Epoch scheme (mirrors the ServingEngine hot-swap idiom, inverted for the
 // read side): a refinement episode calls PinEpoch(), which freezes the
 // published prefix at the applied row count (epoch k) and closes the gate;
 // while the gate is closed, workers keep draining the queue into the
 // Relation BEYOND the frozen prefix (epoch k+1's rows) but never touch the
-// attached CaptureTracker/ConditionIndex and never reallocate columns — so
-// every structure the round reads is immutable for the round's lifetime.
-// ReleaseEpoch() re-opens the gate and re-attaches the session's persistent
-// tracker, and workers resume extending it toward the live end after each
-// apply (CaptureTracker::ExtendPrefix → ConditionIndex::ExtendTo), keeping
-// the next epoch-advance O(rows since the last extension).
+// attached CaptureTracker or its evaluator's condition cache and never
+// reallocate columns — so every structure the round reads is immutable for
+// the round's lifetime. ReleaseEpoch() re-opens the gate and re-attaches
+// the session's persistent tracker, and workers resume extending it toward
+// the live end after each apply (CaptureTracker::ExtendPrefix →
+// RuleEvaluator::ExtendPrefix, which only moves the prefix), keeping the
+// next epoch-advance O(rows since the last extension).
 //
 // Drift-freedom: batch application is sequenced in Append order, so the
 // relation's row order is identical to the serial schedule's; rounds run

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "simd/simd.h"
+#include "simd/column_scan.h"
 #include "util/string_util.h"
 
 namespace rudolf {
@@ -24,8 +25,8 @@ RuleEvaluator::RuleEvaluator(const Relation& relation, size_t prefix_rows,
       num_rows_(std::min(prefix_rows, relation.NumRows())),
       num_threads_(ResolveNumThreads(options.num_threads)),
       sched_(num_threads_ > 1 ? TaskScheduler::Shared(num_threads_) : nullptr),
-      index_(ResolveUseIndex(options.use_index)
-                 ? std::make_unique<ConditionIndex>(relation, num_rows_)
+      cache_(ResolveUseIndex(options.use_index)
+                 ? std::make_unique<ConditionCache>()
                  : nullptr) {}
 
 bool RuleEvaluator::FansOut() const {
@@ -44,26 +45,43 @@ void RuleEvaluator::ForEachUnit(
 
 void RuleEvaluator::ExtendPrefix(size_t new_prefix) {
   new_prefix = std::min(new_prefix, relation_.NumRows());
-  assert(new_prefix >= num_rows_);
+  // A stale or racing caller (an epoch pinned between its prefix read and
+  // this call) may ask for a prefix below the current one. Shrinking would
+  // leave every cached bitmap and every capture longer than the prefix, so
+  // reject it as a checked no-op instead of a release-stripped assert: the
+  // evaluator already covers [0, new_prefix), and every answer stays
+  // correct.
+  if (new_prefix < num_rows_) {
+    RUDOLF_COUNTER_INC("index.extend_to.rejected");
+    return;
+  }
   if (new_prefix == num_rows_) return;
   RUDOLF_SPAN("eval.extend_prefix");
   RUDOLF_COUNTER_INC("eval.extend_prefix");
+  // Cached bitmaps stay as they are: each is completed on its next hit.
   num_rows_ = new_prefix;
-  if (index_ != nullptr) index_->ExtendTo(new_prefix);
 }
 
 void RuleEvaluator::EvalRuleRange(const Rule& rule, size_t lo, size_t hi,
                                   Bitset* out) const {
-  assert(rule.arity() == relation_.schema().arity());
+  const Schema& schema = relation_.schema();
+  assert(rule.arity() == schema.arity());
   assert(out->size() == num_rows_);
   if (hi > num_rows_) hi = num_rows_;
   if (lo >= hi) return;
-  std::vector<size_t> conditions = NonTrivialConditions(rule);
-  if (conditions.empty()) {
+  std::vector<simd::ColumnPredicate> preds;
+  for (size_t attr = 0; attr < rule.arity(); ++attr) {
+    const Condition& cond = rule.condition(attr);
+    if (!cond.IsTrivial(schema.attribute(attr))) {
+      preds.push_back(Predicate(attr, cond));
+    }
+  }
+  if (preds.empty()) {
     out->SetRange(lo, hi);
     return;
   }
-  EvalRuleBlock(rule, conditions, lo, hi, out);
+  RUDOLF_COUNTER_INC("eval.rule.vectorized");
+  simd::OrConjunctionMatches(preds, lo, hi, out);
 }
 
 void RuleEvaluator::EvalRulesRange(const RuleSet& rules,
@@ -76,7 +94,7 @@ void RuleEvaluator::EvalRulesRange(const RuleSet& rules,
   if (sched_ != nullptr && ids.size() > 1 &&
       !TaskScheduler::InRegionTagged(this)) {
     // Serially warm the concept-mask cache so the helpers' range scans only
-    // read shared state (the range path never touches the condition index).
+    // read shared state (the range path never touches the condition cache).
     for (RuleId id : ids) EnsureMasks(rules.Get(id));
     sched_->ParallelFor(
         0, ids.size(), 1,
@@ -95,17 +113,15 @@ void RuleEvaluator::EvalRulesRange(const RuleSet& rules,
 
 const std::vector<uint8_t>& RuleEvaluator::ConceptMask(const Ontology* ontology,
                                                        ConceptId concept_id) const {
-  for (const auto& entry : mask_cache_) {
-    if (entry.first.first == ontology && entry.first.second == concept_id) {
-      return entry.second;
-    }
-  }
+  auto it = mask_cache_.find({ontology, concept_id});
+  if (it != mask_cache_.end()) return it->second;
   std::vector<uint8_t> mask(ontology->size(), 0);
   for (ConceptId c = 0; c < ontology->size(); ++c) {
     mask[c] = ontology->Contains(concept_id, c) ? 1 : 0;
   }
-  mask_cache_.emplace_back(std::make_pair(ontology, concept_id), std::move(mask));
-  return mask_cache_.back().second;
+  return mask_cache_.emplace(std::make_pair(ontology, concept_id),
+                             std::move(mask))
+      .first->second;
 }
 
 void RuleEvaluator::EnsureMasks(const Rule& rule) const {
@@ -120,84 +136,22 @@ void RuleEvaluator::EnsureMasks(const Rule& rule) const {
   }
 }
 
-std::vector<size_t> RuleEvaluator::NonTrivialConditions(const Rule& rule) const {
-  const Schema& schema = relation_.schema();
-  std::vector<size_t> conditions;
-  for (size_t i = 0; i < rule.arity(); ++i) {
-    if (!rule.condition(i).IsTrivial(schema.attribute(i))) conditions.push_back(i);
+simd::ColumnPredicate RuleEvaluator::Predicate(size_t attr,
+                                               const Condition& cond) const {
+  simd::ColumnPredicate pred;
+  pred.col = relation_.Column(attr).data();
+  if (cond.kind() == AttrKind::kCategorical) {
+    // The mask's bounds check is exactly IsValid: out-of-domain cells are
+    // non-members.
+    const std::vector<uint8_t>& mask = ConceptMask(
+        relation_.schema().attribute(attr).ontology.get(), cond.concept_id());
+    pred.member = mask.data();
+    pred.domain = mask.size();
+  } else {
+    pred.lo = cond.interval().lo;
+    pred.hi = cond.interval().hi;
   }
-  return conditions;
-}
-
-namespace {
-
-// Membership test matching the InSet kernel's semantics: out-of-domain
-// values are non-members (AppendRow validates cells, so on well-formed data
-// this is exactly mask[v]).
-inline bool InMask(const std::vector<uint8_t>& mask, CellValue v) {
-  return static_cast<uint64_t>(v) < mask.size() &&
-         mask[static_cast<size_t>(v)] != 0;
-}
-
-}  // namespace
-
-void RuleEvaluator::EvalRuleBlock(const Rule& rule,
-                                  const std::vector<size_t>& conditions,
-                                  size_t lo, size_t hi, Bitset* out) const {
-  const Schema& schema = relation_.schema();
-  RUDOLF_COUNTER_INC("eval.rule.vectorized");
-  // Ragged head up to the first word boundary: per row. Parallel callers
-  // partition on word-aligned boundaries, so this is empty on the hot path.
-  size_t alo = std::min((lo + 63) & ~size_t{63}, hi);
-  for (size_t r = lo; r < alo; ++r) {
-    bool ok = true;
-    for (size_t attr : conditions) {
-      const Condition& cond = rule.condition(attr);
-      CellValue v = relation_.Column(attr)[r];
-      if (cond.kind() == AttrKind::kCategorical) {
-        const std::vector<uint8_t>& mask = ConceptMask(
-            schema.attribute(attr).ontology.get(), cond.concept_id());
-        ok = InMask(mask, v);
-      } else {
-        ok = cond.interval().lo <= v && v <= cond.interval().hi;
-      }
-      if (!ok) break;
-    }
-    if (ok) out->Set(r);
-  }
-  if (alo >= hi) return;
-  // Aligned body [alo, hi): one kernel pass per condition into word-packed
-  // masks. The first mask seeds the accumulator, later ones AND into it;
-  // kernels zero the tail bits of the last word, so the OR into `out` below
-  // never sets a bit >= hi.
-  size_t nbits = hi - alo;
-  size_t nwords = Bitset::WordsFor(nbits);
-  std::vector<uint64_t> acc(nwords);
-  std::vector<uint64_t> mask_words(nwords);
-  bool live = true;
-  for (size_t c = 0; c < conditions.size() && live; ++c) {
-    size_t attr = conditions[c];
-    const Condition& cond = rule.condition(attr);
-    const int64_t* col = relation_.Column(attr).data() + alo;
-    uint64_t* dst = c == 0 ? acc.data() : mask_words.data();
-    if (cond.kind() == AttrKind::kCategorical) {
-      const std::vector<uint8_t>& mask =
-          ConceptMask(schema.attribute(attr).ontology.get(), cond.concept_id());
-      simd::InSetMaskI64(col, nbits, mask.data(), mask.size(), dst);
-    } else {
-      const Interval iv = cond.interval();
-      simd::RangeMaskI64(col, nbits, iv.lo, iv.hi, dst);
-    }
-    if (c > 0) {
-      uint64_t any = 0;
-      for (size_t w = 0; w < nwords; ++w) {
-        acc[w] &= mask_words[w];
-        any |= acc[w];
-      }
-      live = any != 0;  // conjunction can only shrink: dead block, stop early
-    }
-  }
-  out->OrWords(acc.data(), alo / 64, nwords);
+  return pred;
 }
 
 void RuleEvaluator::ForEachBlock(
@@ -237,7 +191,7 @@ Bitset RuleEvaluator::EvalRuleScan(const Rule& rule) const {
 Bitset RuleEvaluator::EvalRule(const Rule& rule) const {
   assert(rule.arity() == relation_.schema().arity());
   RUDOLF_SPAN("eval.rule");
-  if (index_ == nullptr) return EvalRuleScan(rule);
+  if (cache_ == nullptr) return EvalRuleScan(rule);
   Bitset out;
   EvalRules({&rule}, [&out](size_t, Bitset capture) { out = std::move(capture); });
   return out;
@@ -246,7 +200,7 @@ Bitset RuleEvaluator::EvalRule(const Rule& rule) const {
 void RuleEvaluator::EvalRules(
     const std::vector<const Rule*>& rules,
     const std::function<void(size_t, Bitset)>& consume) const {
-  if (index_ == nullptr) {
+  if (cache_ == nullptr) {
     // Serially warm the mask cache so the helpers' scans only read it.
     if (FansOut()) {
       for (const Rule* rule : rules) EnsureMasks(*rule);
@@ -256,26 +210,26 @@ void RuleEvaluator::EvalRules(
     });
     return;
   }
-  // The index and its cache are the coordinating thread's alone.
+  // The cache is the coordinating thread's alone.
   assert(!TaskScheduler::InRegionTagged(this));
   // Every non-trivial condition of the batch, rule by rule: rule i's are
   // conds[first[i], first[i + 1]).
-  std::vector<ConditionIndex::ConditionRef> conds;
+  const Schema& schema = relation_.schema();
+  std::vector<ConditionRef> conds;
   std::vector<size_t> first = {0};
   for (const Rule* rule : rules) {
-    assert(rule->arity() == relation_.schema().arity());
-    index_->EnsureForRule(*rule);
-    for (size_t attr : NonTrivialConditions(*rule)) {
-      conds.push_back({attr, rule->condition(attr)});
+    assert(rule->arity() == schema.arity());
+    EnsureMasks(*rule);
+    for (size_t attr = 0; attr < rule->arity(); ++attr) {
+      const Condition& cond = rule->condition(attr);
+      if (!cond.IsTrivial(schema.attribute(attr))) {
+        conds.push_back({attr, &cond});
+      }
     }
     first.push_back(conds.size());
   }
   RUDOLF_COUNTER_ADD("eval.rule.indexed", rules.size());
-  std::vector<std::shared_ptr<const Bitset>> bitmaps = index_->ConditionBitmaps(
-      conds, [this](size_t lo, size_t hi,
-                    const std::function<void(size_t, size_t)>& body) {
-        ForEachBlock(lo, hi, body);
-      });
+  std::vector<std::shared_ptr<const Bitset>> bitmaps = ConditionBitmaps(conds);
   ForEachUnit(rules.size(), [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       if (first[i] == first[i + 1]) {
@@ -287,6 +241,95 @@ void RuleEvaluator::EvalRules(
       consume(i, std::move(out));
     }
   });
+}
+
+std::vector<std::shared_ptr<const Bitset>> RuleEvaluator::ConditionBitmaps(
+    const std::vector<ConditionRef>& conds) const {
+  // The distinct keys in first-use order, each looked up once: `bitmaps`
+  // holds a fresh hit, or the stale entry (null on a miss) that the scan
+  // pass below replaces.
+  std::unordered_map<ConditionKey, size_t, ConditionKeyHash> slot_of;
+  std::vector<size_t> slot(conds.size());
+  std::vector<ConditionKey> keys;
+  std::vector<const ConditionRef*> firsts;
+  std::vector<std::shared_ptr<const Bitset>> bitmaps;
+  std::vector<size_t> missing;
+  for (size_t i = 0; i < conds.size(); ++i) {
+    const ConditionKey key = ConditionKey::For(conds[i].attr, *conds[i].cond);
+    auto [it, added] = slot_of.try_emplace(key, keys.size());
+    slot[i] = it->second;
+    if (!added) continue;
+    keys.push_back(key);
+    firsts.push_back(&conds[i]);
+    std::shared_ptr<const Bitset> hit = cache_->Get(key);
+    assert(hit == nullptr || hit->size() <= num_rows_);
+    if (hit == nullptr || hit->size() < num_rows_) {
+      missing.push_back(it->second);
+    }
+    bitmaps.push_back(std::move(hit));
+  }
+  // One missing or stale key: its condition's scan over rows
+  // [start, num_rows_), ORed into `out`.
+  struct Scan {
+    size_t attr = 0;
+    size_t start = 0;
+    simd::ColumnPredicate pred;
+    Bitset* out = nullptr;
+  };
+  // Each missing or stale key's bitmap is allocated here, at its final size
+  // (a copy grown by Resize could keep spare vector capacity alive in the
+  // cache). A stale entry's bits are copied, which leaves readers of the old
+  // entry their snapshot, and its scan starts where they end.
+  std::vector<Bitset> filled(missing.size());
+  std::vector<Scan> scans(missing.size());
+  size_t lo = num_rows_;
+  for (size_t m = 0; m < missing.size(); ++m) {
+    const std::shared_ptr<const Bitset>& stale = bitmaps[missing[m]];
+    const ConditionRef& ref = *firsts[missing[m]];
+    Scan& scan = scans[m];
+    filled[m] = Bitset(num_rows_);
+    if (stale != nullptr) {
+      RUDOLF_COUNTER_INC("index.cache.stale_extends");
+      filled[m].OrZeroExtended(*stale);
+      scan.start = stale->size();
+    } else {
+      RUDOLF_COUNTER_INC("index.extractions");
+    }
+    scan.attr = ref.attr;
+    scan.pred = Predicate(ref.attr, *ref.cond);
+    scan.out = &filled[m];
+    lo = std::min(lo, scan.start);
+  }
+  // One pass over the rows any scan needs. Each block walks its rows strip
+  // by strip, and every scan of the batch reads the strip in turn, grouped
+  // by attribute so that one column strip serves all of its keys. Blocks
+  // write disjoint words of each bitmap.
+  std::stable_sort(scans.begin(), scans.end(),
+                   [](const Scan& a, const Scan& b) { return a.attr < b.attr; });
+  if (lo < num_rows_) {
+    RUDOLF_SPAN("index.scan");
+    ForEachBlock(lo, num_rows_, [&](size_t blo, size_t bhi) {
+      for (size_t slo = blo; slo < bhi;) {
+        const size_t shi =
+            std::min(bhi, (slo / simd::kStripRows + 1) * simd::kStripRows);
+        for (const Scan& scan : scans) {
+          const size_t from = std::max(slo, scan.start);
+          if (from < shi) {
+            simd::OrConjunctionMatches({&scan.pred, 1}, from, shi, scan.out);
+          }
+        }
+        slo = shi;
+      }
+    });
+  }
+  for (size_t m = 0; m < missing.size(); ++m) {
+    const size_t k = missing[m];
+    bitmaps[k] = std::make_shared<const Bitset>(std::move(filled[m]));
+    cache_->Put(keys[k], bitmaps[k]);
+  }
+  std::vector<std::shared_ptr<const Bitset>> out(conds.size());
+  for (size_t i = 0; i < conds.size(); ++i) out[i] = bitmaps[slot[i]];
+  return out;
 }
 
 std::vector<Bitset> RuleEvaluator::EvalRules(const RuleSet& rules,
@@ -304,7 +347,7 @@ std::vector<Bitset> RuleEvaluator::EvalRules(const RuleSet& rules,
 Bitset RuleEvaluator::EvalRuleSet(const RuleSet& rules) const {
   RUDOLF_SPAN("eval.rule_set");
   Bitset out(num_rows_);
-  if (index_ == nullptr) {
+  if (cache_ == nullptr) {
     EvalRuleSetRange(rules, 0, num_rows_, &out);
     return out;
   }
@@ -353,15 +396,19 @@ LabelCounts RuleEvaluator::RuleCountsVisible(const Rule& rule) const {
   return CountsVisible(EvalRule(rule));
 }
 
+ConditionCacheStats RuleEvaluator::cache_stats() const {
+  return cache_ != nullptr ? cache_->stats() : ConditionCacheStats{};
+}
+
 size_t RuleEvaluator::ApproxMemoryBytes() const {
   size_t bytes = 0;
-  if (index_ != nullptr) bytes += index_->ApproxMemoryBytes();
+  if (cache_ != nullptr) bytes += cache_->ApproxMemoryBytes();
   for (const auto& entry : mask_cache_) bytes += entry.second.capacity();
   return bytes;
 }
 
 void RuleEvaluator::ReleaseCachedBitmaps() {
-  if (index_ != nullptr) index_->ReleaseCachedBitmaps();
+  if (cache_ != nullptr) cache_->Clear();
 }
 
 }  // namespace rudolf

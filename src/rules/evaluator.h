@@ -13,31 +13,69 @@
 // "Parallel evaluation pipeline" — and episodes issued by concurrent
 // evaluators (fleet tenants) interleave freely on the one scheduler.
 //
-// By default rules are evaluated through the condition cache (src/index/):
-// each non-trivial condition's capture bitmap is scanned once from its
-// column and LRU-cached, and a rule is the intersection of its conditions'
-// bitmaps — so candidate rules differing from an evaluated rule in one
-// condition (minimal generalizations) cost one column scan instead of a
-// scan of every condition. A batch looks up each distinct condition once,
-// serially, and scans the missing ones in one pass whose row blocks fan out
-// (EvalRules). The cached path is bit-identical to the scan; see DESIGN.md
-// "Condition index & cache".
+// Every scan is one conjunction scan (simd::OrConjunctionMatches): the
+// rows of a range that match every predicate of a list, walked in
+// 1,024-row strips.
+//
+// By default rules are evaluated through the condition cache the evaluator
+// owns (ConditionCache, src/index/): each non-trivial condition's capture
+// bitmap is scanned once from its column and LRU-cached, and a rule is the
+// intersection of its conditions' bitmaps — so candidate rules differing
+// from an evaluated rule in one condition (minimal generalizations) cost
+// one column scan instead of a scan of every condition. A batch looks up
+// each distinct condition once, serially, and scans the missing and stale
+// ones in one blocked pass whose row blocks fan out (EvalRules). The cached
+// path is bit-identical to the scan; see DESIGN.md "Condition index &
+// cache".
+//
+// Threading contract: EnsureMasks, ExtendPrefix and the cache's lookups,
+// bitmap allocations and put-backs run on the coordinating thread, never
+// during a parallel evaluation. Workers only run the blocks of a scan or of
+// the blocked pass, writing their own words of the bitmaps, and intersect;
+// they read concept masks that EnsureMasks built beforehand. The scans read
+// the relation's columns below the prefix (the ingest pipeline defers
+// column regrowth while an epoch is pinned).
+//
+// Append/delta contract: the evaluator covers the first num_rows() rows. An
+// evaluator bound to a fixed prefix never goes stale. A long-lived one over
+// an advancing stream follows it through ExtendPrefix(new_prefix), which
+// only moves the prefix: the cache is left alone, so a cached bitmap may be
+// shorter than the prefix; the hit that finds it so completes it by
+// scanning only the rows it is missing, and puts the completed copy back.
+// So an extension costs nothing, and an entry that is never read again
+// costs nothing. Results are bit-identical to a rebuild. Rows must not be
+// rewritten once a cached bitmap covers them: the one in-place rewrite,
+// Relation::SetCell, is called only by GenerateDataset's risk-score
+// back-fill, which runs before any evaluator exists.
+//
+// Concept masks stay with the evaluator, not the ontology: evaluators on
+// different threads share one ontology (the ingest worker extends a
+// tracker while the main thread runs the quality pass), so a mask the
+// ontology filled lazily would need a lock, and an eager table would cost
+// n² bytes for n concepts. The evaluator's memo has one writer under the
+// EnsureMasks contract and holds only the concepts its rules use.
 
 #ifndef RUDOLF_RULES_EVALUATOR_H_
 #define RUDOLF_RULES_EVALUATOR_H_
 
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "index/condition_index.h"
+#include "index/condition_cache.h"
 #include "relation/relation.h"
 #include "rules/rule_set.h"
 #include "util/bitset.h"
 #include "util/task_scheduler.h"
 
 namespace rudolf {
+
+namespace simd {
+struct ColumnPredicate;
+}  // namespace simd
 
 /// Parallelism knobs for rule evaluation. A session builds every
 /// CaptureTracker, through which its engines evaluate, with
@@ -52,8 +90,8 @@ struct EvalOptions {
   int num_threads = 1;
   /// Condition-cached evaluation (default on): rule captures are computed
   /// as intersections of LRU-cached per-condition bitmaps, each scanned
-  /// from its column on a miss (src/index/), bit-identical to the columnar
-  /// scan of the rule. The `RUDOLF_INDEX` environment variable (0/1)
+  /// from its column on a miss, bit-identical to the columnar scan of the
+  /// rule. The `RUDOLF_INDEX` environment variable (0/1)
   /// overrides it (see ResolveUseIndex).
   bool use_index = true;
 };
@@ -81,8 +119,8 @@ struct LabelCounts {
 
 /// \brief Evaluates rules over one relation.
 ///
-/// The evaluator is bound to a relation snapshot (row count fixed at
-/// construction); it pre-extracts label arrays so counting is branch-light.
+/// The evaluator is bound to a prefix of a relation, num_rows(), which it
+/// alone owns and which only ExtendPrefix moves, and only forward.
 /// Categorical conditions are evaluated through per-concept membership masks
 /// computed once per (ontology, concept) pair and memoized.
 class RuleEvaluator {
@@ -119,19 +157,24 @@ class RuleEvaluator {
                    const std::function<void(size_t, size_t)>& body) const;
 
   /// Re-binds to the first `new_prefix` rows (clamped to the relation's
-  /// current rows; must not shrink) after the relation grew by appends: the
-  /// condition index moves its prefix (ConditionIndex::ExtendTo), and its
-  /// cached condition bitmaps are completed over the new rows on their next
-  /// hit. Bit-identical to constructing a fresh evaluator
-  /// over the new prefix. Serial-only (coordinating thread).
+  /// current rows) after the relation grew by pure appends (see the
+  /// append/delta contract above). Only the prefix moves: cached condition
+  /// bitmaps are completed over the new rows on their next hit.
+  /// Bit-identical to constructing a fresh evaluator over the new prefix.
+  /// A `new_prefix` below num_rows() is a checked no-op, counted as
+  /// `index.extend_to.rejected`: the evaluator already covers those rows,
+  /// and shrinking would leave every cached bitmap and every capture built
+  /// over the old prefix longer than the new one. Serial-only
+  /// (coordinating thread).
   void ExtendPrefix(size_t new_prefix);
 
   /// Sets in `out` (sized num_rows()) the bits of the rows in [lo, hi)
   /// captured by the rule — exactly the bits EvalRule would set in that
   /// range; bits outside [lo, hi) are untouched. The serial row-range scan
   /// of the append path: extending a capture bitmap to a grown prefix costs
-  /// O(hi - lo). Requires the rule's concept masks to be warm when called
-  /// from a worker thread (see EvalRulesRange).
+  /// O(hi - lo). One conjunction scan of the rule's non-trivial conditions
+  /// (simd::OrConjunctionMatches). Requires the rule's concept masks to be
+  /// warm when called from a worker thread (see EvalRulesRange).
   void EvalRuleRange(const Rule& rule, size_t lo, size_t hi, Bitset* out) const;
 
   /// EvalRuleRange for a batch of live rules, in `ids` order, writing into
@@ -144,7 +187,7 @@ class RuleEvaluator {
 
   /// ORs into `out` (sized num_rows()) the rows in [lo, hi) that some live
   /// rule of `rules` captures; bits outside [lo, hi) are untouched. Scans,
-  /// never the condition index, in blocks cut on absolute kChunkRows
+  /// never the condition cache, in blocks cut on absolute kChunkRows
   /// boundaries, one unit each of ForEachUnit; blocks write disjoint words,
   /// so the union is bit-identical at every width. The one-shot pass of
   /// EvaluateOnRange and ManualExpert::RunRound.
@@ -162,13 +205,12 @@ class RuleEvaluator {
   Bitset EvalRuleSet(const RuleSet& rules) const;
 
   /// The batch evaluation path: hands each rule's capture bitmap to
-  /// `consume(i, capture)`, once per index i of `rules`. On the indexed path
+  /// `consume(i, capture)`, once per index i of `rules`. On the cached path
   /// every distinct (attribute, condition) of the batch is looked up in the
   /// condition cache once, serially and in first-use order; the missing and
   /// stale ones are scanned in one pass over the row blocks of ForEachBlock
-  /// and put back in that order (ConditionIndex::ConditionBitmaps), so the
-  /// cache's counters do not depend on the thread count and no key is
-  /// scanned twice. Then the
+  /// and put back in that order (ConditionBitmaps), so the cache's counters
+  /// do not depend on the thread count and no key is scanned twice. Then the
   /// conditions of each rule are intersected and consumed, in parallel
   /// across rules; on the scan path each rule is scanned. Both fan out under
   /// FansOut(), and `consume` runs on worker threads when they do.
@@ -190,9 +232,9 @@ class RuleEvaluator {
   /// Convenience: counts of a rule's captures under visible labels.
   LabelCounts RuleCountsVisible(const Rule& rule) const;
 
-  /// The condition index behind the indexed evaluation path; null when
-  /// indexing is disabled (EvalOptions::use_index / RUDOLF_INDEX=0).
-  const ConditionIndex* condition_index() const { return index_.get(); }
+  /// Hit, miss and eviction counters of the condition cache; all zero when
+  /// the cache is off (EvalOptions::use_index / RUDOLF_INDEX=0).
+  ConditionCacheStats cache_stats() const;
 
   /// Approximate heap bytes held by the evaluator's caches: the condition
   /// cache's bitmaps and the concept-mask cache.
@@ -202,38 +244,51 @@ class RuleEvaluator {
 
   /// Drops every cached condition bitmap (tier-1 fleet eviction); concept
   /// masks stay, and later evaluations scan again on demand,
-  /// bit-identically. No-op when indexing is disabled. Call only from a
+  /// bit-identically. No-op when the cache is off. Call only from a
   /// quiescent session.
   void ReleaseCachedBitmaps();
 
  private:
+  // One non-trivial condition of a batch, on attribute `attr`.
+  struct ConditionRef {
+    size_t attr = 0;
+    const Condition* cond = nullptr;
+  };
+
   // Membership mask for "value's concept is contained in `concept`" within
-  // `ontology`: mask[v] != 0 iff Contains(concept, v).
+  // `ontology`: mask[v] != 0 iff Contains(concept, v). Builds and memoizes
+  // a missing mask, so it inserts only on the coordinating thread.
   const std::vector<uint8_t>& ConceptMask(const Ontology* ontology,
                                           ConceptId concept_id) const;
 
   // Serially materializes every concept mask (and warms the ontology
   // caches) the rule's conditions need, so parallel scans only read
-  // mask_cache_. Must be called before any parallel region touching `rule`.
+  // mask_cache_. The one warm-up of the evaluator: it must be called before
+  // any parallel region touching `rule`.
   void EnsureMasks(const Rule& rule) const;
 
-  // Indices of the rule's non-trivial conditions.
-  std::vector<size_t> NonTrivialConditions(const Rule& rule) const;
+  // The scan predicate of condition `cond` on attribute `attr`. A
+  // categorical one points into its concept mask; the memo's nodes do not
+  // move, so the pointer survives later mask insertions.
+  simd::ColumnPredicate Predicate(size_t attr, const Condition& cond) const;
 
-  // The scan, restricted to rows [lo, hi): sets the bits of the rows
-  // matching every condition in `out`. Rows before the first 64-row word
-  // boundary are matched one at a time; the rest stream each condition's
-  // column slice through the predicate kernels (src/simd/) into
-  // word-packed masks, AND the masks, and OR the conjunction into `out`'s
-  // words. With word-aligned [lo, hi) partitions, concurrent calls write
-  // disjoint words of `out`.
-  void EvalRuleBlock(const Rule& rule, const std::vector<size_t>& conditions,
-                     size_t lo, size_t hi, Bitset* out) const;
+  // The blocked pass of the cached path: capture bitmaps of `conds` over
+  // the prefix, one per entry (entries with equal keys share one bitmap).
+  // Each distinct key is looked up once, in first-use order. A miss scans
+  // its condition's column over the prefix; a hit on an entry cached before
+  // an ExtendPrefix is completed over the rows it is missing, which counts
+  // as a hit and as `index.cache.stale_extends`. All those scans run as one
+  // pass over the blocks of ForEachBlock, each block walked in
+  // simd::kStripRows strips that every key reads in turn, grouped by
+  // attribute; the new bitmaps are put back in first-use order once all are
+  // done. Serial-only: only the blocks run on workers.
+  std::vector<std::shared_ptr<const Bitset>> ConditionBitmaps(
+      const std::vector<ConditionRef>& conds) const;
 
   // Runs `body(lo, hi)` once per block of [lo, hi): the range cut on
   // absolute kChunkRows boundaries and clamped to lo and hi, one block per
-  // unit of ForEachUnit. The condition cache's scan pass runs on these
-  // blocks too (EvalRules).
+  // unit of ForEachUnit. The condition cache's blocked pass runs on these
+  // blocks too.
   void ForEachBlock(size_t lo, size_t hi,
                     const std::function<void(size_t, size_t)>& body) const;
 
@@ -249,14 +304,12 @@ class RuleEvaluator {
   // coordinating call — even when this whole evaluator runs nested inside
   // some other object's episode (fleet mode).
   TaskScheduler* sched_;
-  // Condition-bitmap cache of the indexed evaluation path; null when
-  // disabled. It is looked up, filled and extended only from the
-  // coordinating thread (mirroring mask_cache_'s EnsureMasks discipline);
-  // workers only scan the blocks of its bitmaps and intersect.
-  mutable std::unique_ptr<ConditionIndex> index_;
+  // The condition cache of the cached evaluation path; null when it is
+  // off. Looked up, filled and put back only on the coordinating thread
+  // (the threading contract above).
+  std::unique_ptr<ConditionCache> cache_;
   // Memoized concept masks keyed by (ontology pointer, concept id).
-  mutable std::vector<std::pair<std::pair<const Ontology*, ConceptId>,
-                                std::vector<uint8_t>>>
+  mutable std::map<std::pair<const Ontology*, ConceptId>, std::vector<uint8_t>>
       mask_cache_;
 };
 

@@ -1,5 +1,6 @@
 #include "simd/column_scan.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "simd/simd.h"
@@ -8,57 +9,58 @@ namespace rudolf::simd {
 
 namespace {
 
-// Strip size of the aligned middle: 16K rows = 2KB of mask words, small
-// enough to live on the stack and stay L1-resident between the kernel pass
-// and the OrWords merge.
-constexpr size_t kStripRows = size_t{1} << 14;
 constexpr size_t kStripWords = kStripRows / 64;
 
-// Shared driver: per-row `test` on the ragged head, `kernel` over the
-// aligned middle + tail. [alo, hi) is word-aligned at its start, so strip
-// masks land on word boundaries of `out`; the kernels zero any trailing
-// bits past hi, keeping the padding invariant.
-template <typename TestFn, typename KernelFn>
-void OrMatches(size_t lo, size_t hi, Bitset* out, TestFn&& test,
-               KernelFn&& kernel) {
-  assert(hi <= out->size());
-  if (lo >= hi) return;
-  size_t alo = (lo + 63) & ~size_t{63};
-  if (alo > hi) alo = hi;
-  for (size_t r = lo; r < alo; ++r) {
-    if (test(r)) out->Set(r);
-  }
-  uint64_t strip[kStripWords];
-  for (size_t base = alo; base < hi; base += kStripRows) {
-    size_t n = hi - base < kStripRows ? hi - base : kStripRows;
-    kernel(base, n, strip);
-    out->OrWords(strip, base / 64, Bitset::WordsFor(n));
+bool Matches(const ColumnPredicate& p, size_t r) {
+  const int64_t v = p.col[r];
+  if (p.member == nullptr) return p.lo <= v && v <= p.hi;
+  return static_cast<uint64_t>(v) < p.domain && p.member[v] != 0;
+}
+
+// words ← the predicate's mask over rows [base, base + n).
+void Mask(const ColumnPredicate& p, size_t base, size_t n, uint64_t* words) {
+  if (p.member == nullptr) {
+    RangeMaskI64(p.col + base, n, p.lo, p.hi, words);
+  } else {
+    InSetMaskI64(p.col + base, n, p.member, p.domain, words);
   }
 }
 
 }  // namespace
 
-void OrRangeMatches(const int64_t* col, size_t lo, size_t hi, int64_t lo_v,
-                    int64_t hi_v, Bitset* out) {
-  OrMatches(
-      lo, hi, out,
-      [&](size_t r) { return lo_v <= col[r] && col[r] <= hi_v; },
-      [&](size_t base, size_t n, uint64_t* words) {
-        RangeMaskI64(col + base, n, lo_v, hi_v, words);
-      });
-}
-
-void OrMemberMatches(const int64_t* col, size_t lo, size_t hi,
-                     const uint8_t* member, size_t domain, Bitset* out) {
-  OrMatches(
-      lo, hi, out,
-      [&](size_t r) {
-        uint64_t v = static_cast<uint64_t>(col[r]);
-        return v < domain && member[v] != 0;
-      },
-      [&](size_t base, size_t n, uint64_t* words) {
-        InSetMaskI64(col + base, n, member, domain, words);
-      });
+void OrConjunctionMatches(std::span<const ColumnPredicate> preds, size_t lo,
+                          size_t hi, Bitset* out) {
+  assert(!preds.empty() && hi <= out->size());
+  if (lo >= hi) return;
+  const size_t alo = std::min((lo + 63) & ~size_t{63}, hi);
+  for (size_t r = lo; r < alo; ++r) {
+    if (std::all_of(preds.begin(), preds.end(),
+                    [r](const ColumnPredicate& p) { return Matches(p, r); })) {
+      out->Set(r);
+    }
+  }
+  // The kernels zero the tail bits of a strip's last word, so the OR below
+  // never sets a bit at or past hi.
+  uint64_t acc[kStripWords];
+  uint64_t mask[kStripWords];
+  for (size_t base = alo; base < hi;) {
+    const size_t end = std::min(hi, (base / kStripRows + 1) * kStripRows);
+    const size_t n = end - base;
+    const size_t words = Bitset::WordsFor(n);
+    Mask(preds[0], base, n, acc);
+    bool live = true;
+    for (size_t p = 1; p < preds.size() && live; ++p) {
+      Mask(preds[p], base, n, mask);
+      uint64_t any = 0;
+      for (size_t w = 0; w < words; ++w) {
+        acc[w] &= mask[w];
+        any |= acc[w];
+      }
+      live = any != 0;
+    }
+    if (live) out->OrWords(acc, base / 64, words);
+    base = end;
+  }
 }
 
 }  // namespace rudolf::simd

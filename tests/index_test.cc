@@ -1,16 +1,19 @@
-// The condition-index subsystem: a numeric condition's miss must be
-// bit-identical to a naive scan for every interval (including
+// The condition cache and the evaluator that owns it: a numeric condition's
+// miss must be bit-identical to a naive scan for every interval (including
 // sentinel-bounded, point, empty and strip-straddling cases), a categorical
 // miss must equal the concept-mask scan for every concept, the LRU cache
-// must evict and count correctly, and the facade must honour the
+// must evict and count correctly, and the evaluator must honour the
 // invalidation contract.
+//
+// Under RUDOLF_INDEX=0 the evaluator has no cache: the tests about the
+// cache itself skip, and the others check their bitmaps against the scan.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "core/capture_tracker.h"
 #include "index/condition_cache.h"
-#include "index/condition_index.h"
 #include "obs/metrics.h"
 #include "relation/builder.h"
 #include "rules/evaluator.h"
@@ -42,10 +45,29 @@ Relation NumericRelation(const std::vector<CellValue>& column) {
   return relation;
 }
 
-// The bitmap a fresh index over the first `prefix` rows scans for `iv`.
+// The rule whose one non-trivial condition is `cond` on `attr`.
+Rule Single(const Schema& schema, size_t attr, const Condition& cond) {
+  Rule rule = Rule::Trivial(schema);
+  rule.set_condition(attr, cond);
+  return rule;
+}
+
+// The captures of one EvalRules batch, in order.
+std::vector<Bitset> EvalBatch(const RuleEvaluator& eval,
+                              const std::vector<Rule>& rules) {
+  std::vector<const Rule*> batch;
+  for (const Rule& rule : rules) batch.push_back(&rule);
+  std::vector<Bitset> out(rules.size());
+  eval.EvalRules(batch, [&out](size_t i, Bitset capture) {
+    out[i] = std::move(capture);
+  });
+  return out;
+}
+
+// The bitmap a fresh evaluator over the first `prefix` rows scans for `iv`.
 Bitset MissBitmap(const Relation& relation, size_t prefix, const Interval& iv) {
-  ConditionIndex index(relation, prefix);
-  return *index.ConditionBitmap(0, Condition::MakeNumeric(iv));
+  RuleEvaluator eval(relation, prefix);
+  return eval.EvalRule(Single(relation.schema(), 0, Condition::MakeNumeric(iv)));
 }
 
 TEST(ConditionIndexNumeric, MatchesScanOnSmallColumn) {
@@ -102,15 +124,15 @@ TEST(ConditionIndexNumeric, RespectsPrefix) {
   EXPECT_EQ(got.ToIndices(), (std::vector<size_t>{1, 2, 3}));
 }
 
-// A categorical attribute has no postings of its own: the facade answers a
-// miss on `A <= c` by scanning the column through the containment mask.
+// A categorical attribute has no postings of its own: the evaluator answers
+// a miss on `A <= c` by scanning the column through the concept mask.
 // Checked for every concept of every categorical attribute at every prefix
 // of the paper example, the empty one included.
 TEST(CategoricalAttributeIndex, MatchesConceptMaskScan) {
   PaperExample ex = MakePaperExample();
   const Schema& schema = *ex.schema;
   for (size_t prefix = 0; prefix <= ex.relation->NumRows(); ++prefix) {
-    ConditionIndex index(*ex.relation, prefix);
+    RuleEvaluator eval(*ex.relation, prefix);
     for (size_t attr = 0; attr < schema.arity(); ++attr) {
       const AttributeDef& def = schema.attribute(attr);
       if (def.kind != AttrKind::kCategorical) continue;
@@ -122,7 +144,7 @@ TEST(CategoricalAttributeIndex, MatchesConceptMaskScan) {
             expected.Set(r);
           }
         }
-        EXPECT_EQ(*index.ConditionBitmap(attr, Condition::MakeCategorical(c)),
+        EXPECT_EQ(eval.EvalRule(Single(schema, attr, Condition::MakeCategorical(c))),
                   expected)
             << def.name << " <= " << def.ontology->NameOf(c) << " at prefix "
             << prefix;
@@ -228,55 +250,57 @@ TEST(ConditionCache, KeysDistinguishAttributeKindAndBounds) {
 
 TEST(ConditionIndex, BitmapsMatchRuleSemantics) {
   PaperExample ex = MakePaperExample();
-  ConditionIndex index(*ex.relation);
+  RuleEvaluator eval(*ex.relation);
   Rule rule =
       ParseRule(*ex.schema, "amount >= 100 and type <= 'Offline'").ValueOrDie();
-  index.EnsureForRule(rule);
 
-  Bitset captured(index.prefix_rows());
-  captured.Fill(true);
+  // One batch of the rule's conditions, one rule each.
   const Schema& schema = *ex.schema;
+  std::vector<Rule> singles;
   for (size_t i = 0; i < rule.arity(); ++i) {
     if (rule.condition(i).IsTrivial(schema.attribute(i))) continue;
-    captured &= *index.ConditionBitmap(i, rule.condition(i));
+    singles.push_back(Single(schema, i, rule.condition(i)));
   }
+  Bitset captured(eval.num_rows(), true);
+  for (const Bitset& bitmap : EvalBatch(eval, singles)) captured &= bitmap;
   for (size_t row = 0; row < ex.relation->NumRows(); ++row) {
     EXPECT_EQ(captured.Test(row), rule.MatchesRow(*ex.relation, row)) << row;
   }
 }
 
 TEST(ConditionIndex, CacheHitsOnRepeatedConditions) {
+  if (!ResolveUseIndex(true)) GTEST_SKIP() << "RUDOLF_INDEX=0 turns the cache off";
   PaperExample ex = MakePaperExample();
-  ConditionIndex index(*ex.relation);
+  RuleEvaluator eval(*ex.relation);
   Rule rule = ParseRule(*ex.schema, "amount >= 100").ValueOrDie();
-  index.EnsureForRule(rule);
-  index.ConditionBitmap(1, rule.condition(1));
-  index.ConditionBitmap(1, rule.condition(1));
-  ConditionCacheStats stats = index.cache_stats();
+  const Rule single = Single(*ex.schema, 1, rule.condition(1));
+  eval.EvalRule(single);
+  eval.EvalRule(single);
+  ConditionCacheStats stats = eval.cache_stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
 }
 
 TEST(ConditionIndex, IndexedEvalHitsCacheOnRepeatedConditions) {
-  // Evaluator-level: re-evaluating a rule through the indexed path must be
+  // Evaluator-level: re-evaluating a rule through the cached path must be
   // served from the condition cache, and the registry's cache counters must
   // observe the same traffic.
+  if (!ResolveUseIndex(true)) GTEST_SKIP() << "RUDOLF_INDEX=0 turns the cache off";
   PaperExample ex = MakePaperExample();
   RuleEvaluator eval(*ex.relation, ex.relation->NumRows(),
                      EvalOptions{1, /*use_index=*/true});
-  ASSERT_NE(eval.condition_index(), nullptr);
   Rule rule =
       ParseRule(*ex.schema, "amount >= 100 and type <= 'Offline'").ValueOrDie();
 
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Default().Snapshot();
   Bitset first = eval.EvalRule(rule);
-  ConditionCacheStats after_first = eval.condition_index()->cache_stats();
+  ConditionCacheStats after_first = eval.cache_stats();
   EXPECT_EQ(after_first.hits, 0u);
   EXPECT_GE(after_first.misses, 2u);  // one extraction per condition
 
   Bitset second = eval.EvalRule(rule);
   EXPECT_EQ(first.ToIndices(), second.ToIndices());
-  ConditionCacheStats after_second = eval.condition_index()->cache_stats();
+  ConditionCacheStats after_second = eval.cache_stats();
   EXPECT_EQ(after_second.misses, after_first.misses);  // no re-extraction
   EXPECT_GE(after_second.hits, 2u);
 
@@ -292,8 +316,11 @@ TEST(ConditionIndex, IndexedEvalHitsCacheOnRepeatedConditions) {
 
 TEST(ConditionIndex, ExtendToRejectsNonMonotonicPrefix) {
   // The extend path must be monotone: a stale or racing caller asking for a
-  // prefix at or below the current binding is a counted no-op, never a
-  // shrink (which would corrupt every cached bitmap) and never an abort.
+  // prefix at or below the current one is a no-op, never a shrink (which
+  // would leave cached bitmaps and captures longer than the prefix) and
+  // never an abort; a request strictly below it is counted. Checked on an
+  // evaluator, through a trivial rule (all rows) and a conditioned one, and
+  // on a capture tracker, whose prefix is its evaluator's.
   Scenario s = TinyScenario();
   s.options.num_transactions = 400;
   Dataset ds = GenerateDataset(s.options);
@@ -301,51 +328,78 @@ TEST(ConditionIndex, ExtendToRejectsNonMonotonicPrefix) {
   size_t full = ds.relation->NumRows();
   size_t half = full / 2;
 
-  ConditionIndex index(*ds.relation, half);
-  Rule rule = ParseRule(schema, "risk_score >= 300").ValueOrDie();
-  index.EnsureForRule(rule);
-  size_t attr = schema.IndexOf("risk_score").ValueOrDie();
-  Bitset at_half = *index.ConditionBitmap(attr, rule.condition(attr));
+  RuleEvaluator eval(*ds.relation, half);
+  const Rule rule = ParseRule(schema, "risk_score >= 300").ValueOrDie();
+  const Rule trivial = Rule::Trivial(schema);
+  const Bitset at_half = eval.EvalRule(rule);
   ASSERT_EQ(at_half.size(), half);
+  ASSERT_GT(at_half.Count(), 0u);
+  auto rejected = [](const obs::MetricsSnapshot& since) {
+    const obs::MetricsSnapshot delta =
+        obs::MetricsRegistry::Default().Snapshot().DeltaSince(since);
+    const obs::CounterSample* c = delta.FindCounter("index.extend_to.rejected");
+    return c == nullptr ? uint64_t{0} : c->value;
+  };
+  // After each call below the prefix, the binding and every capture are as
+  // they were.
+  auto expect_unchanged = [&](size_t prefix, const Bitset& conditioned,
+                              const char* call) {
+    EXPECT_EQ(eval.num_rows(), prefix) << call;
+    EXPECT_EQ(eval.EvalRule(trivial), Bitset(prefix, true)) << call;
+    EXPECT_EQ(eval.EvalRule(rule), conditioned) << call;
+  };
 
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Default().Snapshot();
-  index.ExtendTo(half);  // equal prefix: no-op, not an error, not counted
-  EXPECT_EQ(index.prefix_rows(), half);
-  index.ExtendTo(half - 1);  // backwards: rejected and counted
-  EXPECT_EQ(index.prefix_rows(), half);
-  index.ExtendTo(0);  // degenerate backwards request
-  EXPECT_EQ(index.prefix_rows(), half);
-  const obs::MetricsSnapshot delta =
-      obs::MetricsRegistry::Default().Snapshot().DeltaSince(before);
-  const obs::CounterSample* rejected = delta.FindCounter("index.extend_to.rejected");
-  ASSERT_NE(rejected, nullptr);
-  EXPECT_EQ(rejected->value, 2u);
+  eval.ExtendPrefix(half);  // equal prefix: no-op, not an error, not counted
+  expect_unchanged(half, at_half, "ExtendPrefix(half)");
+  EXPECT_EQ(rejected(before), 0u);
+  eval.ExtendPrefix(half - 1);  // backwards: rejected and counted
+  expect_unchanged(half, at_half, "ExtendPrefix(half - 1)");
+  EXPECT_EQ(rejected(before), 1u);
+  eval.ExtendPrefix(0);  // degenerate backwards request
+  expect_unchanged(half, at_half, "ExtendPrefix(0)");
+  EXPECT_EQ(rejected(before), 2u);
 
-  // The rejected calls must not have disturbed the binding: the cached
-  // bitmap still answers for `half`, and a forward extension from here is
-  // bit-identical to a fresh build over the full prefix.
-  EXPECT_EQ(*index.ConditionBitmap(attr, rule.condition(attr)), at_half);
-  index.ExtendTo(full);
-  EXPECT_EQ(index.prefix_rows(), full);
-  ConditionIndex fresh(*ds.relation, full);
-  fresh.EnsureForRule(rule);
-  EXPECT_EQ(*index.ConditionBitmap(attr, rule.condition(attr)),
-            *fresh.ConditionBitmap(attr, rule.condition(attr)));
+  // The rejected calls must not have disturbed the binding: a forward
+  // extension from here is bit-identical to a fresh evaluator over the full
+  // prefix.
+  eval.ExtendPrefix(full);
+  EXPECT_EQ(eval.num_rows(), full);
+  RuleEvaluator fresh(*ds.relation, full);
+  const Bitset at_full = fresh.EvalRule(rule);
+  EXPECT_EQ(eval.EvalRule(rule), at_full);
 
   // And a backwards request after the extension is rejected the same way.
-  index.ExtendTo(half);
-  EXPECT_EQ(index.prefix_rows(), full);
+  eval.ExtendPrefix(half);
+  expect_unchanged(full, at_full, "ExtendPrefix(half) after ExtendPrefix(full)");
+  EXPECT_EQ(rejected(before), 3u);
+
+  // A tracker asked to move backwards keeps its prefix, planes and
+  // captures.
+  RuleSet rules;
+  const RuleId conditioned = rules.AddRule(rule);
+  const RuleId everything = rules.AddRule(trivial);
+  CaptureTracker tracker(*ds.relation, rules, half);
+  const obs::MetricsSnapshot tracked = obs::MetricsRegistry::Default().Snapshot();
+  tracker.ExtendPrefix(half - 1);
+  EXPECT_EQ(rejected(tracked), 1u);
+  EXPECT_EQ(tracker.prefix_rows(), half);
+  EXPECT_EQ(tracker.evaluator().num_rows(), half);
+  EXPECT_EQ(tracker.RuleCapture(conditioned), at_half);
+  EXPECT_EQ(tracker.RuleCapture(everything), Bitset(half, true));
+  EXPECT_EQ(tracker.UnionCapture(), Bitset(half, true));
 }
 
 TEST(ConditionIndex, MatchesEvaluatorOnGeneratedData) {
-  // Randomized rules over a generated dataset: the facade's intersection
-  // semantics must agree with the scan evaluator everywhere.
+  // Randomized rules over a generated dataset: the intersection of one
+  // batch of the rules' single conditions must agree with the scan
+  // evaluator everywhere.
   Scenario s = TinyScenario();
   s.options.num_transactions = 3000;
   Dataset ds = GenerateDataset(s.options);
   RuleEvaluator scan(*ds.relation, static_cast<size_t>(-1),
                      EvalOptions{1, /*use_index=*/false});
-  ConditionIndex index(*ds.relation);
+  RuleEvaluator indexed(*ds.relation);
   const Schema& schema = *ds.cc.schema;
   Rng rng(99);
   for (int i = 0; i < 25; ++i) {
@@ -362,14 +416,14 @@ TEST(ConditionIndex, MatchesEvaluatorOnGeneratedData) {
                    0, static_cast<int64_t>(def.ontology->size()) - 1))));
       }
     }
-    index.EnsureForRule(rule);
     Bitset expected = scan.EvalRule(rule);
-    Bitset got(index.prefix_rows());
-    got.Fill(true);
+    std::vector<Rule> singles;
     for (size_t a = 0; a < rule.arity(); ++a) {
       if (rule.condition(a).IsTrivial(schema.attribute(a))) continue;
-      got &= *index.ConditionBitmap(a, rule.condition(a));
+      singles.push_back(Single(schema, a, rule.condition(a)));
     }
+    Bitset got(indexed.num_rows(), true);
+    for (const Bitset& bitmap : EvalBatch(indexed, singles)) got &= bitmap;
     ASSERT_EQ(got, expected) << rule.ToString(schema);
   }
 }

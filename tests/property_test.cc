@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "ontology/serialization.h"
 #include "rules/parser.h"
+#include "simd/column_scan.h"
 #include "util/random.h"
 #include "util/task_scheduler.h"
 #include "workload/generator.h"
@@ -96,6 +97,15 @@ Rule RandomRule(const Dataset& ds, Rng* rng) {
   return rule;
 }
 
+// A row in [lo, hi) that is not on a 64-row word boundary.
+size_t OffWordRow(size_t lo, size_t hi, Rng* rng) {
+  for (;;) {
+    auto row = static_cast<size_t>(rng->UniformInt(
+        static_cast<int64_t>(lo), static_cast<int64_t>(hi) - 1));
+    if (row % 64 != 0) return row;
+  }
+}
+
 class SeededProperty : public ::testing::TestWithParam<uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,
@@ -113,17 +123,102 @@ TEST_P(SeededProperty, RuleParsePrintRoundTrip) {
   }
 }
 
+// The cached and the scan evaluator must capture exactly the rows
+// Rule::MatchesRow accepts, at every row. Then EvalRuleRange, the one
+// conjunction scan, over windows of the large input that start and end off
+// a 64-row word (so off a simd::kStripRows strip too): random rules, a
+// broad conjunction whose ragged heads match every row, and a conjunction
+// that is empty in a strip before a strip where it matches. The output is
+// pre-seeded with background bits that must survive outside the window.
 TEST_P(SeededProperty, EvaluatorAgreesWithRowByRowMatching) {
-  const Dataset& ds = SharedDataset();
-  Rng rng(GetParam() ^ 0xE0E0);
-  for (int i = 0; i < 5; ++i) {
-    Rule rule = RandomRule(ds, &rng);
-    RuleEvaluator eval(*ds.relation);
-    Bitset captured = eval.EvalRule(rule);
-    for (size_t r = 0; r < ds.relation->NumRows(); r += 7) {
-      EXPECT_EQ(captured.Test(r), rule.MatchesRow(*ds.relation, r));
+  auto matching = [](const Relation& rel, const Rule& rule, size_t lo,
+                     size_t hi, Bitset out) {
+    for (size_t r = lo; r < hi; ++r) {
+      if (rule.MatchesRow(rel, r)) out.Set(r);
+    }
+    return out;
+  };
+  {
+    const Dataset& ds = SharedDataset();
+    const Relation& rel = *ds.relation;
+    Rng rng(GetParam() ^ 0xE0E0);
+    RuleEvaluator cached(rel);
+    RuleEvaluator scan(rel, static_cast<size_t>(-1),
+                       EvalOptions{1, /*use_index=*/false});
+    for (int i = 0; i < 5; ++i) {
+      Rule rule = RandomRule(ds, &rng);
+      const Bitset want =
+          matching(rel, rule, 0, rel.NumRows(), Bitset(rel.NumRows()));
+      EXPECT_EQ(cached.EvalRule(rule), want) << rule.ToString(*ds.cc.schema);
+      EXPECT_EQ(scan.EvalRule(rule), want) << rule.ToString(*ds.cc.schema);
     }
   }
+  const Dataset& ds = LargeDataset();
+  const Relation& rel = *ds.relation;
+  const Schema& schema = *ds.cc.schema;
+  const size_t n = rel.NumRows();
+  const size_t strip = simd::kStripRows;
+  Rng rng(GetParam() ^ 0xE0E1);
+  RuleEvaluator scan(rel, n, EvalOptions{1, /*use_index=*/false});
+  Bitset background(n);
+  for (size_t r = 0; r < n; r += 1 + static_cast<size_t>(rng.UniformInt(0, 96))) {
+    background.Set(r);
+  }
+  // Windows over several strips, inside one strip, and across row 65,536.
+  const size_t within = strip * static_cast<size_t>(rng.UniformInt(8, 60));
+  const std::pair<size_t, size_t> windows[] = {
+      {OffWordRow(1, strip, &rng), OffWordRow(5 * strip + 1, 6 * strip, &rng)},
+      {OffWordRow(within + 1, within + 400, &rng),
+       OffWordRow(within + 600, within + strip, &rng)},
+      {OffWordRow(RuleEvaluator::kChunkRows - 3 * strip, RuleEvaluator::kChunkRows,
+                  &rng),
+       OffWordRow(RuleEvaluator::kChunkRows + 1, n, &rng)},
+  };
+  std::vector<Rule> rules;
+  for (int i = 0; i < 4; ++i) rules.push_back(RandomRule(ds, &rng));
+  // Every numeric cell above the int64 floor: a broad conjunction.
+  Rule broad = Rule::Trivial(schema);
+  for (size_t a = 0; a < schema.arity(); ++a) {
+    if (schema.attribute(a).kind == AttrKind::kNumeric) {
+      broad.set_condition(a, Condition::MakeNumeric(Interval::AtLeast(kNegInf + 1)));
+    }
+  }
+  ASSERT_GT(broad.NumNonTrivial(schema), 1u);
+  rules.push_back(broad);
+  // Every cell of one row in the first window's last strips: a conjunction
+  // that matches few rows besides it.
+  const size_t target = static_cast<size_t>(rng.UniformInt(
+      static_cast<int64_t>(4 * strip), static_cast<int64_t>(windows[0].second) - 1));
+  Rule rare = Rule::Trivial(schema);
+  for (size_t a = 0; a < schema.arity(); ++a) {
+    const CellValue v = rel.Get(target, a);
+    rare.set_condition(a, schema.attribute(a).kind == AttrKind::kNumeric
+                              ? Condition::MakeNumeric(Interval::Point(v))
+                              : Condition::MakeCategorical(static_cast<ConceptId>(v)));
+  }
+  rules.push_back(rare);
+
+  bool empty_then_match = false;
+  for (const auto& [lo, hi] : windows) {
+    for (const Rule& rule : rules) {
+      const Bitset hits = matching(rel, rule, lo, hi, Bitset(n));
+      const Bitset want = hits | background;
+      Bitset got = background;
+      scan.EvalRuleRange(rule, lo, hi, &got);
+      ASSERT_EQ(got, want) << rule.ToString(schema) << " over rows [" << lo
+                           << ", " << hi << ")";
+      // A strip of the window where the rule matches nothing, before one
+      // where it matches.
+      bool empty_strip = false;
+      for (size_t s = lo; s < hi; s = (s / strip + 1) * strip) {
+        const size_t end = std::min(hi, (s / strip + 1) * strip);
+        const bool matched = hits.CountRange(s, end) > 0;
+        empty_then_match = empty_then_match || (empty_strip && matched);
+        empty_strip = empty_strip || !matched;
+      }
+    }
+  }
+  EXPECT_TRUE(empty_then_match);
 }
 
 TEST_P(SeededProperty, RepresentativeIsMinimalHull) {
@@ -577,15 +672,6 @@ void ExpectEvaluateOnRangeMatchesRowByRow(const Dataset& ds,
   EXPECT_EQ(got.fraud_captured, want.fraud_captured);
   EXPECT_EQ(got.fraud_missed, want.fraud_missed);
   EXPECT_EQ(got.legit_captured, want.legit_captured);
-}
-
-// A row in [lo, hi) that is not on a 64-row word boundary.
-size_t OffWordRow(size_t lo, size_t hi, Rng* rng) {
-  for (;;) {
-    auto row = static_cast<size_t>(rng->UniformInt(
-        static_cast<int64_t>(lo), static_cast<int64_t>(hi) - 1));
-    if (row % 64 != 0) return row;
-  }
 }
 
 // On the small input the window spans more than two 64-row words and starts
